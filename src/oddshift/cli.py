@@ -118,7 +118,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     keys = [
-        "input", "out", "seed", "K", "t", "alpha", "B", "threads",
+        "input", "out", "seed", "K", "t", "alpha", "B",
         "grid", "grid_size", "grid_lo", "grid_hi",
         "pi_learner", "omega_learner", "m_learner",
     ]
@@ -298,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, help="horizon (default: last period)")
     sp.add_argument("--alpha", type=float, help="band level (default 0.05)")
     sp.add_argument("--B", type=int, help="bootstrap replicates (default 10000)")
-    sp.add_argument("--threads", type=int, help="worker count; outputs do not depend on it")
     sp.add_argument("--grid", help="explicit JSON list of delta values")
     sp.add_argument("--grid-size", dest="grid_size", type=int)
     sp.add_argument("--grid-lo", dest="grid_lo", type=float)

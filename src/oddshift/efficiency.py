@@ -101,12 +101,13 @@ class MomentSpec:
         return float(self.second_by_count(int(sum(a_bar))))
 
     def check_bounds(self) -> None:
-        ones = (1,) * self.T
-        if abs(self.mean(ones)) > self.b_u + 1e-12:
-            raise ConfigError("mean provider exceeds the outcome bound b_u")
-        if self.second(ones) > self.b_u**2 + 1e-9:
-            raise ConfigError("second-moment provider exceeds b_u^2")
-        if self.second(ones) <= 0:
+        """Require |E[Y^a]| <= b_u and E[(Y^a)^2] <= b_u^2 for every sequence a."""
+        for a_bar in _representative_sequences(self):
+            if abs(self.mean(a_bar)) > self.b_u + 1e-12:
+                raise ConfigError(f"mean provider exceeds the outcome bound b_u at a={a_bar}")
+            if self.second(a_bar) > self.b_u**2 + 1e-9:
+                raise ConfigError(f"second-moment provider exceeds b_u^2 at a={a_bar}")
+        if self.second((1,) * self.T) <= 0:
             raise ConfigError("always-treated outcome must be non-degenerate")
 
 
@@ -179,13 +180,18 @@ def _check_enumerable(T: int) -> None:
         )
 
 
-def _min_second(spec: MomentSpec) -> float:
-    """Smallest counterfactual second moment E[(Y^a)^2] over all sequences."""
+def _representative_sequences(spec: MomentSpec):
+    """One sequence per distinct moment pair: T+1 counts, or all 2^T sequences."""
     T = spec.T
     if spec.count_based:
-        return min(spec.second([1] * k + [0] * (T - k)) for k in range(T + 1))
+        return ([1] * k + [0] * (T - k) for k in range(T + 1))
     _check_enumerable(T)
-    return min(spec.second(a_bar) for a_bar in itertools.product((0, 1), repeat=T))
+    return itertools.product((0, 1), repeat=T)
+
+
+def _min_second(spec: MomentSpec) -> float:
+    """Smallest counterfactual second moment E[(Y^a)^2] over all sequences."""
+    return min(spec.second(a_bar) for a_bar in _representative_sequences(spec))
 
 
 def variance_ratio_bounds(
@@ -257,44 +263,35 @@ def crossover_horizon_bound(delta: float, p: float, second_moment_ratio: float) 
     raise EstimationError("scan did not terminate (cannot happen for delta > 1)")
 
 
-def _inc_first_term(spec: MomentSpec) -> float:
-    """E[(prod_t ratio_t)^2 Y^2] by the sequential-integral expansion."""
-    p, delta, T = spec.p, spec.delta, spec.T
-    denom = (delta * p + 1.0 - p) ** 2
-    if spec.count_based:
-        total = 0.0
-        for k in range(T + 1):
-            coef = math.comb(T, k) * (delta**2 * p) ** k * (1.0 - p) ** (T - k)
-            total += coef * spec.second([1] * k + [0] * (T - k))
-        return total / denom**T
-    _check_enumerable(T)
+def _path_sum(spec: MomentSpec, f1: float, moment: Callable) -> float:
+    """Sum over sequences of prod_t (f1 if a_t = 1 else 1 - p) * moment(a)."""
+    p, T = spec.p, spec.T
     total = 0.0
+    if spec.count_based:
+        for k in range(T + 1):
+            coef = math.comb(T, k) * f1**k * (1.0 - p) ** (T - k)
+            total += coef * moment([1] * k + [0] * (T - k))
+        return total
+    _check_enumerable(T)
     for a_bar in itertools.product((0, 1), repeat=T):
         coef = 1.0
         for a in a_bar:
-            coef *= delta**2 * p if a == 1 else (1.0 - p)
-        total += coef * spec.second(a_bar)
-    return total / denom**T
+            coef *= f1 if a == 1 else (1.0 - p)
+        total += coef * moment(a_bar)
+    return total
+
+
+def _inc_first_term(spec: MomentSpec) -> float:
+    """E[(prod_t ratio_t)^2 Y^2] by the sequential-integral expansion."""
+    p, delta = spec.p, spec.delta
+    denom = (delta * p + 1.0 - p) ** 2
+    return _path_sum(spec, delta**2 * p, spec.second) / denom**spec.T
 
 
 def _inc_mean(spec: MomentSpec) -> float:
     """E[prod_t ratio_t * Y] = the shifted-intervention mean."""
-    p, delta, T = spec.p, spec.delta, spec.T
-    denom = delta * p + 1.0 - p
-    if spec.count_based:
-        total = 0.0
-        for k in range(T + 1):
-            coef = math.comb(T, k) * (delta * p) ** k * (1.0 - p) ** (T - k)
-            total += coef * spec.mean([1] * k + [0] * (T - k))
-        return total / denom**T
-    _check_enumerable(T)
-    total = 0.0
-    for a_bar in itertools.product((0, 1), repeat=T):
-        coef = 1.0
-        for a in a_bar:
-            coef *= delta * p if a == 1 else (1.0 - p)
-        total += coef * spec.mean(a_bar)
-    return total / denom**T
+    p, delta = spec.p, spec.delta
+    return _path_sum(spec, delta * p, spec.mean) / (delta * p + 1.0 - p) ** spec.T
 
 
 def exact_variance(spec: MomentSpec, estimator: str) -> float:
@@ -323,7 +320,8 @@ def decomposition_check(p: float, delta: float, T: int, atoms: Callable) -> floa
     the shifted-weight statistic directly; the right side expands the
     variance of the square-root-weighted combination through the per-pair
     covariances of the fixed-regime estimators (distinct sequences have
-    product zero, so their covariance is minus the product of means).
+    product zero, so their covariance is minus the product of means); the
+    sum over pairs collapses to one pass over the sequences.
     """
     if not callable(atoms):
         raise ConfigError("atoms must be a callable finite-support provider")
@@ -361,24 +359,21 @@ def decomposition_check(p: float, delta: float, T: int, atoms: Callable) -> floa
         em += pr * float(np.sum(probs * w_inc * values))
     lhs = e1 - em**2
 
-    # right side: variance of the square-root-weighted combination
-    means = {}
-    seconds = {}
+    # right side: variance of the square-root-weighted combination.  Distinct
+    # sequences contribute sqrt(w_a w_b) (-m_a m_b), which sums to
+    # -(sum sqrt(w) m)^2 + sum w m^2.
+    rhs = 0.0
+    root_sum = 0.0
+    sq_sum = 0.0
     for a_bar in seqs:
         values, probs = dist[a_bar]
-        means[a_bar] = float(np.sum(probs * values))
-        seconds[a_bar] = float(np.sum(probs * values**2))
-    rhs = 0.0
-    for a_bar in seqs:
+        mean = float(np.sum(probs * values))
+        second = float(np.sum(probs * values**2))
         w = path_weight(a_bar, delta, p)
-        var_det = seconds[a_bar] / path_prob(a_bar) - means[a_bar] ** 2
-        rhs += w * var_det
-    for a_bar in seqs:
-        for b_bar in seqs:
-            if a_bar == b_bar:
-                continue
-            cov = -means[a_bar] * means[b_bar]  # cross products vanish
-            rhs += math.sqrt(path_weight(a_bar, delta, p) * path_weight(b_bar, delta, p)) * cov
+        rhs += w * (second / path_prob(a_bar) - mean**2)
+        root_sum += math.sqrt(w) * mean
+        sq_sum += w * mean**2
+    rhs += sq_sum - root_sum**2
     return abs(lhs - rhs)
 
 

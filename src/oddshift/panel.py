@@ -12,6 +12,10 @@ recorded but before the outcome is measured).
 A dataset need not record outcomes at every time; ``outcome_times`` lists
 the times at which outcomes are present for every retained subject.
 
+The dense arrays ``X, A, Y, R`` of a ``PanelDataset`` are the panel and
+its only copy of the data; a per-subject ``Trajectory`` of Python tuples
+is built on demand, never stored.
+
 CSV layout (long format, one row per observed subject-time):
 ``id,time,x1,...,xd,a,y,r`` with time 1-based, a and r in {0,1}, and
 y left empty where the outcome is unobserved or unrecorded.  Rows absent
@@ -50,6 +54,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _treatment(a: float):
+    """A binary treatment as the int it stands for; any other value as it is."""
+    return int(a) if a in (0, 1) else a
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One subject's chain. Entries for times with R_t = 0 are None."""
@@ -63,15 +72,6 @@ class Trajectory:
     @property
     def n_periods(self) -> int:
         return len(self.covariates)
-
-    def observed_through(self) -> int:
-        """Last time t with R_t = 1."""
-        r = self.retention
-        t = 0
-        for i in range(len(r) - 1):
-            if r[i] == 1:
-                t = i + 1
-        return t
 
 
 def retention_violations(retention: Sequence[int]) -> list[int]:
@@ -89,19 +89,39 @@ def retention_violations(retention: Sequence[int]) -> list[int]:
     return bad
 
 
+def _monotonicity_mask(R: np.ndarray) -> np.ndarray:
+    """(n, T+1) mask of the times ``retention_violations`` reports, per row of R."""
+    bad = np.zeros(R.shape, dtype=bool)
+    bad[:, 0] = R[:, 0] != 1
+    bad[:, 1:] = (R[:, 1:] == 1) & (R[:, :-1] == 0)
+    return bad
+
+
+# Invariant messages in their within-cell reporting order; index 0 is the
+# monotonicity line, the only kind reported for a non-monotone subject.
+_PROBLEMS = (
+    "non-monotone retention at t={}",
+    "covariate/treatment presence disagrees with R at t={}",
+    "non-binary treatment at t={}",
+    "outcome recorded at t={} but subject had left",
+    "missing outcome at recorded time t={}",
+)
+
+
 class PanelDataset:
-    """Immutable collection of trajectories plus dense array views.
+    """Immutable panel held as dense arrays.
 
     Arrays are indexed [unit, time-1]; entries unavailable because of
     dropout hold NaN (never a usable sentinel).  ``R`` has one extra
     column so that R[:, t] is the retention indicator R_{t+1} gating Y_t.
+    The arrays are the only copy of the data: ``trajectory(i)`` and
+    ``trajectories`` build ``Trajectory`` views from them on each call.
     """
 
     def __init__(self, trajectories: Sequence[Trajectory], validate: bool = True):
         trajectories = list(trajectories)
-        if not trajectories:
-            raise PanelDataError("dataset needs at least one trajectory")
-        T = trajectories[0].n_periods
+        n = len(trajectories)
+        T = trajectories[0].n_periods if trajectories else 0
         d = None
         for tr in trajectories:
             if tr.n_periods != T:
@@ -116,90 +136,90 @@ class PanelDataset:
                         raise PanelDataError(
                             f"subject {tr.subject_id!r}: covariate dimension mismatch"
                         )
-        if d is None:
-            d = 0
-
-        n = len(trajectories)
-        X = np.full((n, T, d), np.nan)
-        A = np.full((n, T), np.nan)
-        Y = np.full((n, T), np.nan)
-        R = np.zeros((n, T + 1), dtype=np.int8)
-        for i, tr in enumerate(trajectories):
             if len(tr.retention) != T + 1:
                 raise PanelDataError(
                     f"subject {tr.subject_id!r}: retention must have length T+1"
                 )
-            R[i] = tr.retention
-            for t in range(T):
-                if tr.covariates[t] is not None:
-                    X[i, t] = tr.covariates[t]
-                if tr.treatments[t] is not None:
-                    A[i, t] = tr.treatments[t]
-                if tr.outcomes[t] is not None:
-                    Y[i, t] = tr.outcomes[t]
+        d = d or 0
 
-        self.trajectories = tuple(trajectories)
-        self.n = n
-        self.T = T
-        self.d = d
+        def pack(attr, blank):
+            rows = (getattr(tr, attr) for tr in trajectories)
+            return [[blank if v is None else v for v in row] for row in rows]
+
+        X = np.array(pack("covariates", (np.nan,) * d), dtype=float).reshape(n, T, d)
+        A = np.array(pack("treatments", np.nan), dtype=float).reshape(n, T)
+        Y = np.array(pack("outcomes", np.nan), dtype=float).reshape(n, T)
+        R = np.array([tr.retention for tr in trajectories], dtype=np.int8).reshape(n, T + 1)
+        self._store(X, A, Y, R, [tr.subject_id for tr in trajectories], validate)
+
+    def _store(self, X, A, Y, R, ids, validate: bool) -> None:
+        """Adopt the arrays (without copying) as the panel, freeze them, validate."""
+        self.n, self.T = A.shape
+        if self.n == 0:
+            raise PanelDataError("dataset needs at least one trajectory")
+        self.d = X.shape[2]
         self.X = X
         self.A = A
         self.Y = Y
         self.R = R
-        # times (1-based) at which any retained unit has a recorded outcome
-        self.outcome_times = tuple(
-            int(t + 1) for t in range(T) if np.any(~np.isnan(Y[:, t]))
-        )
-        self.ids = tuple(tr.subject_id for tr in trajectories)
-        for arr in (self.X, self.A, self.Y):
+        for arr in (X, A, Y, R):
             arr.setflags(write=False)
-        self.R.setflags(write=False)
-
+        self.ids = tuple(ids)
+        # times (1-based) at which any unit has a recorded outcome
+        self.outcome_times = tuple(
+            int(t) + 1 for t in np.flatnonzero(~np.isnan(Y).all(axis=0))
+        )
         if validate:
             problems = self.check_invariants()
             if problems:
                 raise PanelDataError("; ".join(problems[:8]))
 
     def check_invariants(self) -> list[str]:
-        """Return human-readable descriptions of every invariant violation."""
-        problems = []
-        for i, tr in enumerate(self.trajectories):
-            bad = retention_violations(tr.retention)
-            for t in bad:
-                problems.append(
-                    f"subject {tr.subject_id!r}: non-monotone retention at t={t}"
-                )
-            if bad:
-                continue
-            for t in range(self.T):
-                alive = tr.retention[t] == 1
-                has_x = tr.covariates[t] is not None
-                has_a = tr.treatments[t] is not None
-                if alive != has_x or alive != has_a:
-                    problems.append(
-                        f"subject {tr.subject_id!r}: covariate/treatment presence "
-                        f"disagrees with R at t={t + 1}"
-                    )
-                if has_a and tr.treatments[t] not in (0, 1):
-                    problems.append(
-                        f"subject {tr.subject_id!r}: non-binary treatment at t={t + 1}"
-                    )
-                has_y = tr.outcomes[t] is not None
-                y_ok = tr.retention[t + 1] == 1
-                if has_y and not y_ok:
-                    problems.append(
-                        f"subject {tr.subject_id!r}: outcome recorded at t={t + 1} "
-                        "but subject had left"
-                    )
-                if (t + 1) in self.outcome_times and y_ok and not has_y:
-                    problems.append(
-                        f"subject {tr.subject_id!r}: missing outcome at recorded "
-                        f"time t={t + 1}"
-                    )
-        return problems
+        """Return human-readable descriptions of every invariant violation.
+
+        Messages run subject by subject, then by time, then in the order of
+        ``_PROBLEMS``; a non-monotone subject reports only its monotonicity
+        lines.  A value is present when it is not NaN; covariates must be
+        complete where R_t = 1 and absent elsewhere.
+        """
+        alive = self.R[:, : self.T] == 1
+        stays = self.R[:, 1:] == 1
+        x_nan = np.isnan(self.X)
+        has_a = ~np.isnan(self.A)
+        has_y = ~np.isnan(self.Y)
+        mono = _monotonicity_mask(self.R)
+        cells = np.zeros((self.n, self.T + 1, len(_PROBLEMS)), dtype=bool)
+        cells[:, :, 0] = mono
+        cells[:, :-1, 1] = np.where(alive, x_nan.any(axis=2), ~x_nan.all(axis=2))
+        cells[:, :-1, 1] |= has_a != alive
+        cells[:, :-1, 2] = has_a & (self.A != 0) & (self.A != 1)
+        cells[:, :-1, 3] = has_y & ~stays
+        cells[:, :-1, 4] = has_y.any(axis=0) & stays & ~has_y
+        cells[mono.any(axis=1), :, 1:] = False
+        # nonzero walks the mask in (subject, time, kind) order
+        return [
+            f"subject {self.ids[i]!r}: " + _PROBLEMS[k].format(t + 1)
+            for i, t, k in zip(*(idx.tolist() for idx in np.nonzero(cells)))
+        ]
 
     def trajectory(self, i: int) -> Trajectory:
-        return self.trajectories[i]
+        """Subject i's chain; a cell is None where R_t != 1 and nothing is recorded."""
+        alive = self.R[i, : self.T] == 1
+        x_kept = alive | ~np.isnan(self.X[i]).all(axis=1)
+        a_kept = alive | ~np.isnan(self.A[i])
+        X, A = self.X[i].tolist(), self.A[i].tolist()
+        return Trajectory(
+            subject_id=self.ids[i],
+            covariates=tuple(tuple(x) if k else None for k, x in zip(x_kept, X)),
+            treatments=tuple(_treatment(a) if k else None for k, a in zip(a_kept, A)),
+            outcomes=tuple(None if y != y else y for y in self.Y[i].tolist()),
+            retention=tuple(self.R[i].tolist()),
+        )
+
+    @property
+    def trajectories(self) -> tuple:
+        """Every subject's ``Trajectory``, built afresh on each access."""
+        return tuple(self.trajectory(i) for i in range(self.n))
 
     @classmethod
     def from_arrays(
@@ -211,33 +231,32 @@ class PanelDataset:
         ids: Sequence[str] | None = None,
         validate: bool = True,
     ) -> "PanelDataset":
-        """Build a dataset from dense arrays (NaN marks unavailable cells)."""
-        n, T = A.shape
+        """Build a dataset from dense arrays (NaN marks unavailable cells).
+
+        The inputs are copied, and X and A are blanked to NaN wherever
+        R_t != 1.  ``ids`` defaults to s1..sn.
+        """
+        X = np.array(X, dtype=float)
         if X.ndim == 2:
             X = X[:, :, None]
-        if ids is None:
-            ids = [f"s{i + 1}" for i in range(n)]
-        trajectories = []
-        for i in range(n):
-            cov, trt, out = [], [], []
-            for t in range(T):
-                if R[i, t] == 1:
-                    cov.append(tuple(float(v) for v in X[i, t]))
-                    trt.append(int(A[i, t]))
-                else:
-                    cov.append(None)
-                    trt.append(None)
-                out.append(float(Y[i, t]) if not np.isnan(Y[i, t]) else None)
-            trajectories.append(
-                Trajectory(
-                    subject_id=str(ids[i]),
-                    covariates=tuple(cov),
-                    treatments=tuple(trt),
-                    outcomes=tuple(out),
-                    retention=tuple(int(v) for v in R[i]),
-                )
+        A = np.array(A, dtype=float)
+        Y = np.array(Y, dtype=float)
+        R = np.array(R, dtype=np.int8)
+        n, T = A.shape
+        if X.shape[:2] != (n, T) or Y.shape != (n, T) or R.shape != (n, T + 1):
+            raise PanelDataError(
+                f"shapes X{X.shape}, A{A.shape}, Y{Y.shape}, R{R.shape} do not "
+                f"describe {n} subjects over T={T} periods (R needs T+1 columns)"
             )
-        return cls(trajectories, validate=validate)
+        ids = [f"s{i + 1}" for i in range(n)] if ids is None else [str(s) for s in ids]
+        if len(ids) != n:
+            raise PanelDataError(f"{len(ids)} ids given for {n} subjects")
+        gone = R[:, :T] != 1
+        X[gone] = np.nan
+        A[gone] = np.nan
+        ds = cls.__new__(cls)
+        ds._store(X, A, Y, R, ids, validate)
+        return ds
 
 
 def validate_monotonicity(ds: PanelDataset) -> list[tuple[str, int]]:
@@ -245,11 +264,8 @@ def validate_monotonicity(ds: PanelDataset) -> list[tuple[str, int]]:
 
     Valid datasets return an empty list.
     """
-    report = []
-    for tr in ds.trajectories:
-        for t in retention_violations(tr.retention):
-            report.append((tr.subject_id, t))
-    return report
+    i, t = np.nonzero(_monotonicity_mask(ds.R))
+    return [(ds.ids[a], b + 1) for a, b in zip(i.tolist(), t.tolist())]
 
 
 @dataclass(frozen=True)
@@ -389,55 +405,50 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
             header = next(reader)
         except StopIteration:
             raise PanelDataError(f"{path}: empty file") from None
-        rows = list(reader)
+        if len(header) < 4 or header[0] != "id" or header[1] != "time":
+            raise PanelDataError(f"{path}: header must start with id,time")
+        if header[-1] != "r" or header[-2] != "y" or header[-3] != "a":
+            raise PanelDataError(f"{path}: header must end with a,y,r")
+        x_names = header[2:-3]
+        d = len(x_names)
+        for j, name in enumerate(x_names):
+            if name != f"x{j + 1}":
+                raise PanelDataError(f"{path}: covariate column {j + 3} must be x{j + 1}")
 
-    if len(header) < 4 or header[0] != "id" or header[1] != "time":
-        raise PanelDataError(f"{path}: header must start with id,time")
-    if header[-1] != "r" or header[-2] != "y" or header[-3] != "a":
-        raise PanelDataError(f"{path}: header must end with a,y,r")
-    x_names = header[2:-3]
-    d = len(x_names)
-    for j, name in enumerate(x_names):
-        if name != f"x{j + 1}":
-            raise PanelDataError(f"{path}: covariate column {j + 3} must be x{j + 1}")
-
-    records: dict[str, dict[int, tuple]] = {}
-    order: list[str] = []
-    for k, row in enumerate(rows):
-        line_no = k + 2
-        if len(row) != len(header):
-            raise PanelDataError(f"line {line_no}: expected {len(header)} fields")
-        sid = row[0]
-        try:
-            t = int(row[1])
-        except ValueError:
-            raise PanelDataError(f"line {line_no}: bad time {row[1]!r}") from None
-        if t < 1:
-            raise PanelDataError(f"line {line_no}: time must be >= 1")
-        r = _parse_binary(row[-1], "r", line_no)
-        if r == 1:
+        subjects: dict[str, int] = {}  # id -> array row, in file order
+        seen: set[tuple[int, int]] = set()
+        cells, xs = [], []  # per data row: (array row, time, r, a, y); covariates
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise PanelDataError(f"line {line_no}: expected {len(header)} fields")
             try:
-                x = tuple(float(v) for v in row[2 : 2 + d])
+                t = int(row[1])
             except ValueError:
-                raise PanelDataError(f"line {line_no}: bad covariate value") from None
-            a = _parse_binary(row[-3], "a", line_no)
-            y_raw = row[-2]
-            y = float(y_raw) if y_raw != "" else None
-        else:
-            if any(v != "" for v in row[2:-1]):
-                raise PanelDataError(
-                    f"line {line_no}: r=0 row must leave x, a, y empty"
-                )
-            x, a, y = None, None, None
-        if sid not in records:
-            records[sid] = {}
-            order.append(sid)
-        if t in records[sid]:
-            raise PanelDataError(f"line {line_no}: duplicate (id, time) ({sid!r}, {t})")
-        records[sid][t] = (r, x, a, y)
+                raise PanelDataError(f"line {line_no}: bad time {row[1]!r}") from None
+            if t < 1:
+                raise PanelDataError(f"line {line_no}: time must be >= 1")
+            r = _parse_binary(row[-1], "r", line_no)
+            if r == 1:
+                try:
+                    x = [float(v) for v in row[2 : 2 + d]]
+                except ValueError:
+                    raise PanelDataError(f"line {line_no}: bad covariate value") from None
+                a = _parse_binary(row[-3], "a", line_no)
+                y = float(row[-2]) if row[-2] != "" else np.nan
+            elif any(v != "" for v in row[2:-1]):
+                raise PanelDataError(f"line {line_no}: r=0 row must leave x, a, y empty")
+            else:
+                x, a, y = [np.nan] * d, np.nan, np.nan
+            i = subjects.setdefault(row[0], len(subjects))
+            if (i, t) in seen:
+                raise PanelDataError(f"line {line_no}: duplicate (id, time) ({row[0]!r}, {t})")
+            seen.add((i, t))
+            cells.append((i, t, r, a, y))
+            xs.extend(x)
 
-    if not records:
+    if not subjects:
         raise PanelDataError(f"{path}: no data rows")
+    i, t, r, a, y = map(np.array, zip(*cells))
     T = n_periods
     if T is None:
         meta_path = path.with_suffix(path.suffix + ".meta.json")
@@ -445,44 +456,40 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
             with open(meta_path, encoding="utf-8") as fh:
                 T = int(json.load(fh)["n_periods"])
         else:
-            T = max(max(times) for times in records.values())
+            T = int(t.max())
 
-    trajectories = []
-    for sid in order:
-        per_t = records[sid]
-        retention = []
-        cov, trt, out = [], [], []
-        for t in range(1, T + 1):
-            r, x, a, y = per_t.get(t, (0, None, None, None))
-            retention.append(r)
-            cov.append(x)
-            trt.append(a)
-            out.append(y)
-        # R_{T+1}: the terminal outcome is observed iff the subject stayed
-        # for its measurement.
-        last = retention[T - 1]
-        retention.append(1 if (last == 1 and out[T - 1] is not None) else 0)
-        bad = retention_violations(tuple(retention))
-        if bad:
-            raise PanelDataError(
-                f"subject {sid!r}: non-monotone retention at t={bad[0]}"
-            )
-        # Y at t < T implies the subject was present at t+1.
-        for t in range(1, T):
-            if out[t - 1] is not None and retention[t] != 1:
-                raise PanelDataError(
-                    f"subject {sid!r}: outcome at t={t} but no data at t={t + 1}"
-                )
-        trajectories.append(
-            Trajectory(
-                subject_id=sid,
-                covariates=tuple(cov),
-                treatments=tuple(trt),
-                outcomes=tuple(out),
-                retention=tuple(retention),
-            )
-        )
-    return PanelDataset(trajectories)
+    # rows beyond T are ignored; absent rows are R = 0 cells
+    n = len(subjects)
+    keep = t <= T
+    i, t = i[keep], t[keep] - 1
+    R = np.zeros((n, T + 1), dtype=np.int8)
+    R[i, t] = r[keep]
+    X = np.full((n, T, d), np.nan)
+    X[i, t] = np.reshape(xs, (len(cells), d))[keep]
+    A = np.full((n, T), np.nan)
+    A[i, t] = a[keep]
+    Y = np.full((n, T), np.nan)
+    Y[i, t] = y[keep]
+    # R_{T+1}: the terminal outcome is observed iff the subject stayed
+    # for its measurement.
+    R[:, T] = (R[:, T - 1] == 1) & ~np.isnan(Y[:, T - 1])
+
+    # Report the first offending subject in file order; Y at t < T implies
+    # the subject was present at t+1.
+    ids = list(subjects)
+    mono = _monotonicity_mask(R)
+    gap = ~np.isnan(Y[:, : T - 1]) & (R[:, 1:T] != 1)
+    offending = np.flatnonzero(mono.any(axis=1) | gap.any(axis=1))
+    if offending.size:
+        k = offending[0]
+        if mono[k].any():
+            t = np.argmax(mono[k]) + 1
+            raise PanelDataError(f"subject {ids[k]!r}: non-monotone retention at t={t}")
+        t = np.argmax(gap[k]) + 1
+        raise PanelDataError(f"subject {ids[k]!r}: outcome at t={t} but no data at t={t + 1}")
+    ds = PanelDataset.__new__(PanelDataset)
+    ds._store(X, A, Y, R, ids, validate=True)
+    return ds
 
 
 def write_long_csv(ds: PanelDataset, path, sidecar: bool = True) -> None:
@@ -493,16 +500,15 @@ def write_long_csv(ds: PanelDataset, path, sidecar: bool = True) -> None:
         writer.writerow(
             ["id", "time"] + [f"x{j + 1}" for j in range(ds.d)] + ["a", "y", "r"]
         )
-        for tr in ds.trajectories:
-            for t in range(1, tr.n_periods + 1):
-                if tr.retention[t - 1] != 1:
-                    break
-                y = tr.outcomes[t - 1]
-                writer.writerow(
-                    [tr.subject_id, t]
-                    + [_fmt(v) for v in tr.covariates[t - 1]]
-                    + [tr.treatments[t - 1], "" if y is None else _fmt(y), 1]
-                )
+        # each subject's rows up to its first R_t != 1, subject by subject
+        rows, cols = np.nonzero(np.cumprod(ds.R[:, : ds.T] == 1, axis=1))
+        X, A, Y = (arr[rows, cols].tolist() for arr in (ds.X, ds.A, ds.Y))
+        for i, t, x, a, y in zip(rows.tolist(), cols.tolist(), X, A, Y):
+            writer.writerow(
+                [ds.ids[i], t + 1]
+                + [_fmt(v) for v in x]
+                + [_treatment(a), "" if y != y else _fmt(y), 1]
+            )
     if sidecar:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         meta = {

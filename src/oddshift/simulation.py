@@ -159,11 +159,7 @@ def simulate(cfg: DgpConfig) -> PanelDataset:
     y = mean + rng.standard_normal(n)
     Y = np.full((n, T), np.nan)
     Y[:, T - 1] = np.where(R[:, T] == 1, y, np.nan)
-    # enforce monotone masking of post-dropout cells
-    for t in range(1, T + 1):
-        gone = R[:, t - 1] == 0
-        X[gone, t - 1] = np.nan
-        A[gone, t - 1] = np.nan
+    # from_arrays blanks X and A after dropout
     return PanelDataset.from_arrays(X, A, Y, R, validate=True)
 
 

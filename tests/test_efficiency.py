@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -115,6 +116,27 @@ class TestBounds:
         with pytest.raises(EstimationError, match="infeasible"):
             variance_ratio_bounds(spec)
 
+    @pytest.mark.parametrize("variant", ["always_treated", "never_treated"])
+    def test_every_sequence_checked_against_b_u(self, variant):
+        # within b_u on the always-treated arm only: |mean| = 50 > b_u = 6 elsewhere;
+        # the bounds used to come back as (0.0, 0.282) and (0.0, 0.0028)
+        T = 3
+        spec = MomentSpec(
+            p=0.5, delta=2.0, T=T, b_u=6.0,
+            mean_by_count=lambda k: 5.0 if k == T else 50.0,
+            second_by_count=lambda k: (5.0 if k == T else 50.0) ** 2,
+        )
+        with pytest.raises(ConfigError, match="exceeds the outcome bound"):
+            variance_ratio_bounds(spec, variant)
+
+    def test_sequence_spec_checked_off_the_arm(self):
+        spec = MomentSpec(
+            p=0.5, delta=2.0, T=3, b_u=1.0,
+            mean_of=lambda a: 0.5, second_of=lambda a: 2.0 if a == (0, 1, 0) else 0.5,
+        )
+        with pytest.raises(ConfigError, match=r"b_u\^2 at a=\(0, 1, 0\)"):
+            variance_ratio_bounds(spec)
+
 
 class TestHorizonScan:
     def test_reference_values(self):
@@ -212,6 +234,12 @@ class TestDecomposition:
     def test_rejects_non_callable(self):
         with pytest.raises(ConfigError):
             decomposition_check(0.5, 2.0, 2, atoms=None)
+
+    def test_longest_horizon_exact_and_fast(self):
+        start = time.perf_counter()
+        gap = decomposition_check(0.5, 2.0, 12, binary_atoms)
+        assert time.perf_counter() - start < 1.0
+        assert gap < 1e-10
 
 
 class TestCurve:
