@@ -40,7 +40,14 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError
 from .intervention import DeltaGrid
-from .nuisance import NuisanceSet, NuisanceSpecs, fit_missingness_sequence, fit_nuisances, fit_propensity_sequence
+from .nuisance import (
+    NuisanceSet,
+    NuisanceSpecs,
+    SequenceFit,
+    fit_missingness_sequence,
+    fit_nuisances,
+    fit_propensity_sequence,
+)
 from .panel import FoldAssignment, PanelDataset, split_folds
 
 __all__ = [
@@ -52,6 +59,7 @@ __all__ = [
     "eif_correction_terms",
     "eif_single_period",
     "estimate_cross_fit",
+    "fit_full_sample",
     "estimate_plugin",
     "estimate_ipw",
     "estimate_no_censoring",
@@ -111,12 +119,13 @@ def eif_from_arrays(
     return phi
 
 
-def eif_values_for(ds: PanelDataset, eta: NuisanceSet) -> np.ndarray:
-    """Influence values for every unit of a dataset under fitted nuisances."""
+def eif_values_for(ds: PanelDataset, eta: NuisanceSet, rows: np.ndarray | None = None) -> np.ndarray:
+    """Influence values under fitted nuisances, for every unit or the ``rows`` mask's."""
     t = eta.t_star
+    sel = slice(None) if rows is None else rows
     return eif_from_arrays(
-        ds.A[:, :t], ds.R[:, : t + 1], ds.Y[:, t - 1],
-        eta.pi, eta.omega, eta.m1, eta.m0, eta.delta,
+        ds.A[sel, :t], ds.R[sel, : t + 1], ds.Y[sel, t - 1],
+        eta.pi[sel], eta.omega[sel], eta.m1[sel], eta.m0[sel], eta.delta,
     )
 
 
@@ -268,8 +277,11 @@ def estimate_cross_fit(
 ) -> tuple[EffectEstimate, EifMatrix]:
     """Cross-fitted effect curve: eta fit per excluded fold, phi averaged per fold.
 
-    Deterministic given (data, K, seed, specs); the reduction runs in
-    fixed fold order so results do not depend on scheduling.
+    Retention propensities and influence values are computed only for the
+    held-out fold's units, the only ones that use them.  Each fold's
+    warnings are listed once, prefixed ``fold k: ``.  Deterministic given
+    (data, K, seed, specs); the reduction runs in fixed fold order so
+    results do not depend on scheduling.
     """
     grid = _as_grid(grid)
     if folds is None:
@@ -277,22 +289,27 @@ def estimate_cross_fit(
     values = np.empty((ds.n, len(grid)))
     diagnostics: dict = {"folds": [], "warnings": []}
     for k in range(1, K + 1):
+        rows = folds.by_index == k
         pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold=k, t_star=t)
         omega_fit = None
         if not omega_one:
-            omega_fit = fit_missingness_sequence(ds, folds, specs.omega, exclude_fold=k, t_star=t)
-        rows = folds.by_index == k
+            omega_fit = fit_missingness_sequence(
+                ds, folds, specs.omega, exclude_fold=k, t_star=t, rows=rows
+            )
+        fold_warnings: dict = {}  # insertion-ordered set over the grid
         for j, delta in enumerate(grid.values):
             eta = fit_nuisances(
                 ds, folds, specs, delta, t,
                 exclude_fold=k, omega_one=omega_one,
                 pi_fit=pi_fit, omega_fit=omega_fit,
             )
-            phi = eif_values_for(ds, eta)
-            values[rows, j] = phi[rows]
+            values[rows, j] = eif_values_for(ds, eta, rows)
             if j == 0:
-                diagnostics["folds"].append(eta.summary())
-            diagnostics["warnings"].extend(eta.warnings)
+                summary = eta.summary()
+            fold_warnings.update(dict.fromkeys(eta.warnings))
+        summary["warnings"] = list(fold_warnings)
+        diagnostics["folds"].append(summary)
+        diagnostics["warnings"].extend(f"fold {k}: {w}" for w in fold_warnings)
     psi_hat, per_fold = _reduce(values, folds.by_index, K)
     diagnostics["fully_weighted_units"] = int(np.sum(ds.R[:, t] == 1))
     estimate = EffectEstimate(
@@ -309,21 +326,35 @@ def estimate_cross_fit(
     return estimate, eif
 
 
+def fit_full_sample(
+    ds: PanelDataset, specs: NuisanceSpecs, t: int, omega_one: bool = False
+) -> tuple[SequenceFit, SequenceFit | None]:
+    """Propensity and retention fits on all units (no retention fit with ``omega_one``)."""
+    pi_fit = fit_propensity_sequence(ds, None, specs.pi, exclude_fold=None, t_star=t)
+    omega_fit = None
+    if not omega_one:
+        omega_fit = fit_missingness_sequence(ds, None, specs.omega, exclude_fold=None, t_star=t)
+    return pi_fit, omega_fit
+
+
 def estimate_plugin(
     ds: PanelDataset,
     specs: NuisanceSpecs,
     grid,
     t: int,
     omega_one: bool = False,
+    pi_fit: SequenceFit | None = None,
+    omega_fit: SequenceFit | None = None,
 ) -> tuple[EffectEstimate, EifMatrix]:
-    """Plug-in estimator: nuisances fit on all data, no sample splitting."""
+    """Plug-in estimator: nuisances fit on all data, no sample splitting.
+
+    ``pi_fit``/``omega_fit`` reuse the fits of ``fit_full_sample``.
+    """
     grid = _as_grid(grid)
     values = np.empty((ds.n, len(grid)))
     diagnostics: dict = {"folds": [], "warnings": []}
-    pi_fit = fit_propensity_sequence(ds, None, specs.pi, exclude_fold=None, t_star=t)
-    omega_fit = None
-    if not omega_one:
-        omega_fit = fit_missingness_sequence(ds, None, specs.omega, exclude_fold=None, t_star=t)
+    if pi_fit is None:
+        pi_fit, omega_fit = fit_full_sample(ds, specs, t, omega_one)
     for j, delta in enumerate(grid.values):
         eta = fit_nuisances(
             ds, None, specs, delta, t,
@@ -373,15 +404,18 @@ def estimate_ipw(
     specs: NuisanceSpecs,
     grid,
     t: int,
+    pi_fit: SequenceFit | None = None,
+    omega_fit: SequenceFit | None = None,
 ) -> EffectEstimate:
     """Pure inverse-probability-weighted estimator (continuation models unused).
 
     Propensities are fit on the full sample, mirroring how this baseline
-    is usually run with parametric models.
+    is usually run with parametric models; ``pi_fit``/``omega_fit`` reuse
+    the fits of ``fit_full_sample``.
     """
     grid = _as_grid(grid)
-    pi_fit = fit_propensity_sequence(ds, None, specs.pi, exclude_fold=None, t_star=t)
-    omega_fit = fit_missingness_sequence(ds, None, specs.omega, exclude_fold=None, t_star=t)
+    if pi_fit is None:
+        pi_fit, omega_fit = fit_full_sample(ds, specs, t)
     y = _gate(ds.R[:, t] == 1, ds.Y[:, t - 1], 0.0)
     values = np.empty((ds.n, len(grid)))
     for j, delta in enumerate(grid.values):

@@ -26,6 +26,9 @@ OMEGA_FLOOR = 0.01
 IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
 RIDGE_JITTER = 1e-10
+# query rows per kNN block: distance and selection temporaries stay
+# O(_KNN_BLOCK * n_train) whatever the query count
+_KNN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -161,25 +164,47 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - mu) / sd, mu, sd
 
 
+def _knn_mean(d2: np.ndarray, ys: np.ndarray, k: int) -> np.ndarray:
+    """Mean of ``ys`` over each row's k nearest columns of ``d2``.
+
+    Neighbours are the k smallest (distance, column) pairs, taken in that
+    order, so the result is bitwise ``ys[np.argsort(d2, axis=1,
+    kind="stable")[:, :k]].mean(axis=1)``: ties at the k-th distance go to
+    the lowest columns.  Selection is linear in the row length.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    chosen = d2 <= kth  # every strictly closer column plus every tie
+    extra = np.count_nonzero(chosen, axis=1) - k
+    over = np.flatnonzero(extra)
+    if over.size:
+        # keep only the lowest-column ties, by a running count per row
+        tie = d2[over] == kth[over]
+        keep = np.count_nonzero(tie, axis=1) - extra[over]
+        rank = np.cumsum(tie, axis=1, dtype=np.int32)
+        chosen[over] &= ~tie | (rank <= keep[:, None])
+    cols = np.nonzero(chosen)[1].reshape(-1, k)  # ascending column per row
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return ys[np.take_along_axis(cols, order, axis=1)].mean(axis=1)
+
+
 def _fit_knn(X: np.ndarray, y: np.ndarray, k: int, clip: tuple | None) -> FittedModel:
     n = X.shape[0]
     k_eff = min(k, n)
     Xs, mu, sd = _standardize(X)
     ys = y.astype(float).copy()
+    sq = np.sum(Xs**2, axis=1)
 
-    def predict(Xq, Xs=Xs, ys=ys, mu=mu, sd=sd, k_eff=k_eff):
+    def predict(Xq, Xs=Xs, ys=ys, mu=mu, sd=sd, k_eff=k_eff, sq=sq):
         Q = (Xq - mu) / sd
         if Xs.shape[1] == 0:
             # featureless: every training point ties at distance zero
             return np.full(Q.shape[0], ys[:k_eff].mean())
-        d2 = (
-            np.sum(Q**2, axis=1)[:, None]
-            - 2.0 * Q @ Xs.T
-            + np.sum(Xs**2, axis=1)[None, :]
-        )
-        # stable sort keeps the lowest training row index among ties
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-        return ys[nearest].mean(axis=1)
+        out = np.empty(Q.shape[0])
+        for lo in range(0, Q.shape[0], _KNN_BLOCK):
+            q = Q[lo : lo + _KNN_BLOCK]
+            d2 = np.sum(q**2, axis=1)[:, None] - 2.0 * q @ Xs.T + sq[None, :]
+            out[lo : lo + _KNN_BLOCK] = _knn_mean(d2, ys, k_eff)
+        return out
 
     return FittedModel(kind="knn", predict_fn=predict, n_train=n, clip=clip)
 

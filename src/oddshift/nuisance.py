@@ -96,10 +96,11 @@ class PseudoOutcomeFit:
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_pool(n_train: int, d: int, s: int, warnings: list[str], what: str) -> None:
+def _check_pool(n_train: int, width: int, s: int, warnings: list[str], what: str) -> None:
+    """Fail below two training units; warn when they barely outnumber the features."""
     if n_train < 2:
         raise EstimationError(f"{n_train} training unit(s) for {what} at t={s}; need at least 2")
-    if n_train < max(10, d * s + 2):
+    if n_train < max(10, width + 2):
         warnings.append(f"underdetermined {what} fit at t={s}: {n_train} units")
 
 
@@ -116,9 +117,9 @@ def fit_propensity_sequence(
     pred = np.full((ds.n, t_star), np.nan)
     models, warns = [], []
     for s in range(1, t_star + 1):
-        F, alive, _ = history_features(ds, s)
+        F, alive, layout = history_features(ds, s)
         pool = train & alive
-        _check_pool(int(pool.sum()), ds.d, s, warns, "propensity")
+        _check_pool(int(pool.sum()), layout.width, s, warns, "propensity")
         model = fit_learner(_spec_at(spec, s), F[pool], ds.A[pool, s - 1], "probability")
         pred[alive, s - 1] = model.predict(F[alive])
         models.append(model)
@@ -131,21 +132,27 @@ def fit_missingness_sequence(
     spec,
     exclude_fold: int | None = None,
     t_star: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> SequenceFit:
-    """Fit R_{t+1} ~ (H_t, A_t) for t = 1..t*; predictions floored at OMEGA_FLOOR."""
+    """Fit R_{t+1} ~ (H_t, A_t) for t = 1..t*; predictions floored at OMEGA_FLOOR.
+
+    ``rows`` (a boolean mask over units) limits the prediction cache to
+    those units, NaN elsewhere; by default every retained unit is predicted.
+    """
     t_star = ds.T if t_star is None else t_star
     train = _train_mask(ds, folds, exclude_fold)
     pred = np.full((ds.n, t_star), np.nan)
     models, warns = [], []
     for s in range(1, t_star + 1):
-        F, alive, _ = history_features(ds, s, with_action=True)
+        F, alive, layout = history_features(ds, s, with_action=True)
         pool = train & alive
-        _check_pool(int(pool.sum()), ds.d, s, warns, "missingness")
+        _check_pool(int(pool.sum()), layout.width, s, warns, "missingness")
         target = ds.R[pool, s].astype(float)
         model = fit_learner(
             _spec_at(spec, s), F[pool], target, "probability", clip=(OMEGA_FLOOR, 1.0)
         )
-        pred[alive, s - 1] = model.predict(F[alive])
+        query = alive if rows is None else alive & rows
+        pred[query, s - 1] = model.predict(F[query])
         models.append(model)
     return SequenceFit(models=models, pred=pred, train_rows=np.flatnonzero(train), warnings=warns)
 
@@ -178,7 +185,7 @@ def fit_pseudo_outcome_sequence(
         F, alive, layout = history_features(ds, s, with_action=True)
         next_alive = ds.R[:, s] == 1  # R_{s+1} = 1
         pool = train & next_alive
-        _check_pool(int(pool.sum()), ds.d, s, warns, "pseudo-outcome")
+        _check_pool(int(pool.sum()), layout.width, s, warns, "pseudo-outcome")
         model = fit_learner(_spec_at(spec, s), F[pool], target[pool], "regression")
         models[s - 1] = model
         F1 = F[alive].copy()

@@ -17,8 +17,9 @@ its only copy of the data; a per-subject ``Trajectory`` of Python tuples
 is built on demand, never stored.
 
 CSV layout (long format, one row per observed subject-time):
-``id,time,x1,...,xd,a,y,r`` with time 1-based, a and r in {0,1}, and
-y left empty where the outcome is unobserved or unrecorded.  Rows absent
+``id,time,x1,...,xd,a,y,r`` with time 1-based, a and r in {0,1}, x and
+y finite numbers, and y left empty where the outcome is unobserved or
+unrecorded.  Rows absent
 after a subject's last r=1 row are read as dropout (R = 0 afterwards).
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -277,9 +279,6 @@ class FoldAssignment:
     seed: int
     by_index: np.ndarray = field(repr=False)  # (n,) fold label per dataset row
 
-    def indices(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.by_index == k)
-
 
 def split_folds(ds: PanelDataset, K: int, seed: int) -> FoldAssignment:
     """Randomly partition subjects into K folds of near-equal size.
@@ -317,17 +316,6 @@ class FeatureLayout:
         return self.d * self.t + (self.t - 1) + len(self.outcome_cols) + (
             1 if self.with_action else 0
         )
-
-    def x_block(self, s: int) -> slice:
-        """Columns of X_s (1-based s <= t)."""
-        return slice((s - 1) * self.d, s * self.d)
-
-    def a_col(self, s: int) -> int:
-        """Column of past treatment A_s (1-based s <= t-1)."""
-        return self.d * self.t + (s - 1)
-
-    def y_col(self, s: int) -> int:
-        return self.d * self.t + (self.t - 1) + self.outcome_cols.index(s)
 
     @property
     def action_col(self) -> int:
@@ -389,6 +377,16 @@ def _parse_binary(raw: str, what: str, line_no: int) -> int:
     return int(raw)
 
 
+def _parse_finite(raw: str, what: str, line_no: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise PanelDataError(f"line {line_no}: bad {what} value {raw!r}") from None
+    if not math.isfinite(value):
+        raise PanelDataError(f"line {line_no}: non-finite {what} value {raw!r}")
+    return value
+
+
 def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     """Read a long-format panel CSV (see module docstring for the schema).
 
@@ -429,12 +427,9 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
                 raise PanelDataError(f"line {line_no}: time must be >= 1")
             r = _parse_binary(row[-1], "r", line_no)
             if r == 1:
-                try:
-                    x = [float(v) for v in row[2 : 2 + d]]
-                except ValueError:
-                    raise PanelDataError(f"line {line_no}: bad covariate value") from None
+                x = [_parse_finite(v, "covariate", line_no) for v in row[2 : 2 + d]]
                 a = _parse_binary(row[-3], "a", line_no)
-                y = float(row[-2]) if row[-2] != "" else np.nan
+                y = _parse_finite(row[-2], "outcome", line_no) if row[-2] != "" else np.nan
             elif any(v != "" for v in row[2:-1]):
                 raise PanelDataError(f"line {line_no}: r=0 row must leave x, a, y empty")
             else:

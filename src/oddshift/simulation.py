@@ -41,6 +41,7 @@ from .estimator import (
     estimate_ipw,
     estimate_no_censoring,
     estimate_plugin,
+    fit_full_sample,
 )
 from .intervention import DeltaGrid, incremental_propensity
 from .learners import LearnerSpec
@@ -483,9 +484,11 @@ def _benchmark_one(args):
     out = {}
     est, _ = estimate_cross_fit(ds, K, fold_seed, specs, grid, t)
     out["cross_fit"] = est.psi_hat
-    est, _ = estimate_plugin(ds, specs, grid, t)
+    # the plug-in and IPW baselines share one full-sample pi and omega fit
+    pi_fit, omega_fit = fit_full_sample(ds, specs, t)
+    est, _ = estimate_plugin(ds, specs, grid, t, pi_fit=pi_fit, omega_fit=omega_fit)
     out["plugin"] = est.psi_hat
-    out["ipw"] = estimate_ipw(ds, specs, grid, t).psi_hat
+    out["ipw"] = estimate_ipw(ds, specs, grid, t, pi_fit=pi_fit, omega_fit=omega_fit).psi_hat
     est, _ = estimate_no_censoring(ds, K, fold_seed, specs, grid, t)
     out["no_censoring"] = est.psi_hat
     out["dropout"] = float(np.mean(ds.R[:, t] == 0))

@@ -59,6 +59,15 @@ class TestValidateCommand:
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "PanelDataError"
 
+    def test_non_numeric_outcome_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,time,x1,a,y,r\ns1,1,0.5,1,abc,1\n", encoding="utf-8")
+        res = run(["validate", "--input", str(bad), "--seed", "0"])
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["error"] == "PanelDataError"
+        assert err["message"].startswith("line 2: ")
+
 
 class TestEstimateCommand:
     def test_end_to_end_and_determinism(self, panel_dir, tmp_path):

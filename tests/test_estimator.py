@@ -18,6 +18,8 @@ from oddshift import (
     estimate_ipw,
     estimate_no_censoring,
     estimate_plugin,
+    default_grid,
+    fit_full_sample,
     fit_nuisances,
     oracle_specs,
     simulate,
@@ -219,6 +221,46 @@ class TestCrossFit:
         assert eif.values[i, j] == pytest.approx(phi[i], abs=1e-12)
 
 
+class TestCrossFitHeldOut:
+    """Retention fits and influence values are computed for held-out rows only."""
+
+    def test_knn_omega_matches_full_cache_bitwise(self):
+        ds = simulate(DgpConfig(kind="dropout", n=600, T=3, u_l=1.0, seed=21))
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(15), m=LearnerSpec.ridge(1e-6)
+        )
+        grid = DeltaGrid(values=(0.5, 1.0, 2.0), spacing="linear")
+        _, eif = estimate_cross_fit(ds, K=2, seed=4, specs=specs, grid=grid, t=3)
+        folds = split_folds(ds, 2, seed=4)
+        assert np.any(ds.R[:, 3] == 0)
+        for k in (1, 2):
+            rows = folds.by_index == k
+            for j, delta in enumerate(grid.values):
+                eta = fit_nuisances(ds, folds, specs, delta, 3, exclude_fold=k)
+                assert np.array_equal(eif.values[rows, j], eif_values_for(ds, eta)[rows])
+
+    def test_warnings_once_per_fold_and_tagged(self):
+        ds = simulate(DgpConfig(kind="dropout", n=16, T=3, u_l=1.0, seed=3))
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(5), m=LearnerSpec.ridge(1e-6)
+        )
+        grid = default_grid()
+        est, _ = estimate_cross_fit(ds, K=2, seed=1, specs=specs, grid=grid, t=3)
+        warnings = est.diagnostics["warnings"]
+        assert warnings and len(warnings) == len(set(warnings))
+        folds = split_folds(ds, 2, seed=1)
+        for k in (1, 2):
+            tag = f"fold {k}: "
+            tagged = [w[len(tag):] for w in warnings if w.startswith(tag)]
+            expected = []
+            for delta in grid.values:
+                eta = fit_nuisances(ds, folds, specs, delta, 3, exclude_fold=k)
+                expected += [w for w in eta.warnings if w not in expected]
+            assert tagged == expected
+            assert est.diagnostics["folds"][k - 1]["warnings"] == expected
+        assert all(w.startswith(("fold 1: ", "fold 2: ")) for w in warnings)
+
+
 class TestBaselines:
     def test_ipw_hand_example(self):
         # two units, one period, pinned propensities: weights 2/1.5 and 1/1.5
@@ -252,6 +294,20 @@ class TestBaselines:
         ipw = estimate_ipw(ds, specs, grid, 3)
         plug, _ = estimate_plugin(ds, specs, grid, 3)
         assert np.array_equal(ipw.psi_hat, plug.psi_hat)
+
+    def test_shared_full_sample_fits_change_nothing(self):
+        ds = simulate(DgpConfig(kind="dropout", n=300, T=3, u_l=1.0, seed=13))
+        grid = DeltaGrid(values=(0.5, 2.0), spacing="linear")
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(10), m=LearnerSpec.ridge(1e-6)
+        )
+        pi_fit, omega_fit = fit_full_sample(ds, specs, 3)
+        plug, _ = estimate_plugin(ds, specs, grid, 3)
+        shared, _ = estimate_plugin(ds, specs, grid, 3, pi_fit=pi_fit, omega_fit=omega_fit)
+        assert np.array_equal(plug.psi_hat, shared.psi_hat)
+        ipw = estimate_ipw(ds, specs, grid, 3)
+        shared = estimate_ipw(ds, specs, grid, 3, pi_fit=pi_fit, omega_fit=omega_fit)
+        assert np.array_equal(ipw.psi_hat, shared.psi_hat)
 
     def test_plugin_equals_cross_fit_with_oracles(self):
         cfg = DgpConfig(kind="trial", n=500, T=2, p=0.5, seed=12)

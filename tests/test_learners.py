@@ -1,8 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oddshift import ConfigError, LearnerSpec, fit_learner
-from oddshift.learners import OMEGA_FLOOR, PI_CLIP
+from oddshift import learners
+from oddshift.learners import OMEGA_FLOOR, PI_CLIP, _knn_mean, _standardize
+
+KNN_SETTINGS = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def tie_heavy_knn(draw, max_query):
+    """Integer features in {0,1,2}, so many training points tie; any k in [1, n_train]."""
+    n = draw(st.integers(1, 40))
+    nq = draw(st.integers(1, max_query))
+    p = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n, p)).astype(float)
+    Xq = rng.integers(0, 3, size=(nq, p)).astype(float)
+    y = rng.normal(size=n)
+    return X, Xq, y, k
+
+
+def argsort_knn(d2, ys, k):
+    return ys[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(1)
 
 
 class TestLogistic:
@@ -69,6 +95,35 @@ class TestKnn:
         X = np.random.default_rng(4).normal(size=(15, 2))
         model = fit_learner(LearnerSpec.knn(4), X, np.full(15, 3.25), "regression")
         assert np.all(model.predict(X) == 3.25)
+
+    @KNN_SETTINGS
+    @given(tie_heavy_knn(max_query=60))
+    def test_selection_matches_stable_argsort(self, case):
+        # exact integer squared distances: ties are exact, not rounding luck
+        X, Xq, y, k = case
+        d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(_knn_mean(d2, y, k), argsort_knn(d2, y, k))
+
+    @KNN_SETTINGS
+    @given(tie_heavy_knn(max_query=learners._KNN_BLOCK))
+    def test_prediction_matches_stable_argsort(self, case):
+        # one query block, so the model's distances are the reference's bit for bit
+        X, Xq, y, k = case
+        Xs, mu, sd = _standardize(X)
+        Q = (Xq - mu) / sd
+        d2 = np.sum(Q**2, axis=1)[:, None] - 2.0 * Q @ Xs.T + np.sum(Xs**2, axis=1)[None, :]
+        model = fit_learner(LearnerSpec.knn(k), X, y, "regression")
+        assert np.array_equal(model.predict(Xq), argsort_knn(d2, y, k))
+
+    def test_blocks_cover_every_query_row(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(60, 3))
+        y = rng.normal(size=60)
+        Xq = rng.normal(size=(23, 3))
+        model = fit_learner(LearnerSpec.knn(6), X, y, "regression")
+        whole = model.predict(Xq)
+        monkeypatch.setattr(learners, "_KNN_BLOCK", 4)
+        assert np.array_equal(model.predict(Xq), whole)
 
 
 class TestRidge:

@@ -83,6 +83,18 @@ class TestPropensitySequence:
         fit = fit_propensity_sequence(ds, None, LearnerSpec.logistic(), exclude_fold=None)
         assert any("underdetermined" in w for w in fit.warnings)
 
+    def test_underdetermined_judged_on_feature_width(self):
+        # d=5 at t=3: width 15 covariates + 2 past treatments + 2 past outcomes
+        # = 19, so 18 units are too few although 18 > d*t + 2 = 17
+        rng = np.random.default_rng(2)
+        n = 18
+        X = rng.normal(size=(n, 3, 5))
+        A = (rng.random((n, 3)) < 0.5).astype(float)
+        Y = rng.normal(size=(n, 3))
+        ds = PanelDataset.from_arrays(X, A, Y, np.ones((n, 4), dtype=np.int8))
+        fit = fit_propensity_sequence(ds, None, LearnerSpec.logistic(), exclude_fold=None)
+        assert fit.warnings == ["underdetermined propensity fit at t=3: 18 units"]
+
     def test_clipping(self, dropout_ds):
         fit = fit_propensity_sequence(dropout_ds, None, LearnerSpec.logistic(), exclude_fold=None)
         pred = fit.pred[~np.isnan(fit.pred)]
@@ -99,6 +111,15 @@ class TestMissingnessSequence:
         fit = fit_missingness_sequence(dropout_ds, None, LearnerSpec.logistic(), exclude_fold=None)
         pred = fit.pred[~np.isnan(fit.pred)]
         assert pred.min() >= OMEGA_FLOOR and pred.max() <= 1.0
+
+    def test_rows_mask_limits_predictions(self, dropout_ds):
+        folds = split_folds(dropout_ds, 2, seed=3)
+        rows = folds.by_index == 1
+        spec = LearnerSpec.knn(20)
+        full = fit_missingness_sequence(dropout_ds, folds, spec, exclude_fold=1)
+        held = fit_missingness_sequence(dropout_ds, folds, spec, exclude_fold=1, rows=rows)
+        assert np.all(np.isnan(held.pred[~rows]))
+        assert np.array_equal(held.pred[rows], full.pred[rows], equal_nan=True)
 
     def test_oracle_matches_empirical_rates(self):
         # group units alive at t=2 by their treatment path and compare the

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,27 @@ class TestLoader:
         text = "id,time,x1,a,y\ns1,1,0.5,1,\n"
         with pytest.raises(PanelDataError):
             load_long_csv(full_csv(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s2,1,0.5,1,abc,1", "line 3: bad outcome value 'abc'"),
+            ("s2,1,0.5,1,inf,1", "line 3: non-finite outcome value 'inf'"),
+            ("s2,1,0.5,1,nan,1", "line 3: non-finite outcome value 'nan'"),
+            ("s2,1,-inf,1,1.0,1", "line 3: non-finite covariate value '-inf'"),
+            ("s2,1,NaN,1,1.0,1", "line 3: non-finite covariate value 'NaN'"),
+            ("s2,1,x,1,1.0,1", "line 3: bad covariate value 'x'"),
+        ],
+    )
+    def test_bad_number_reports_line(self, tmp_path, row, message):
+        text = "id,time,x1,a,y,r\ns1,1,0.5,1,1.0,1\n" + row + "\n"
+        with pytest.raises(PanelDataError, match=re.escape(message)):
+            load_long_csv(full_csv(tmp_path, text))
+
+    def test_empty_outcome_is_missing(self, tmp_path):
+        text = "id,time,x1,a,y,r\ns1,1,0.5,1,,1\ns1,2,0.5,0,2.0,1\n"
+        ds = load_long_csv(full_csv(tmp_path, text))
+        assert np.isnan(ds.Y[0, 0]) and ds.Y[0, 1] == 2.0
 
     def test_round_trip(self, tmp_path):
         text = (
