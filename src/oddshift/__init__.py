@@ -35,7 +35,6 @@ from .estimator import (
     estimate_ipw,
     estimate_no_censoring,
     estimate_plugin,
-    fit_full_sample,
 )
 from .inference import ConfidenceBand, estimate_variance, pointwise_interval, uniform_band
 from .intervention import DeltaGrid, default_grid, density_ratio, incremental_propensity

@@ -23,13 +23,16 @@ as
 
 Averaging phi gives the effect; every term for a censored stage carries a
 retention indicator, so censored units contribute finite values without
-ever touching their unavailable data.
+ever touching their unavailable data.  One gated stage loop computes phi,
+the per-stage correction terms and the weight products C_t, for one delta
+or a whole grid at once (one column per delta).
 
-Estimators: ``estimate_cross_fit`` (nuisances fit on K-1 folds, values
-averaged on the held-out fold), ``estimate_plugin`` (no splitting),
-``estimate_ipw`` (weight products only, no continuation models), and
-``estimate_complete_case`` (subgroup mean contrast among fully retained,
-fully compliant units).
+Estimators: ``estimate_cross_fit`` (one nuisance pass per fold, fit on
+the other K-1 folds over the whole grid, values computed on the held-out
+fold), ``estimate_plugin`` (the same pass with no splitting: trained and
+evaluated on all units), ``estimate_ipw`` (weight products only, no
+continuation models), and ``estimate_complete_case`` (subgroup mean
+contrast among fully retained, fully compliant units).
 """
 
 from __future__ import annotations
@@ -40,14 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError
 from .intervention import DeltaGrid
-from .nuisance import (
-    NuisanceSet,
-    NuisanceSpecs,
-    SequenceFit,
-    fit_missingness_sequence,
-    fit_nuisances,
-    fit_propensity_sequence,
-)
+from .nuisance import NuisanceSet, NuisanceSpecs, fit_nuisances
 from .panel import FoldAssignment, PanelDataset, split_folds
 
 __all__ = [
@@ -59,7 +55,6 @@ __all__ = [
     "eif_correction_terms",
     "eif_single_period",
     "estimate_cross_fit",
-    "fit_full_sample",
     "estimate_plugin",
     "estimate_ipw",
     "estimate_no_censoring",
@@ -73,26 +68,24 @@ def _gate(cond: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
     return np.where(cond, values, fill)
 
 
-def eif_from_arrays(
-    A: np.ndarray,
-    R: np.ndarray,
-    y_term: np.ndarray,
-    pi: np.ndarray,
-    omega: np.ndarray,
-    m1: np.ndarray,
-    m0: np.ndarray,
-    delta: float,
-) -> np.ndarray:
-    """Uncentered influence values for one delta, vectorized over units.
+def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
+    """The gated per-stage loop: returns (phi, C_t), filling ``terms`` if given.
 
-    Shapes: A, pi, omega, m1, m0 are (n, t); R is (n, t+1) with R[:, 0]
-    the time-1 retention (always one); y_term is the horizon outcome,
-    used only where R[:, t] = 1.
+    ``delta`` is a scalar, with m1/m0 (n, t) and results (n,), or a (D,)
+    grid, with m1/m0 (n, t, D) and results (n, D).  Each grid column is
+    computed with the scalar expressions in the same order, so it equals
+    the scalar result bitwise.  ``terms`` (shaped like m1) receives each
+    stage's correction term on units retained at that stage.
     """
+    scalar = np.ndim(delta) == 0
+    deltas = np.atleast_1d(np.asarray(delta, dtype=float))
+    if scalar:
+        m1, m0 = m1[..., None], m0[..., None]
+        terms = None if terms is None else terms[..., None]
     A = np.atleast_2d(A)
     n, t = A.shape
-    phi = np.zeros(n)
-    C = np.ones(n)
+    phi = np.zeros((n, deltas.size))
+    C = np.ones((n, deltas.size))
     for s in range(t):
         alive = R[:, s] == 1
         a = _gate(alive, A[:, s], 0.0)
@@ -102,43 +95,69 @@ def eif_from_arrays(
             raise EstimationError(f"propensity outside (0,1) at t={s + 1}")
         if np.any(alive & (w <= 0.0)):
             raise EstimationError(f"retention propensity not positive at t={s + 1}")
-        r_next = R[:, s + 1].astype(float)
-        denom = delta * p + 1.0 - p
-        ratio = (delta * a + 1.0 - a) / denom
-        m1s = _gate(alive, m1[:, s], 0.0)
-        m0s = _gate(alive, m0[:, s], 0.0)
+        live, a, p, w = alive[:, None], a[:, None], p[:, None], w[:, None]
+        r_next = R[:, s + 1, None].astype(float)
+        denom = deltas * p + 1.0 - p
+        ratio = (deltas * a + 1.0 - a) / denom
+        m1s = _gate(live, m1[:, s], 0.0)
+        m0s = _gate(live, m0[:, s], 0.0)
         m_obs = np.where(a == 1.0, m1s, m0s)
-        g = (delta * p * m1s + (1.0 - p) * m0s) / denom
-        b = delta * (a - p) * (m1s - m0s) / denom**2
+        g = (deltas * p * m1s + (1.0 - p) * m0s) / denom
+        b = deltas * (a - p) * (m1s - m0s) / denom**2
         summand = g + b - ratio * (r_next / w) * m_obs
-        phi += C * np.where(alive, summand, 0.0)
-        C = C * np.where(alive, ratio * r_next / w, 0.0)
-    phi = phi + C * _gate(R[:, t] == 1, y_term, 0.0)
+        if terms is not None:
+            terms[alive, s] = summand[alive]
+        phi += C * np.where(live, summand, 0.0)
+        C = C * np.where(live, ratio * r_next / w, 0.0)
+    phi = phi + C * _gate(R[:, t] == 1, y_term, 0.0)[:, None]
+    return (phi[:, 0], C[:, 0]) if scalar else (phi, C)
+
+
+def eif_from_arrays(
+    A: np.ndarray,
+    R: np.ndarray,
+    y_term: np.ndarray,
+    pi: np.ndarray,
+    omega: np.ndarray,
+    m1: np.ndarray,
+    m0: np.ndarray,
+    delta,
+) -> np.ndarray:
+    """Uncentered influence values, vectorized over units and optionally deltas.
+
+    Shapes: A, pi, omega are (n, t); m1, m0 are (n, t), or (n, t, D) when
+    ``delta`` is a (D,) grid, and the result is (n,) or (n, D) to match;
+    R is (n, t+1) with R[:, 0] the time-1 retention (always one); y_term
+    is the horizon outcome, used only where R[:, t] = 1.
+    """
+    phi = _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta)[0]
     if not np.all(np.isfinite(phi)):
         raise EstimationError("non-finite influence value")
     return phi
 
 
 def eif_values_for(ds: PanelDataset, eta: NuisanceSet, rows: np.ndarray | None = None) -> np.ndarray:
-    """Influence values under fitted nuisances, for every unit or the ``rows`` mask's."""
+    """Influence values (units, D) under fitted nuisances.
+
+    The units are every unit, or the ``rows`` mask's, which must be the
+    mask ``eta`` was fitted with.
+    """
     t = eta.t_star
     sel = slice(None) if rows is None else rows
     return eif_from_arrays(
         ds.A[sel, :t], ds.R[sel, : t + 1], ds.Y[sel, t - 1],
-        eta.pi[sel], eta.omega[sel], eta.m1[sel], eta.m0[sel], eta.delta,
+        eta.pi, eta.omega, eta.m1, eta.m0, np.asarray(eta.deltas),
     )
 
 
-def eif_contribution(ds: PanelDataset, eta: NuisanceSet, i: int) -> float:
-    """Influence value of one trajectory (dataset row i)."""
+def eif_contribution(ds: PanelDataset, eta: NuisanceSet, i: int) -> np.ndarray:
+    """Influence values (D,) of one trajectory (dataset row i); ``eta`` must cover every unit."""
     t = eta.t_star
-    return float(
-        eif_from_arrays(
-            ds.A[i : i + 1, :t], ds.R[i : i + 1, : t + 1], ds.Y[i : i + 1, t - 1],
-            eta.pi[i : i + 1], eta.omega[i : i + 1],
-            eta.m1[i : i + 1], eta.m0[i : i + 1], eta.delta,
-        )[0]
-    )
+    return eif_from_arrays(
+        ds.A[i : i + 1, :t], ds.R[i : i + 1, : t + 1], ds.Y[i : i + 1, t - 1],
+        eta.pi[i : i + 1], eta.omega[i : i + 1],
+        eta.m1[i : i + 1], eta.m0[i : i + 1], np.asarray(eta.deltas),
+    )[0]
 
 
 def eif_correction_terms(
@@ -148,30 +167,16 @@ def eif_correction_terms(
     omega: np.ndarray,
     m1: np.ndarray,
     m0: np.ndarray,
-    delta: float,
+    delta,
 ) -> np.ndarray:
     """Per-stage correction terms g_s + b_s - ratio_s (R_{s+1}/omega_s) m_s(H_s, A_s).
 
-    Returns (n, t) with NaN where the unit has already left.  Under true
-    nuisances each column is conditionally mean-zero among retained units.
+    Returns an array shaped like m1 ((n, t), or (n, t, D) for a grid) with
+    NaN where the unit has already left.  Under true nuisances each column
+    is conditionally mean-zero among retained units.
     """
-    A = np.atleast_2d(A)
-    n, t = A.shape
-    out = np.full((n, t), np.nan)
-    for s in range(t):
-        alive = R[:, s] == 1
-        a = _gate(alive, A[:, s], 0.0)
-        p = _gate(alive, pi[:, s], 0.5)
-        w = _gate(alive, omega[:, s], 1.0)
-        r_next = R[:, s + 1].astype(float)
-        denom = delta * p + 1.0 - p
-        ratio = (delta * a + 1.0 - a) / denom
-        m1s = _gate(alive, m1[:, s], 0.0)
-        m0s = _gate(alive, m0[:, s], 0.0)
-        m_obs = np.where(a == 1.0, m1s, m0s)
-        g = (delta * p * m1s + (1.0 - p) * m0s) / denom
-        b = delta * (a - p) * (m1s - m0s) / denom**2
-        out[alive, s] = (g + b - ratio * (r_next / w) * m_obs)[alive]
+    out = np.full(np.shape(m1), np.nan)
+    _stage_kernel(A, R, 0.0, pi, omega, m1, m0, delta, terms=out)
     return out
 
 
@@ -265,6 +270,39 @@ def _as_grid(grid) -> DeltaGrid:
     return DeltaGrid(values=tuple(grid), spacing="linear")
 
 
+def _fold_loop(
+    ds: PanelDataset,
+    specs: NuisanceSpecs,
+    grid: DeltaGrid,
+    t: int,
+    omega_one: bool,
+    folds: FoldAssignment | None,
+    K: int = 1,
+    eta: NuisanceSet | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Influence values (n, D) and diagnostics from one nuisance pass per fold.
+
+    Fold k's nuisances are fit without its units, over the whole grid,
+    and evaluated on its units only; its warnings are tagged ``fold k: ``.
+    Without ``folds`` this is the plug-in: one pass trained and evaluated
+    on every unit, using ``eta`` when it is given.
+    """
+    values = np.empty((ds.n, len(grid)))
+    diagnostics: dict = {"folds": [], "warnings": []}
+    for k in [None] if folds is None else range(1, K + 1):
+        rows = None if k is None else folds.by_index == k
+        if eta is None:
+            eta = fit_nuisances(
+                ds, folds, specs, grid.values, t, exclude_fold=k, omega_one=omega_one, rows=rows
+            )
+        values[slice(None) if rows is None else rows] = eif_values_for(ds, eta, rows)
+        diagnostics["folds"].append(eta.summary())
+        tag = "" if k is None else f"fold {k}: "
+        diagnostics["warnings"].extend(tag + w for w in eta.warnings)
+        eta = None  # free this fold's arrays before the next fold is fit
+    return values, diagnostics
+
+
 def estimate_cross_fit(
     ds: PanelDataset,
     K: int,
@@ -277,39 +315,16 @@ def estimate_cross_fit(
 ) -> tuple[EffectEstimate, EifMatrix]:
     """Cross-fitted effect curve: eta fit per excluded fold, phi averaged per fold.
 
-    Retention propensities and influence values are computed only for the
-    held-out fold's units, the only ones that use them.  Each fold's
-    warnings are listed once, prefixed ``fold k: ``.  Deterministic given
-    (data, K, seed, specs); the reduction runs in fixed fold order so
-    results do not depend on scheduling.
+    Retention propensities, continuation values and influence values are
+    computed only for the held-out fold's units, the only ones that use
+    them.  Each fold's warnings are listed once, prefixed ``fold k: ``.
+    Deterministic given (data, K, seed, specs); the reduction runs in
+    fixed fold order so results do not depend on scheduling.
     """
     grid = _as_grid(grid)
     if folds is None:
         folds = split_folds(ds, K, seed)
-    values = np.empty((ds.n, len(grid)))
-    diagnostics: dict = {"folds": [], "warnings": []}
-    for k in range(1, K + 1):
-        rows = folds.by_index == k
-        pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold=k, t_star=t)
-        omega_fit = None
-        if not omega_one:
-            omega_fit = fit_missingness_sequence(
-                ds, folds, specs.omega, exclude_fold=k, t_star=t, rows=rows
-            )
-        fold_warnings: dict = {}  # insertion-ordered set over the grid
-        for j, delta in enumerate(grid.values):
-            eta = fit_nuisances(
-                ds, folds, specs, delta, t,
-                exclude_fold=k, omega_one=omega_one,
-                pi_fit=pi_fit, omega_fit=omega_fit,
-            )
-            values[rows, j] = eif_values_for(ds, eta, rows)
-            if j == 0:
-                summary = eta.summary()
-            fold_warnings.update(dict.fromkeys(eta.warnings))
-        summary["warnings"] = list(fold_warnings)
-        diagnostics["folds"].append(summary)
-        diagnostics["warnings"].extend(f"fold {k}: {w}" for w in fold_warnings)
+    values, diagnostics = _fold_loop(ds, specs, grid, t, omega_one, folds, K)
     psi_hat, per_fold = _reduce(values, folds.by_index, K)
     diagnostics["fully_weighted_units"] = int(np.sum(ds.R[:, t] == 1))
     estimate = EffectEstimate(
@@ -326,44 +341,20 @@ def estimate_cross_fit(
     return estimate, eif
 
 
-def fit_full_sample(
-    ds: PanelDataset, specs: NuisanceSpecs, t: int, omega_one: bool = False
-) -> tuple[SequenceFit, SequenceFit | None]:
-    """Propensity and retention fits on all units (no retention fit with ``omega_one``)."""
-    pi_fit = fit_propensity_sequence(ds, None, specs.pi, exclude_fold=None, t_star=t)
-    omega_fit = None
-    if not omega_one:
-        omega_fit = fit_missingness_sequence(ds, None, specs.omega, exclude_fold=None, t_star=t)
-    return pi_fit, omega_fit
-
-
 def estimate_plugin(
     ds: PanelDataset,
     specs: NuisanceSpecs,
     grid,
     t: int,
     omega_one: bool = False,
-    pi_fit: SequenceFit | None = None,
-    omega_fit: SequenceFit | None = None,
+    eta: NuisanceSet | None = None,
 ) -> tuple[EffectEstimate, EifMatrix]:
     """Plug-in estimator: nuisances fit on all data, no sample splitting.
 
-    ``pi_fit``/``omega_fit`` reuse the fits of ``fit_full_sample``.
+    ``eta``, a full-sample fit over the same grid, replaces the fit.
     """
     grid = _as_grid(grid)
-    values = np.empty((ds.n, len(grid)))
-    diagnostics: dict = {"folds": [], "warnings": []}
-    if pi_fit is None:
-        pi_fit, omega_fit = fit_full_sample(ds, specs, t, omega_one)
-    for j, delta in enumerate(grid.values):
-        eta = fit_nuisances(
-            ds, None, specs, delta, t,
-            exclude_fold=None, omega_one=omega_one,
-            pi_fit=pi_fit, omega_fit=omega_fit,
-        )
-        values[:, j] = eif_values_for(ds, eta)
-        if j == 0:
-            diagnostics["folds"].append(eta.summary())
+    values, diagnostics = _fold_loop(ds, specs, grid, t, omega_one, None, eta=eta)
     psi_hat = values.mean(axis=0)
     estimate = EffectEstimate(
         psi_hat=psi_hat,
@@ -384,19 +375,14 @@ def ipw_weight_products(
     R: np.ndarray,
     pi: np.ndarray,
     omega: np.ndarray,
-    delta: float,
+    delta,
 ) -> np.ndarray:
-    """Cumulative weights prod_s ratio_s * 1(R_{s+1}=1)/omega_s over all t stages."""
-    n, t = np.atleast_2d(A).shape
-    W = np.ones(n)
-    for s in range(t):
-        alive = R[:, s] == 1
-        a = _gate(alive, A[:, s], 0.0)
-        p = _gate(alive, pi[:, s], 0.5)
-        w = _gate(alive, omega[:, s], 1.0)
-        ratio = (delta * a + 1.0 - a) / (delta * p + 1.0 - p)
-        W = W * np.where(alive, ratio * R[:, s + 1] / w, 0.0)
-    return W
+    """Cumulative weights prod_s ratio_s * 1(R_{s+1}=1)/omega_s over all t stages.
+
+    (n,) for a scalar ``delta``, (n, D) for a (D,) grid.
+    """
+    zeros = np.broadcast_to(0.0, np.shape(pi) + np.shape(delta))
+    return _stage_kernel(A, R, 0.0, pi, omega, zeros, zeros, delta)[1]
 
 
 def estimate_ipw(
@@ -404,25 +390,21 @@ def estimate_ipw(
     specs: NuisanceSpecs,
     grid,
     t: int,
-    pi_fit: SequenceFit | None = None,
-    omega_fit: SequenceFit | None = None,
+    eta: NuisanceSet | None = None,
 ) -> EffectEstimate:
     """Pure inverse-probability-weighted estimator (continuation models unused).
 
     Propensities are fit on the full sample, mirroring how this baseline
-    is usually run with parametric models; ``pi_fit``/``omega_fit`` reuse
-    the fits of ``fit_full_sample``.
+    is usually run with parametric models; ``eta``, a full-sample fit
+    over the same grid, replaces the fit.
     """
     grid = _as_grid(grid)
-    if pi_fit is None:
-        pi_fit, omega_fit = fit_full_sample(ds, specs, t)
+    if eta is None:
+        eta = fit_nuisances(ds, None, specs, grid.values, t)
     y = _gate(ds.R[:, t] == 1, ds.Y[:, t - 1], 0.0)
-    values = np.empty((ds.n, len(grid)))
-    for j, delta in enumerate(grid.values):
-        W = ipw_weight_products(
-            ds.A[:, :t], ds.R[:, : t + 1], pi_fit.pred, omega_fit.pred, delta
-        )
-        values[:, j] = W * y
+    grid_values = np.asarray(grid.values)
+    W = ipw_weight_products(ds.A[:, :t], ds.R[:, : t + 1], eta.pi, eta.omega, grid_values)
+    values = W * y[:, None]
     psi_hat = values.mean(axis=0)
     return EffectEstimate(
         psi_hat=psi_hat,
@@ -432,7 +414,7 @@ def estimate_ipw(
         kind="ipw",
         grid=grid,
         per_fold=psi_hat[None, :].copy(),
-        diagnostics={"warnings": pi_fit.warnings + omega_fit.warnings},
+        diagnostics={"warnings": list(eta.warnings)},
     )
 
 

@@ -1,13 +1,13 @@
 """Sequential nuisance fitting: treatment, retention, and continuation models.
 
-Three pipelines feed the influence-function estimator, all trained on a
-designated pool (everything outside one held-out fold) and evaluated on
-every retained unit:
+The fold is the unit of work.  ``fit_nuisances`` fits three pipelines
+once per training pool (everything outside one held-out fold), for a
+whole delta grid at once:
 
 * ``fit_propensity_sequence``   -- regress A_t on the history H_t;
 * ``fit_missingness_sequence``  -- regress R_{t+1} on (H_t, A_t);
 * ``fit_pseudo_outcome_sequence`` -- backward recursion for the
-  delta-specific continuation values m_t(H_t, a).
+  delta-specific continuation values m_t(H_t, a), one column per delta.
 
 The recursion starts from the horizon outcome and repeatedly (i) regresses
 the current pseudo-outcome on (H_t, A_t) among units still present at
@@ -17,8 +17,12 @@ weights, producing the next regression target:
     M_t = [delta * pi_t * m_t(H_t,1) + (1 - pi_t) * m_t(H_t,0)]
           / (delta * pi_t + 1 - pi_t).
 
-Predictions for units already censored at t are defined as zero; every
-influence-function term touching them carries a retention indicator.
+It walks the stages once.  Each stage builds its history features and the
+a=1/a=0 query copies once, then fits one model per delta on that delta's
+target column, so every fit sees exactly the inputs a one-delta recursion
+would give it.  Predictions for units already censored at t are defined
+as zero; every influence-function term touching them carries a retention
+indicator.
 """
 
 from __future__ import annotations
@@ -57,9 +61,6 @@ class NuisanceSpecs:
     omega: LearnerSpec | Sequence[LearnerSpec]
     m: LearnerSpec | Sequence[LearnerSpec] | Callable
 
-    def m_for(self, delta: float):
-        return self.m(delta) if callable(self.m) else self.m
-
 
 def _spec_at(spec, s: int) -> LearnerSpec:
     """Spec for 1-based time s."""
@@ -88,10 +89,9 @@ class SequenceFit:
 
 @dataclass
 class PseudoOutcomeFit:
-    models: list[FittedModel]
-    m1: np.ndarray  # (n, t_star), zero where the unit has left
+    m1: np.ndarray  # (units, t_star, D), zero where the unit has left
     m0: np.ndarray
-    delta: float
+    deltas: tuple
     train_rows: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
@@ -162,77 +162,84 @@ def fit_pseudo_outcome_sequence(
     folds: FoldAssignment | None,
     pi_pred: np.ndarray,
     spec,
-    delta: float,
+    deltas,
     t_star: int,
     exclude_fold: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> PseudoOutcomeFit:
-    """Backward continuation-value recursion for one odds multiplier.
+    """Backward continuation-value recursion over a grid of odds multipliers.
 
-    ``pi_pred`` must hold propensity predictions from the same training
-    pool; they weight the two arms when the recursion collapses A_t.
+    ``spec`` is a LearnerSpec, a per-time sequence of them, or a callable
+    delta -> either, called once per delta.  ``pi_pred`` must hold
+    propensity predictions from the same training pool; they weight the
+    two arms when the recursion collapses A_t.  m1 and m0 hold the units
+    of the ``rows`` mask (every unit by default), one column per delta.
     """
     if t_star not in ds.outcome_times:
         raise ConfigError(f"no recorded outcome at horizon t={t_star}")
+    deltas = tuple(deltas)
+    grid = np.asarray(deltas, dtype=float)
+    m_specs = [spec(delta) if callable(spec) else spec for delta in deltas]
     train = _train_mask(ds, folds, exclude_fold)
-    n = ds.n
-    m1 = np.zeros((n, t_star))
-    m0 = np.zeros((n, t_star))
-    models: list[FittedModel | None] = [None] * t_star
+    keep = slice(None) if rows is None else rows
+    m1 = np.zeros((ds.n if rows is None else int(rows.sum()), t_star, grid.size))
+    m0 = np.zeros_like(m1)
     warns: list[str] = []
 
-    target = np.where(ds.R[:, t_star] == 1, ds.Y[:, t_star - 1], np.nan)
+    y = np.where(ds.R[:, t_star] == 1, ds.Y[:, t_star - 1], np.nan)
+    target = np.repeat(y[:, None], grid.size, axis=1)
     for s in range(t_star, 0, -1):
         F, alive, layout = history_features(ds, s, with_action=True)
         next_alive = ds.R[:, s] == 1  # R_{s+1} = 1
         pool = train & next_alive
         _check_pool(int(pool.sum()), layout.width, s, warns, "pseudo-outcome")
-        model = fit_learner(_spec_at(spec, s), F[pool], target[pool], "regression")
-        models[s - 1] = model
+        F_pool = F[pool]
         F1 = F[alive].copy()
         F1[:, layout.action_col] = 1.0
-        m1[alive, s - 1] = model.predict(F1)
-        F1[:, layout.action_col] = 0.0
-        m0[alive, s - 1] = model.predict(F1)
+        F0 = F1.copy()
+        F0[:, layout.action_col] = 0.0
+        m1s = np.zeros((ds.n, grid.size))
+        m0s = np.zeros((ds.n, grid.size))
+        for j, m_spec in enumerate(m_specs):
+            model = fit_learner(_spec_at(m_spec, s), F_pool, target[pool, j], "regression")
+            m1s[alive, j] = model.predict(F1)
+            m0s[alive, j] = model.predict(F0)
+        m1[:, s - 1] = m1s[keep]
+        m0[:, s - 1] = m0s[keep]
         if s > 1:
-            p = pi_pred[:, s - 1]
-            num = delta * p * m1[:, s - 1] + (1.0 - p) * m0[:, s - 1]
-            target = np.where(alive, num / (delta * p + 1.0 - p), np.nan)
+            p = pi_pred[:, s - 1, None]
+            num = grid * p * m1s + (1.0 - p) * m0s
+            target = np.where(alive[:, None], num / (grid * p + 1.0 - p), np.nan)
     return PseudoOutcomeFit(
-        models=models,
-        m1=m1,
-        m0=m0,
-        delta=delta,
-        train_rows=np.flatnonzero(train),
-        warnings=warns,
+        m1=m1, m0=m0, deltas=deltas, train_rows=np.flatnonzero(train), warnings=warns
     )
 
 
 @dataclass
 class NuisanceSet:
-    """Fitted nuisances for one (excluded fold, delta) pair.
+    """Fitted nuisances for one excluded fold over a delta grid.
 
-    Prediction caches cover the full dataset; the influence function for a
-    unit in the excluded fold is evaluated against models that never saw
-    that unit.
+    Arrays hold the units the set was fitted to evaluate: every unit, or
+    those of the ``rows`` mask given to ``fit_nuisances``.  No model saw
+    the excluded fold's units.
     """
 
-    pi: np.ndarray      # (n, t_star)
-    omega: np.ndarray   # (n, t_star)
-    m1: np.ndarray      # (n, t_star)
-    m0: np.ndarray      # (n, t_star)
-    delta: float
+    pi: np.ndarray      # (units, t_star)
+    omega: np.ndarray   # (units, t_star)
+    m1: np.ndarray      # (units, t_star, D)
+    m0: np.ndarray      # (units, t_star, D)
+    deltas: tuple
     t_star: int
     excluded_fold: int | None
     train_rows: np.ndarray
     pi_models: list = field(default_factory=list)
     omega_models: list = field(default_factory=list)
-    m_models: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
     def summary(self) -> dict:
         """JSON-ready diagnostics: convergence flags and effective sizes per t."""
         return {
-            "delta": self.delta,
+            "delta": self.deltas[0],  # diagnostics.json layout; other fields are delta-free
             "t_star": self.t_star,
             "excluded_fold": self.excluded_fold,
             "n_train": int(self.train_rows.size),
@@ -248,43 +255,42 @@ def fit_nuisances(
     ds: PanelDataset,
     folds: FoldAssignment | None,
     specs: NuisanceSpecs,
-    delta: float,
+    deltas,
     t_star: int,
     exclude_fold: int | None = None,
     omega_one: bool = False,
-    pi_fit: SequenceFit | None = None,
-    omega_fit: SequenceFit | None = None,
+    rows: np.ndarray | None = None,
 ) -> NuisanceSet:
-    """Fit all three nuisance sequences for one (fold, delta) pair.
+    """Fit all three nuisance sequences for one fold over a delta grid.
 
-    ``pi_fit``/``omega_fit`` allow reusing delta-independent fits across
-    grid values.  ``omega_one`` pins the retention propensities at one
-    (the no-dropout analysis of complete cases).
+    ``rows`` (a boolean mask over units) limits the retention and
+    continuation predictions, and the returned arrays, to those units.
+    ``omega_one`` pins the retention propensities at one (the no-dropout
+    analysis of complete cases).
     """
-    if pi_fit is None:
-        pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold, t_star)
+    sel = slice(None) if rows is None else rows
+    pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold, t_star)
     if omega_one:
         omega_fit = SequenceFit(
             models=[],
             pred=np.where(ds.R[:, :t_star] == 1, 1.0, np.nan),
             train_rows=pi_fit.train_rows,
         )
-    elif omega_fit is None:
-        omega_fit = fit_missingness_sequence(ds, folds, specs.omega, exclude_fold, t_star)
+    else:
+        omega_fit = fit_missingness_sequence(ds, folds, specs.omega, exclude_fold, t_star, rows)
     m_fit = fit_pseudo_outcome_sequence(
-        ds, folds, pi_fit.pred, specs.m_for(delta), delta, t_star, exclude_fold
+        ds, folds, pi_fit.pred, specs.m, deltas, t_star, exclude_fold, rows
     )
     return NuisanceSet(
-        pi=pi_fit.pred,
-        omega=omega_fit.pred,
+        pi=pi_fit.pred[sel],
+        omega=omega_fit.pred[sel],
         m1=m_fit.m1,
         m0=m_fit.m0,
-        delta=delta,
+        deltas=m_fit.deltas,
         t_star=t_star,
         excluded_fold=exclude_fold,
         train_rows=m_fit.train_rows,
         pi_models=pi_fit.models,
         omega_models=omega_fit.models,
-        m_models=m_fit.models,
         warnings=pi_fit.warnings + omega_fit.warnings + m_fit.warnings,
     )

@@ -392,7 +392,8 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
 
     ``n_periods`` overrides the horizon T; otherwise the metadata sidecar
     ``<path>.meta.json`` is consulted, falling back to the largest time
-    present in the file.
+    present in the file.  A sidecar whose ``n``, ``d`` or ``sha256`` does
+    not match the file is rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -449,7 +450,16 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
             with open(meta_path, encoding="utf-8") as fh:
-                T = int(json.load(fh)["n_periods"])
+                meta = json.load(fh)
+            # a sidecar left over from another file would set a wrong horizon
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            for key, value in (("n", len(subjects)), ("d", d), ("sha256", digest)):
+                if meta.get(key) != value:
+                    raise PanelDataError(
+                        f"{meta_path}: stale sidecar: {key} is {meta.get(key)!r}, "
+                        f"the file gives {value!r}"
+                    )
+            T = int(meta["n_periods"])
         else:
             T = int(t.max())
 

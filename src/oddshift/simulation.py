@@ -27,6 +27,7 @@ forms for the absolute-value term.
 from __future__ import annotations
 
 import math
+import pickle
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
 
@@ -41,11 +42,10 @@ from .estimator import (
     estimate_ipw,
     estimate_no_censoring,
     estimate_plugin,
-    fit_full_sample,
 )
 from .intervention import DeltaGrid, incremental_propensity
 from .learners import LearnerSpec
-from .nuisance import NuisanceSpecs
+from .nuisance import NuisanceSpecs, fit_nuisances
 from .panel import PanelDataset
 
 __all__ = [
@@ -484,11 +484,11 @@ def _benchmark_one(args):
     out = {}
     est, _ = estimate_cross_fit(ds, K, fold_seed, specs, grid, t)
     out["cross_fit"] = est.psi_hat
-    # the plug-in and IPW baselines share one full-sample pi and omega fit
-    pi_fit, omega_fit = fit_full_sample(ds, specs, t)
-    est, _ = estimate_plugin(ds, specs, grid, t, pi_fit=pi_fit, omega_fit=omega_fit)
+    # the plug-in and IPW baselines share one full-sample nuisance fit
+    eta = fit_nuisances(ds, None, specs, grid.values, t)
+    est, _ = estimate_plugin(ds, specs, grid, t, eta=eta)
     out["plugin"] = est.psi_hat
-    out["ipw"] = estimate_ipw(ds, specs, grid, t, pi_fit=pi_fit, omega_fit=omega_fit).psi_hat
+    out["ipw"] = estimate_ipw(ds, specs, grid, t, eta=eta).psi_hat
     est, _ = estimate_no_censoring(ds, K, fold_seed, specs, grid, t)
     out["no_censoring"] = est.psi_hat
     out["dropout"] = float(np.mean(ds.R[:, t] == 0))
@@ -513,6 +513,11 @@ def run_benchmark(
     pinned at one).  Deterministic for a given seed; replicate seeds are
     derived so results do not depend on execution order or thread count.
     """
+    if threads > 1:
+        try:
+            pickle.dumps(specs)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ConfigError(f"threads > 1 needs picklable specs: {exc}") from None
     grid = grid if isinstance(grid, DeltaGrid) else DeltaGrid(tuple(grid), "log")
     t = cfg.T if t is None else t
     truths, truth_se = true_effect_curve(

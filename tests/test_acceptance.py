@@ -175,9 +175,10 @@ def test_criterion_05_mean_zero_corrections(oracle_truth_runs):
     for cfg, ds, specs, est, truth, se in runs:
         t = est.t
         for delta in (grid.values[0], 1.0, grid.values[-1]):
-            eta = fit_nuisances(ds, None, specs, delta, t, exclude_fold=None)
+            eta = fit_nuisances(ds, None, specs, [delta], t, exclude_fold=None)
             terms = eif_correction_terms(
-                ds.A[:, :t], ds.R[:, : t + 1], eta.pi, eta.omega, eta.m1, eta.m0, delta
+                ds.A[:, :t], ds.R[:, : t + 1], eta.pi, eta.omega,
+                eta.m1[..., 0], eta.m0[..., 0], delta,
             )
             for s in range(t):
                 col = terms[:, s]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oddshift import (
     DeltaGrid,
@@ -10,6 +13,7 @@ from oddshift import (
     PanelDataset,
     complete_case_subset,
     eif_contribution,
+    eif_correction_terms,
     eif_from_arrays,
     eif_single_period,
     eif_values_for,
@@ -19,13 +23,13 @@ from oddshift import (
     estimate_no_censoring,
     estimate_plugin,
     default_grid,
-    fit_full_sample,
     fit_nuisances,
     oracle_specs,
     simulate,
     split_folds,
     true_effect_curve,
 )
+from oddshift.estimator import ipw_weight_products
 
 
 def nodropout_eif_reference(a_row, pi_row, m1_row, m0_row, y, delta):
@@ -146,8 +150,6 @@ class TestGeneralRecursion:
         y[R[:, t] == 0] = np.nan
         zeros = np.zeros((50, t))
         phi = eif_from_arrays(a, R, y, pi, om, zeros, zeros, 2.0)
-        from oddshift.estimator import ipw_weight_products
-
         W = ipw_weight_products(a, R, pi, om, 2.0)
         expected = W * np.where(R[:, t] == 1, y, 0.0)
         assert np.allclose(phi, expected, atol=1e-12)
@@ -213,8 +215,8 @@ class TestCrossFit:
     def test_per_trajectory_contribution(self, oracle_run):
         cfg, ds, grid, specs, est, eif = oracle_run
         folds = split_folds(ds, 2, seed=3)
-        eta = fit_nuisances(ds, folds, specs, 2.0, 3, exclude_fold=1)
-        phi = eif_values_for(ds, eta)
+        eta = fit_nuisances(ds, folds, specs, [2.0], 3, exclude_fold=1)
+        phi = eif_values_for(ds, eta)[:, 0]
         i = int(np.flatnonzero(folds.by_index == 1)[0])
         assert eif_contribution(ds, eta, i) == pytest.approx(phi[i], abs=1e-12)
         j = grid.values.index(2.0)
@@ -236,8 +238,8 @@ class TestCrossFitHeldOut:
         for k in (1, 2):
             rows = folds.by_index == k
             for j, delta in enumerate(grid.values):
-                eta = fit_nuisances(ds, folds, specs, delta, 3, exclude_fold=k)
-                assert np.array_equal(eif.values[rows, j], eif_values_for(ds, eta)[rows])
+                eta = fit_nuisances(ds, folds, specs, [delta], 3, exclude_fold=k)
+                assert np.array_equal(eif.values[rows, j], eif_values_for(ds, eta)[rows, 0])
 
     def test_warnings_once_per_fold_and_tagged(self):
         ds = simulate(DgpConfig(kind="dropout", n=16, T=3, u_l=1.0, seed=3))
@@ -254,7 +256,7 @@ class TestCrossFitHeldOut:
             tagged = [w[len(tag):] for w in warnings if w.startswith(tag)]
             expected = []
             for delta in grid.values:
-                eta = fit_nuisances(ds, folds, specs, delta, 3, exclude_fold=k)
+                eta = fit_nuisances(ds, folds, specs, [delta], 3, exclude_fold=k)
                 expected += [w for w in eta.warnings if w not in expected]
             assert tagged == expected
             assert est.diagnostics["folds"][k - 1]["warnings"] == expected
@@ -301,12 +303,12 @@ class TestBaselines:
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(10), m=LearnerSpec.ridge(1e-6)
         )
-        pi_fit, omega_fit = fit_full_sample(ds, specs, 3)
+        eta = fit_nuisances(ds, None, specs, grid.values, 3)
         plug, _ = estimate_plugin(ds, specs, grid, 3)
-        shared, _ = estimate_plugin(ds, specs, grid, 3, pi_fit=pi_fit, omega_fit=omega_fit)
+        shared, _ = estimate_plugin(ds, specs, grid, 3, eta=eta)
         assert np.array_equal(plug.psi_hat, shared.psi_hat)
         ipw = estimate_ipw(ds, specs, grid, 3)
-        shared = estimate_ipw(ds, specs, grid, 3, pi_fit=pi_fit, omega_fit=omega_fit)
+        shared = estimate_ipw(ds, specs, grid, 3, eta=eta)
         assert np.array_equal(ipw.psi_hat, shared.psi_hat)
 
     def test_plugin_equals_cross_fit_with_oracles(self):
@@ -379,3 +381,148 @@ class TestInfluenceSerialization:
         unit, fold, delta, phi = lines[1].split(",")
         assert float(phi) == eif.values[0, 0]
         assert int(fold) == int(eif.fold_by_row[0])
+
+
+# --------------------------------------------------------------------------
+# the shared stage kernel against the three per-delta loops it replaced
+# --------------------------------------------------------------------------
+
+
+def _gate(cond, values, fill):
+    return np.where(cond, values, fill)
+
+
+def reference_eif(A, R, y_term, pi, omega, m1, m0, delta):
+    """Influence values for one delta: the per-delta loop the kernel replaced."""
+    A = np.atleast_2d(A)
+    n, t = A.shape
+    phi = np.zeros(n)
+    C = np.ones(n)
+    for s in range(t):
+        alive = R[:, s] == 1
+        a = _gate(alive, A[:, s], 0.0)
+        p = _gate(alive, pi[:, s], 0.5)
+        w = _gate(alive, omega[:, s], 1.0)
+        r_next = R[:, s + 1].astype(float)
+        denom = delta * p + 1.0 - p
+        ratio = (delta * a + 1.0 - a) / denom
+        m1s = _gate(alive, m1[:, s], 0.0)
+        m0s = _gate(alive, m0[:, s], 0.0)
+        m_obs = np.where(a == 1.0, m1s, m0s)
+        g = (delta * p * m1s + (1.0 - p) * m0s) / denom
+        b = delta * (a - p) * (m1s - m0s) / denom**2
+        summand = g + b - ratio * (r_next / w) * m_obs
+        phi += C * np.where(alive, summand, 0.0)
+        C = C * np.where(alive, ratio * r_next / w, 0.0)
+    return phi + C * _gate(R[:, t] == 1, y_term, 0.0)
+
+
+def reference_correction_terms(A, R, pi, omega, m1, m0, delta):
+    """Per-stage correction terms for one delta: the loop the kernel replaced."""
+    A = np.atleast_2d(A)
+    n, t = A.shape
+    out = np.full((n, t), np.nan)
+    for s in range(t):
+        alive = R[:, s] == 1
+        a = _gate(alive, A[:, s], 0.0)
+        p = _gate(alive, pi[:, s], 0.5)
+        w = _gate(alive, omega[:, s], 1.0)
+        r_next = R[:, s + 1].astype(float)
+        denom = delta * p + 1.0 - p
+        ratio = (delta * a + 1.0 - a) / denom
+        m1s = _gate(alive, m1[:, s], 0.0)
+        m0s = _gate(alive, m0[:, s], 0.0)
+        m_obs = np.where(a == 1.0, m1s, m0s)
+        g = (delta * p * m1s + (1.0 - p) * m0s) / denom
+        b = delta * (a - p) * (m1s - m0s) / denom**2
+        out[alive, s] = (g + b - ratio * (r_next / w) * m_obs)[alive]
+    return out
+
+
+def reference_weight_products(A, R, pi, omega, delta):
+    """Cumulative weights for one delta: the loop the kernel replaced."""
+    n, t = np.atleast_2d(A).shape
+    W = np.ones(n)
+    for s in range(t):
+        alive = R[:, s] == 1
+        a = _gate(alive, A[:, s], 0.0)
+        p = _gate(alive, pi[:, s], 0.5)
+        w = _gate(alive, omega[:, s], 1.0)
+        ratio = (delta * a + 1.0 - a) / (delta * p + 1.0 - p)
+        W = W * np.where(alive, ratio * R[:, s + 1] / w, 0.0)
+    return W
+
+
+KERNEL_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+deltas_st = st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6)
+
+
+def random_panel(seed, n, t, dropout=True):
+    """Monotone-dropout arrays with NaN after each unit leaves, as the estimator sees them."""
+    rng = np.random.default_rng(seed)
+    last = rng.integers(1, t + 2, size=n) if dropout else np.full(n, t + 1)
+    R = (np.arange(t + 1)[None, :] < last[:, None]).astype(np.int8)
+    here = R[:, :t] == 1
+    A = np.where(here, (rng.random((n, t)) < 0.5).astype(float), np.nan)
+    pi = np.where(here, rng.uniform(0.01, 0.99, (n, t)), np.nan)
+    omega = np.where(here, rng.uniform(0.05, 1.0, (n, t)), np.nan)
+    y = np.where(R[:, t] == 1, rng.normal(size=n), np.nan)
+    return rng, A, R, y, pi, omega
+
+
+class TestStageKernel:
+    @KERNEL_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), t=st.integers(1, 6),
+           deltas=deltas_st)
+    def test_grid_columns_equal_per_delta_loops_bitwise(self, seed, n, t, deltas):
+        rng, A, R, y, pi, omega = random_panel(seed, n, t)
+        here = (R[:, :t] == 1)[..., None]
+        m1 = np.where(here, rng.normal(size=(n, t, len(deltas))), 0.0)
+        m0 = np.where(here, rng.normal(size=(n, t, len(deltas))), 0.0)
+        grid = np.array(deltas)
+        phi = eif_from_arrays(A, R, y, pi, omega, m1, m0, grid)
+        terms = eif_correction_terms(A, R, pi, omega, m1, m0, grid)
+        W = ipw_weight_products(A, R, pi, omega, grid)
+        assert phi.shape == W.shape == (n, len(deltas)) and terms.shape == m1.shape
+        for j, delta in enumerate(deltas):
+            args = (A, R, pi, omega, m1[..., j], m0[..., j], delta)
+            want = reference_eif(A, R, y, pi, omega, m1[..., j], m0[..., j], delta)
+            assert np.array_equal(phi[:, j], want)
+            assert np.array_equal(eif_from_arrays(A, R, y, *args[2:]), want)
+            want = reference_correction_terms(*args)
+            assert np.array_equal(terms[..., j], want, equal_nan=True)
+            assert np.array_equal(eif_correction_terms(*args), want, equal_nan=True)
+            want = reference_weight_products(A, R, pi, omega, delta)
+            assert np.array_equal(W[:, j], want)
+            assert np.array_equal(ipw_weight_products(A, R, pi, omega, delta), want)
+
+    @KERNEL_SETTINGS
+    @given(data=st.data(), n=st.integers(1, 20), t=st.integers(1, 6))
+    def test_delta_one_without_dropout_returns_the_outcome(self, data, n, t):
+        def values(lo, hi, shape):
+            return data.draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+        pi, m1, m0 = values(0.01, 0.99, (n, t)), values(-10, 10, (n, t)), values(-10, 10, (n, t))
+        A = values(0, 1, (n, t)).round()
+        y = values(-10, 10, n)
+        R = np.ones((n, t + 1), dtype=np.int8)
+        phi = eif_from_arrays(A, R, y, pi, np.ones((n, t)), m1, m0, 1.0)
+        assert np.max(np.abs(phi - y)) <= 1e-12
+
+    @KERNEL_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), t=st.integers(1, 6),
+           deltas=deltas_st)
+    def test_per_period_weight_ratio_within_delta_bounds(self, seed, n, t, deltas):
+        _, A, R, _, pi, _ = random_panel(seed, n, t)
+        omega = np.ones((n, t))
+        grid = np.array(deltas)
+        lo, hi = np.minimum(grid, 1 / grid), np.maximum(grid, 1 / grid)
+        C_prev = np.ones((n, grid.size))
+        for s in range(1, t + 1):
+            C = ipw_weight_products(A[:, :s], R[:, : s + 1], pi[:, :s], omega[:, :s], grid)
+            kept = R[:, s] == 1
+            ratio = C[kept] / C_prev[kept]
+            assert np.all(ratio >= lo * (1 - 1e-12)) and np.all(ratio <= hi * (1 + 1e-12))
+            C_prev = C

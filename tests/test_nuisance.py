@@ -145,11 +145,11 @@ class TestPseudoOutcome:
         specs = oracle_specs(cfg, 3)
         pi = fit_propensity_sequence(trial5000, None, specs.pi, exclude_fold=None)
         fit = fit_pseudo_outcome_sequence(
-            trial5000, None, pi.pred, specs.m_for(2.0), 2.0, 3, exclude_fold=None
+            trial5000, None, pi.pred, specs.m, [2.0], 3, exclude_fold=None
         )
         k_before = trial5000.A[:, :2].sum(axis=1)
-        assert np.allclose(fit.m1[:, 2], 10.0 + np.sqrt(k_before + 1.0), atol=1e-12)
-        assert np.allclose(fit.m0[:, 2], 10.0 + np.sqrt(k_before), atol=1e-12)
+        assert np.allclose(fit.m1[:, 2, 0], 10.0 + np.sqrt(k_before + 1.0), atol=1e-12)
+        assert np.allclose(fit.m0[:, 2, 0], 10.0 + np.sqrt(k_before), atol=1e-12)
 
     def test_constant_outcome_propagates(self):
         rng = np.random.default_rng(3)
@@ -161,7 +161,7 @@ class TestPseudoOutcome:
         ds = PanelDataset.from_arrays(X, A, Y, np.ones((n, T + 1), dtype=np.int8))
         pi = fit_propensity_sequence(ds, None, LearnerSpec.logistic(), exclude_fold=None)
         for spec in (LearnerSpec.ridge(0.1), LearnerSpec.knn(5)):
-            fit = fit_pseudo_outcome_sequence(ds, None, pi.pred, spec, 1.7, T, exclude_fold=None)
+            fit = fit_pseudo_outcome_sequence(ds, None, pi.pred, spec, [1.7], T, exclude_fold=None)
             assert np.allclose(fit.m1, 4.5, atol=1e-9)
             assert np.allclose(fit.m0, 4.5, atol=1e-9)
 
@@ -169,18 +169,18 @@ class TestPseudoOutcome:
         # as delta -> 0 the arm-collapsed target tends to the untreated arm
         pi = fit_propensity_sequence(dropout_ds, None, LearnerSpec.logistic(), exclude_fold=None)
         fit = fit_pseudo_outcome_sequence(
-            dropout_ds, None, pi.pred, LearnerSpec.ridge(0.01), 1e-9, 4, exclude_fold=None
+            dropout_ds, None, pi.pred, LearnerSpec.ridge(0.01), [1e-9], 4, exclude_fold=None
         )
         alive = dropout_ds.R[:, 3] == 1
         p = pi.pred[alive, 3]
-        m1, m0 = fit.m1[alive, 3], fit.m0[alive, 3]
+        m1, m0 = fit.m1[alive, 3, 0], fit.m0[alive, 3, 0]
         target = (1e-9 * p * m1 + (1 - p) * m0) / (1e-9 * p + 1 - p)
         assert np.max(np.abs(target - m0)) < 1e-6
 
     def test_censored_rows_zero(self, dropout_ds):
         pi = fit_propensity_sequence(dropout_ds, None, LearnerSpec.logistic(), exclude_fold=None)
         fit = fit_pseudo_outcome_sequence(
-            dropout_ds, None, pi.pred, LearnerSpec.ridge(0.01), 2.0, 4, exclude_fold=None
+            dropout_ds, None, pi.pred, LearnerSpec.ridge(0.01), [2.0], 4, exclude_fold=None
         )
         gone = dropout_ds.R[:, :4] == 0
         assert np.all(fit.m1[gone] == 0.0) and np.all(fit.m0[gone] == 0.0)
@@ -193,7 +193,7 @@ class TestCrossFitHygiene:
             pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(50), m=LearnerSpec.ridge(0.01)
         )
         for k in (1, 2, 3):
-            eta = fit_nuisances(dropout_ds, folds, specs, 1.5, 4, exclude_fold=k)
+            eta = fit_nuisances(dropout_ds, folds, specs, [1.5], 4, exclude_fold=k)
             held = set(np.flatnonzero(folds.by_index == k).tolist())
             assert held.isdisjoint(set(eta.train_rows.tolist()))
             assert eta.summary()["excluded_fold"] == k

@@ -7,10 +7,12 @@ import pytest
 from oddshift import (
     PanelDataError,
     ConfigError,
+    DgpConfig,
     PanelDataset,
     Trajectory,
     history_at,
     load_long_csv,
+    simulate,
     split_folds,
     validate_monotonicity,
     write_long_csv,
@@ -141,6 +143,17 @@ class TestLoader:
         write_long_csv(ds, out)
         # everyone left before recording an outcome at t=2; sidecar keeps T=2
         assert load_long_csv(out).T == 2
+
+    def test_stale_sidecar_rejected(self, tmp_path):
+        out = tmp_path / "p.csv"
+        write_long_csv(simulate(DgpConfig(kind="dropout", n=50, T=3, u_l=1.0, seed=1)), out)
+        # a longer panel written over the file, its old sidecar left in place
+        write_long_csv(
+            simulate(DgpConfig(kind="dropout", n=50, T=6, u_l=1.0, seed=2)), out, sidecar=False
+        )
+        with pytest.raises(PanelDataError, match=re.escape("p.csv.meta.json: stale sidecar")):
+            load_long_csv(out)
+        assert load_long_csv(out, n_periods=6).T == 6
 
 
 class TestValidation:

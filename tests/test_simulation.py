@@ -8,6 +8,7 @@ from oddshift import (
     DeltaGrid,
     DgpConfig,
     normalized_rmse,
+    oracle_specs,
     relative_efficiency_mc,
     run_benchmark,
     simulate,
@@ -132,6 +133,13 @@ class TestBenchmark:
         import json
 
         assert json.loads(json.dumps(res.summary()))["S"] == 1
+
+    def test_unpicklable_specs_rejected_before_the_pool(self):
+        # the oracle nuisances are local closures, which a process pool cannot ship
+        cfg = DgpConfig(kind="trial", n=100, T=2, p=0.5, seed=2)
+        grid = DeltaGrid(values=(1.0, 2.0), spacing="linear")
+        with pytest.raises(ConfigError, match="picklable"):
+            run_benchmark(cfg, S=2, grid=grid, specs=oracle_specs(cfg, 2), seed=3, threads=2)
 
 
 class TestRelativeEfficiency:
