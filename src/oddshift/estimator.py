@@ -346,7 +346,6 @@ def estimate_plugin(
     specs: NuisanceSpecs,
     grid,
     t: int,
-    omega_one: bool = False,
     eta: NuisanceSet | None = None,
 ) -> tuple[EffectEstimate, EifMatrix]:
     """Plug-in estimator: nuisances fit on all data, no sample splitting.
@@ -354,7 +353,7 @@ def estimate_plugin(
     ``eta``, a full-sample fit over the same grid, replaces the fit.
     """
     grid = _as_grid(grid)
-    values, diagnostics = _fold_loop(ds, specs, grid, t, omega_one, None, eta=eta)
+    values, diagnostics = _fold_loop(ds, specs, grid, t, False, None, eta=eta)
     psi_hat = values.mean(axis=0)
     estimate = EffectEstimate(
         psi_hat=psi_hat,

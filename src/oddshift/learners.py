@@ -100,11 +100,18 @@ class FittedModel:
     converged: bool = True
     clip: tuple | None = None
     coef_: np.ndarray | None = None
-    intercept_: float | None = None
+    intercept_: float | np.ndarray | None = None
+    columns: int | None = None  # D for a (rows, D) target, None for a 1-D one
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """(q,) predictions for a 1-D target, (q, D) for a (rows, D) one."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.predict_fn(X), dtype=float)
+        if out.ndim == 1 and self.columns is not None:
+            # zero and oracle ignore the target: one output serves every column
+            out = np.repeat(out[:, None], self.columns, axis=1)
+        elif out.ndim == 2 and self.columns is None:
+            out = out[:, 0]  # ridge and knn fit a 1-D target as one column
         if self.clip is not None:
             out = np.clip(out, self.clip[0], self.clip[1])
         return out
@@ -164,13 +171,13 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - mu) / sd, mu, sd
 
 
-def _knn_mean(d2: np.ndarray, ys: np.ndarray, k: int) -> np.ndarray:
-    """Mean of ``ys`` over each row's k nearest columns of ``d2``.
+def _knn_neighbours(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest columns of ``d2``, nearest first.
 
     Neighbours are the k smallest (distance, column) pairs, taken in that
-    order, so the result is bitwise ``ys[np.argsort(d2, axis=1,
-    kind="stable")[:, :k]].mean(axis=1)``: ties at the k-th distance go to
-    the lowest columns.  Selection is linear in the row length.
+    order, so the result is bitwise ``np.argsort(d2, axis=1,
+    kind="stable")[:, :k]``: ties at the k-th distance go to the lowest
+    columns.  Selection is linear in the row length.
     """
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
     chosen = d2 <= kth  # every strictly closer column plus every tie
@@ -184,49 +191,70 @@ def _knn_mean(d2: np.ndarray, ys: np.ndarray, k: int) -> np.ndarray:
         chosen[over] &= ~tie | (rank <= keep[:, None])
     cols = np.nonzero(chosen)[1].reshape(-1, k)  # ascending column per row
     order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-    return ys[np.take_along_axis(cols, order, axis=1)].mean(axis=1)
+    return np.take_along_axis(cols, order, axis=1)
 
 
-def _fit_knn(X: np.ndarray, y: np.ndarray, k: int, clip: tuple | None) -> FittedModel:
+def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> FittedModel:
+    """k nearest neighbours for the D target rows of ``Y`` (D, n); predicts (q, D)."""
     n = X.shape[0]
     k_eff = min(k, n)
     Xs, mu, sd = _standardize(X)
-    ys = y.astype(float).copy()
     sq = np.sum(Xs**2, axis=1)
 
-    def predict(Xq, Xs=Xs, ys=ys, mu=mu, sd=sd, k_eff=k_eff, sq=sq):
+    def predict(Xq, Xs=Xs, Y=Y, mu=mu, sd=sd, k_eff=k_eff, sq=sq):
         Q = (Xq - mu) / sd
         if Xs.shape[1] == 0:
             # featureless: every training point ties at distance zero
-            return np.full(Q.shape[0], ys[:k_eff].mean())
-        out = np.empty(Q.shape[0])
+            return np.repeat(Y[:, :k_eff].mean(axis=1)[None, :], Q.shape[0], axis=0)
+        out = np.empty((Q.shape[0], Y.shape[0]))
         for lo in range(0, Q.shape[0], _KNN_BLOCK):
             q = Q[lo : lo + _KNN_BLOCK]
             d2 = np.sum(q**2, axis=1)[:, None] - 2.0 * q @ Xs.T + sq[None, :]
-            out[lo : lo + _KNN_BLOCK] = _knn_mean(d2, ys, k_eff)
+            nbrs = _knn_neighbours(d2, k_eff)
+            for j, y in enumerate(Y):  # one (q, k) gather and mean per target, as for 1-D
+                out[lo : lo + _KNN_BLOCK, j] = y[nbrs].mean(axis=1)
         return out
 
     return FittedModel(kind="knn", predict_fn=predict, n_train=n, clip=clip)
 
 
-def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float, clip: tuple | None) -> FittedModel:
-    n = X.shape[0]
+def _fit_ridge(
+    X: np.ndarray, Y: np.ndarray, lam: float, clip: tuple | None, columns: int | None
+) -> FittedModel:
+    """Closed-form ridge for the D target rows of ``Y`` (D, n); predicts (q, D).
+
+    The design's standardisation and Gram matrix, and at predict time the
+    standardised query, are computed once.  Each target keeps the
+    one-target arithmetic (its own mean, solve and gemv), so every column
+    is bitwise a one-column fit; byte-identical targets share one solve.
+    """
+    n, p = X.shape
     Xs, mu, sd = _standardize(X)
-    ybar = float(np.mean(y))
     G = Xs.T @ Xs
     G[np.diag_indices_from(G)] += lam + RIDGE_JITTER
-    beta = np.linalg.solve(G, Xs.T @ (y - ybar)) if X.shape[1] else np.empty(0)
+    first: dict[bytes, int] = {}
+    owner = np.array([first.setdefault(y.tobytes(), j) for j, y in enumerate(Y)])
+    fits = {}  # first column of each distinct target -> (ybar, beta)
+    for j in first.values():
+        ybar = float(np.mean(Y[j]))
+        fits[j] = ybar, np.linalg.solve(G, Xs.T @ (Y[j] - ybar)) if p else np.empty(0)
 
-    def predict(Xq, beta=beta, mu=mu, sd=sd, ybar=ybar):
-        return ybar + ((Xq - mu) / sd) @ beta
+    def predict(Xq, fits=fits, owner=owner, mu=mu, sd=sd):
+        Q = (Xq - mu) / sd
+        out = np.empty((Q.shape[0], owner.size))
+        for j, (ybar, beta) in fits.items():
+            out[:, owner == j] = (ybar + Q @ beta)[:, None]
+        return out
 
+    coef = np.column_stack([fits[j][1] / sd for j in owner])
+    intercept = np.array([fits[j][0] - float((fits[j][1] * mu / sd).sum()) for j in owner])
     return FittedModel(
         kind="ridge",
         predict_fn=predict,
         n_train=n,
         clip=clip,
-        coef_=beta / sd if X.shape[1] else beta,
-        intercept_=ybar - float((beta * mu / sd).sum()) if X.shape[1] else ybar,
+        coef_=coef if columns else coef[:, 0],
+        intercept_=intercept if columns else float(intercept[0]),
     )
 
 
@@ -242,11 +270,23 @@ def fit_learner(
     ``task`` is 'probability' (targets in {0,1}, predictions clipped) or
     'regression' (unrestricted).  ``clip`` overrides the default
     probability clipping range [PI_CLIP, 1 - PI_CLIP].
+
+    A 1-D target gives (q,) predictions.  A target may also be (rows, D),
+    for every learner but logistic_irls: the model then predicts (q, D),
+    and column j is bitwise what a fit on ``targets[:, j]`` alone
+    predicts.  The target-free work (validation, standardisation, the
+    ridge Gram matrix, the kNN neighbour search, the standardised query)
+    is done once for all D.
     """
     if task not in ("probability", "regression"):
         raise ConfigError(f"unknown task {task!r}")
     X = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(targets, dtype=float).ravel()
+    y = np.asarray(targets, dtype=float)
+    columns = y.shape[1] if y.ndim == 2 else None
+    if columns is None:
+        y = y.ravel()
+    elif columns < 1 or spec.kind == "logistic_irls":
+        raise ConfigError("a (rows, D) target needs D >= 1 and a learner other than logistic_irls")
     if spec.kind != "oracle":
         if X.shape[0] != y.shape[0]:
             raise ConfigError("features and targets disagree on row count")
@@ -259,26 +299,31 @@ def fit_learner(
             raise ConfigError("probability task requires {0,1} targets")
         if clip is None:
             clip = (PI_CLIP, 1.0 - PI_CLIP)
+    # one contiguous row per target column: each column's sums run as a 1-D target's
+    Y = np.ascontiguousarray(y.T) if columns else y[None, :]
 
     if spec.kind == "logistic_irls":
         if task != "probability":
             raise ConfigError("logistic_irls only fits probability targets")
-        return _fit_logistic_irls(X, y, clip)
-    if spec.kind == "knn":
-        return _fit_knn(X, y, spec.k, clip)
-    if spec.kind == "ridge":
-        return _fit_ridge(X, y, spec.lam, clip)
-    if spec.kind == "zero":
-        return FittedModel(
+        model = _fit_logistic_irls(X, y, clip)
+    elif spec.kind == "knn":
+        model = _fit_knn(X, Y, spec.k, clip)
+    elif spec.kind == "ridge":
+        model = _fit_ridge(X, Y, spec.lam, clip, columns)
+    elif spec.kind == "zero":
+        model = FittedModel(
             kind="zero",
             predict_fn=lambda Xq: np.zeros(Xq.shape[0]),
             n_train=X.shape[0],
             clip=clip,
         )
-    # oracle: wrap the supplied handle, ignoring the training data
-    return FittedModel(
-        kind="oracle",
-        predict_fn=spec.fn,
-        n_train=X.shape[0] if X.size else 0,
-        clip=clip,
-    )
+    else:
+        # oracle: wrap the supplied handle, ignoring the training data
+        model = FittedModel(
+            kind="oracle",
+            predict_fn=spec.fn,
+            n_train=X.shape[0] if X.size else 0,
+            clip=clip,
+        )
+    model.columns = columns
+    return model

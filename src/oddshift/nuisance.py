@@ -18,11 +18,13 @@ weights, producing the next regression target:
           / (delta * pi_t + 1 - pi_t).
 
 It walks the stages once.  Each stage builds its history features and the
-a=1/a=0 query copies once, then fits one model per delta on that delta's
-target column, so every fit sees exactly the inputs a one-delta recursion
-would give it.  Predictions for units already censored at t are defined
-as zero; every influence-function term touching them carries a retention
-indicator.
+a=1/a=0 query copies once, then makes one fit per distinct stage spec:
+the delta columns sharing a spec go to ``fit_learner`` as one (rows, D)
+target, whose columns are bitwise one-column fits, so every column gets
+exactly what a one-delta recursion would give it.  A plain LearnerSpec
+fits once per stage; per-delta oracle closures still fit once per delta.
+Predictions for units already censored at t are defined as zero; every
+influence-function term touching them carries a retention indicator.
 """
 
 from __future__ import annotations
@@ -67,6 +69,14 @@ def _spec_at(spec, s: int) -> LearnerSpec:
     if isinstance(spec, LearnerSpec):
         return spec
     return spec[s - 1]
+
+
+def _spec_groups(specs: list, s: int) -> dict[LearnerSpec, list[int]]:
+    """Delta columns per distinct time-s spec among the per-delta ``specs``."""
+    groups: dict[LearnerSpec, list[int]] = {}
+    for j, spec in enumerate(specs):
+        groups.setdefault(_spec_at(spec, s), []).append(j)
+    return groups
 
 
 def _train_mask(ds: PanelDataset, folds: FoldAssignment | None, exclude_fold) -> np.ndarray:
@@ -170,10 +180,12 @@ def fit_pseudo_outcome_sequence(
     """Backward continuation-value recursion over a grid of odds multipliers.
 
     ``spec`` is a LearnerSpec, a per-time sequence of them, or a callable
-    delta -> either, called once per delta.  ``pi_pred`` must hold
-    propensity predictions from the same training pool; they weight the
-    two arms when the recursion collapses A_t.  m1 and m0 hold the units
-    of the ``rows`` mask (every unit by default), one column per delta.
+    delta -> either, called once per delta.  Each stage fits once per
+    distinct spec, on the target columns of the deltas that share it.
+    ``pi_pred`` must hold propensity predictions from the same training
+    pool; they weight the two arms when the recursion collapses A_t.  m1
+    and m0 hold the units of the ``rows`` mask (every unit by default),
+    one column per delta.
     """
     if t_star not in ds.outcome_times:
         raise ConfigError(f"no recorded outcome at horizon t={t_star}")
@@ -200,10 +212,10 @@ def fit_pseudo_outcome_sequence(
         F0[:, layout.action_col] = 0.0
         m1s = np.zeros((ds.n, grid.size))
         m0s = np.zeros((ds.n, grid.size))
-        for j, m_spec in enumerate(m_specs):
-            model = fit_learner(_spec_at(m_spec, s), F_pool, target[pool, j], "regression")
-            m1s[alive, j] = model.predict(F1)
-            m0s[alive, j] = model.predict(F0)
+        for stage_spec, cols in _spec_groups(m_specs, s).items():
+            model = fit_learner(stage_spec, F_pool, target[np.ix_(pool, cols)], "regression")
+            m1s[np.ix_(alive, cols)] = model.predict(F1)
+            m0s[np.ix_(alive, cols)] = model.predict(F0)
         m1[:, s - 1] = m1s[keep]
         m0[:, s - 1] = m0s[keep]
         if s > 1:

@@ -321,15 +321,19 @@ class _RetentionOracle:
         self._w = w  # prior density constant cancels in the posterior mean
 
     def predict(self, s: int, F: np.ndarray, d: int) -> np.ndarray:
-        n = F.shape[0]
-        past = F[:, d * s + np.arange(s - 1)] if s >= 2 else np.empty((n, 0))
-        path = np.column_stack([past, F[:, -1]])  # a_1..a_s
+        """Retention at time s, quadrature once per distinct path a_1..a_s (at most 2^s)."""
+        past = F[:, d * s + np.arange(s - 1)] if s >= 2 else np.empty((F.shape[0], 0))
+        path, row_path = np.unique(
+            np.column_stack([past, F[:, -1]]), axis=0, return_inverse=True
+        )
+        n = path.shape[0]
         ks = np.cumsum(path, axis=1)  # k_1..k_s
         grid = self._c[None, None, :]  # (1, 1, nodes)
         surv = expit(grid + ks[:, :-1, None]) if s >= 2 else np.ones((n, 1, 1))
         weights = self._w[None, :] * np.prod(surv, axis=1)
         cur = expit(self._c[None, :] + ks[:, -1:, ])
-        return np.sum(weights * cur, axis=1) / np.sum(weights, axis=1)
+        by_path = np.sum(weights * cur, axis=1) / np.sum(weights, axis=1)
+        return by_path[row_path.ravel()]
 
 
 def true_propensities(cfg: DgpConfig, ds: PanelDataset, t: int) -> np.ndarray:
@@ -386,11 +390,11 @@ def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
     if cfg.kind == "trial":
         def m_specs(delta: float):
             q = incremental_propensity(cfg.p, delta)
-            values: dict[int, dict] = {}
+            values: dict[int, np.ndarray] = {}
             table = 10.0 + np.sqrt(np.arange(t_star + 1.0))
             for s in range(t_star - 1, 0, -1):
                 table = q * table[1:] + (1.0 - q) * table[:-1]  # v_s over k_s = 0..s
-                values[s] = dict(enumerate(table))
+                values[s] = table
 
             def fn_for(s):
                 def fn(F, s=s):
@@ -398,8 +402,7 @@ def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
                     k = k_prev + F[:, -1]
                     if s == t_star:
                         return 10.0 + np.sqrt(k)
-                    lut = values[s]
-                    return np.array([lut[int(v)] for v in k])
+                    return values[s][k.astype(np.intp)]
 
                 return fn
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oddshift import ConfigError, LearnerSpec, fit_learner
 from oddshift import learners
-from oddshift.learners import OMEGA_FLOOR, PI_CLIP, _knn_mean, _standardize
+from oddshift.learners import OMEGA_FLOOR, PI_CLIP, _knn_neighbours, _standardize
 
 KNN_SETTINGS = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -29,6 +29,36 @@ def tie_heavy_knn(draw, max_query):
 
 def argsort_knn(d2, ys, k):
     return ys[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(1)
+
+
+@st.composite
+def multi_target(draw):
+    """Tie-heavy integer features (possibly none) and a (rows, D) target with repeated columns."""
+    n = draw(st.integers(1, 40))
+    nq = draw(st.integers(1, 30))
+    p = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n, p)).astype(float)
+    Xq = rng.integers(0, 3, size=(nq, p)).astype(float)
+    Y = rng.normal(size=(n, draw(st.integers(1, 4))))
+    repeats = draw(st.lists(st.integers(0, Y.shape[1] - 1), max_size=3))
+    Y = np.column_stack([Y] + [Y[:, j] for j in repeats])
+    return X, Xq, Y[:, rng.permutation(Y.shape[1])], draw(st.integers(1, n))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def ridge_one_column(X, y, lam, Xq):
+    """The one-target ridge as it was before (rows, D) targets, kept as the reference."""
+    Xs, mu, sd = _standardize(X)
+    ybar = float(np.mean(y))
+    G = Xs.T @ Xs
+    G[np.diag_indices_from(G)] += lam + learners.RIDGE_JITTER
+    beta = np.linalg.solve(G, Xs.T @ (y - ybar)) if X.shape[1] else np.empty(0)
+    return ybar + ((Xq - mu) / sd) @ beta
 
 
 class TestLogistic:
@@ -102,7 +132,7 @@ class TestKnn:
         # exact integer squared distances: ties are exact, not rounding luck
         X, Xq, y, k = case
         d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(_knn_mean(d2, y, k), argsort_knn(d2, y, k))
+        assert np.array_equal(_knn_neighbours(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
 
     @KNN_SETTINGS
     @given(tie_heavy_knn(max_query=learners._KNN_BLOCK))
@@ -177,3 +207,66 @@ class TestOracleAndZero:
             LearnerSpec.knn(0)
         with pytest.raises(ConfigError):
             LearnerSpec.ridge(-1.0)
+
+
+class TestTargetColumns:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(multi_target())
+    def test_each_column_is_its_one_column_fit_bitwise(self, case):
+        X, Xq, Y, k = case
+        specs = (
+            LearnerSpec.ridge(0.0),
+            LearnerSpec.ridge(0.7),
+            LearnerSpec.knn(k),
+            LearnerSpec.zero(),
+            LearnerSpec.oracle(lambda F: F.sum(axis=1) - 0.25),
+        )
+        for spec in specs:
+            together = fit_learner(spec, X, Y, "regression").predict(Xq)
+            assert together.shape == (Xq.shape[0], Y.shape[1])
+            for j in range(Y.shape[1]):
+                alone = fit_learner(spec, X, Y[:, j], "regression").predict(Xq)
+                assert np.array_equal(bits(together[:, j]), bits(alone)), (spec.kind, j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_target(), st.sampled_from([0.0, 0.3]))
+    def test_one_dimensional_ridge_unchanged(self, case, lam):
+        X, Xq, Y, _ = case
+        model = fit_learner(LearnerSpec.ridge(lam), X, Y[:, 0], "regression")
+        assert np.array_equal(bits(model.predict(Xq)), bits(ridge_one_column(X, Y[:, 0], lam, Xq)))
+
+    def test_output_shapes(self):
+        rng = np.random.default_rng(6)
+        X, Xq = rng.normal(size=(20, 3)), rng.normal(size=(7, 3))
+        y = rng.normal(size=20)
+        y01 = (y > 0).astype(float)
+        for spec in (LearnerSpec.ridge(0.1), LearnerSpec.knn(3), LearnerSpec.zero(),
+                     LearnerSpec.oracle(lambda F: F[:, 0])):
+            one = fit_learner(spec, X, y, "regression")
+            assert one.columns is None and one.predict(Xq).shape == (7,)
+            assert fit_learner(spec, X, y[:, None], "regression").predict(Xq).shape == (7, 1)
+            many = fit_learner(spec, X, np.column_stack([y, -y]), "regression")
+            assert many.columns == 2 and many.predict(Xq).shape == (7, 2)
+        assert fit_learner(LearnerSpec.logistic(), X, y01, "probability").predict(Xq).shape == (7,)
+        ridge = fit_learner(LearnerSpec.ridge(0.1), X, y, "regression")
+        assert ridge.coef_.shape == (3,) and isinstance(ridge.intercept_, float)
+        ridge2 = fit_learner(LearnerSpec.ridge(0.1), X, np.column_stack([y, y]), "regression")
+        assert ridge2.coef_.shape == (3, 2) and ridge2.intercept_.shape == (2,)
+        assert np.array_equal(ridge2.coef_[:, 1], ridge.coef_)
+        assert ridge2.intercept_[1] == ridge.intercept_
+
+    def test_clip_applies_to_every_column(self):
+        X = np.arange(8.0)[:, None]
+        Y = np.column_stack([np.repeat([0.0, 1.0], 4), np.repeat([1.0, 0.0], 4)])
+        model = fit_learner(LearnerSpec.ridge(0.0), X, Y, "probability", clip=(OMEGA_FLOOR, 1.0))
+        preds = model.predict(np.array([[-100.0], [100.0]]))
+        assert np.array_equal(preds, [[OMEGA_FLOOR, 1.0], [1.0, OMEGA_FLOOR]])
+
+    def test_bad_target_shapes_rejected(self):
+        X = np.ones((4, 1))
+        with pytest.raises(ConfigError):
+            fit_learner(LearnerSpec.ridge(0.0), X, np.ones((4, 0)), "regression")
+        with pytest.raises(ConfigError):
+            fit_learner(LearnerSpec.logistic(), X, np.ones((4, 2)), "probability")
+        with pytest.raises(ConfigError):
+            fit_learner(LearnerSpec.ridge(0.0), X, np.ones((3, 2)), "regression")

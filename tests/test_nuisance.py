@@ -18,6 +18,7 @@ from oddshift import (
     split_folds,
     true_propensities,
 )
+from oddshift import nuisance
 from oddshift.learners import OMEGA_FLOOR, PI_CLIP
 from oddshift.simulation import _ContinuationOracle, _RetentionOracle, _prop_logit
 
@@ -186,6 +187,58 @@ class TestPseudoOutcome:
         assert np.all(fit.m1[gone] == 0.0) and np.all(fit.m0[gone] == 0.0)
 
 
+class TestGroupedContinuationFits:
+    DELTAS = (0.5, 1.0, 2.0)
+
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        """Target shape of every fit_learner call the recursion makes."""
+        calls = []
+        real = nuisance.fit_learner
+
+        def counting(spec, features, targets, task, clip=None):
+            calls.append(np.shape(targets))
+            return real(spec, features, targets, task, clip)
+
+        monkeypatch.setattr(nuisance, "fit_learner", counting)
+        return calls
+
+    @pytest.fixture
+    def pi_pred(self, dropout_ds):
+        return fit_propensity_sequence(dropout_ds, None, LearnerSpec.logistic()).pred
+
+    def test_shared_spec_fits_once_per_stage(self, dropout_ds, pi_pred, fit_calls):
+        fit_pseudo_outcome_sequence(
+            dropout_ds, None, pi_pred, LearnerSpec.ridge(1e-6), self.DELTAS, 4
+        )
+        assert len(fit_calls) == 4
+        assert all(shape[1] == len(self.DELTAS) for shape in fit_calls)
+
+    def test_callable_oracle_fits_once_per_delta(self, dropout_ds, pi_pred, fit_calls):
+        specs = oracle_specs(DgpConfig(kind="dropout", n=2000, T=4, u_l=1.0, seed=11), 4)
+        fit_pseudo_outcome_sequence(dropout_ds, None, pi_pred, specs.m, self.DELTAS, 4)
+        assert len(fit_calls) == 4 * len(self.DELTAS)
+        assert all(shape[1] == 1 for shape in fit_calls)
+
+    def test_grouped_grid_equals_one_delta_recursions_bitwise(self, dropout_ds, pi_pred, fit_calls):
+        # two specs over the grid: each stage fits once per distinct spec
+        def spec(delta):
+            return LearnerSpec.ridge(0.3) if delta < 1 else LearnerSpec.knn(25)
+
+        folds = split_folds(dropout_ds, 2, seed=4)
+        rows = folds.by_index == 1
+        grid = fit_pseudo_outcome_sequence(
+            dropout_ds, folds, pi_pred, spec, self.DELTAS, 4, exclude_fold=1, rows=rows
+        )
+        assert len(fit_calls) == 4 * 2
+        for j, delta in enumerate(self.DELTAS):
+            one = fit_pseudo_outcome_sequence(
+                dropout_ds, folds, pi_pred, spec, [delta], 4, exclude_fold=1, rows=rows
+            )
+            assert np.array_equal(grid.m1[..., j].view(np.uint64), one.m1[..., 0].view(np.uint64))
+            assert np.array_equal(grid.m0[..., j].view(np.uint64), one.m0[..., 0].view(np.uint64))
+
+
 class TestCrossFitHygiene:
     def test_no_leakage(self, dropout_ds):
         folds = split_folds(dropout_ds, 3, seed=2)
@@ -239,3 +292,47 @@ class TestContinuationOracle:
         F3 = np.zeros((1, 2 + 1))  # s=3 with d=0: two past treatments + action
         posterior = ret.predict(3, F3, d=0)[0]
         assert posterior > prior
+
+
+def retention_all_rows(oracle, s, F, d):
+    """_RetentionOracle.predict as it was before paths were deduplicated: every row."""
+    n = F.shape[0]
+    past = F[:, d * s + np.arange(s - 1)] if s >= 2 else np.empty((n, 0))
+    path = np.column_stack([past, F[:, -1]])
+    ks = np.cumsum(path, axis=1)
+    grid = oracle._c[None, None, :]
+    surv = expit(grid + ks[:, :-1, None]) if s >= 2 else np.ones((n, 1, 1))
+    weights = oracle._w[None, :] * np.prod(surv, axis=1)
+    cur = expit(oracle._c[None, :] + ks[:, -1:, ])
+    return np.sum(weights * cur, axis=1) / np.sum(weights, axis=1)
+
+
+class TestOracleLookups:
+    @pytest.mark.parametrize("s", [1, 2, 3, 6, 9])
+    def test_retention_by_path_equals_every_row_bitwise(self, s):
+        rng = np.random.default_rng(s)
+        d, n = 2, 700
+        F = np.column_stack([
+            rng.normal(size=(n, d * s)),
+            rng.integers(0, 2, size=(n, s - 1)),
+            rng.integers(0, 2, size=n),
+        ]).astype(float)
+        oracle = _RetentionOracle(1.0)
+        got = oracle.predict(s, F, d)
+        want = retention_all_rows(oracle, s, F, d)
+        assert got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_trial_table_index_equals_lookup(self):
+        cfg = DgpConfig(kind="trial", n=10, T=5, p=0.3)
+        delta, t_star = 1.7, 5
+        q = incremental_propensity(cfg.p, delta)
+        fns = oracle_specs(cfg, t_star).m(delta)
+        table = 10.0 + np.sqrt(np.arange(t_star + 1.0))
+        rng = np.random.default_rng(0)
+        for s in range(t_star - 1, 0, -1):
+            table = q * table[1:] + (1.0 - q) * table[:-1]
+            F = rng.integers(0, 2, size=(50, s)).astype(float)
+            lut = dict(enumerate(table))
+            want = np.array([lut[int(v)] for v in F.sum(axis=1)])
+            assert np.array_equal(fns[s - 1].fn(F), want)
