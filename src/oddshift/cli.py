@@ -71,18 +71,40 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     return cfg
 
 
+def _value(cfg: dict, key: str, default, kind=int):
+    """``cfg[key]`` (``default`` when absent) converted by ``kind``."""
+    val = cfg.get(key, default)
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {val!r}") from None
+
+
 def _grid_from(cfg: dict) -> DeltaGrid:
     if cfg.get("grid"):
         vals = cfg["grid"]
-        if isinstance(vals, str):
-            vals = json.loads(vals)
-        return DeltaGrid(values=tuple(float(v) for v in vals), spacing="linear")
-    num = int(cfg.get("grid_size", 25))
-    lo = float(cfg.get("grid_lo", 0.1))
-    hi = float(cfg.get("grid_hi", 5.0))
+        try:
+            values = tuple(float(v) for v in (json.loads(vals) if isinstance(vals, str) else vals))
+        except (TypeError, ValueError):
+            raise ConfigError(f"grid must be a JSON list of numbers, got {vals!r}") from None
+        return DeltaGrid(values=values, spacing="linear")
+    num = _value(cfg, "grid_size", 25)
+    lo = _value(cfg, "grid_lo", 0.1, float)
+    hi = _value(cfg, "grid_hi", 5.0, float)
     if (num, lo, hi) == (25, 0.1, 5.0):
         return default_grid()
     return DeltaGrid.log_spaced(lo, hi, num)
+
+
+def _dgp_from(cfg: dict) -> DgpConfig:
+    return DgpConfig(
+        kind=cfg.get("kind", "dropout"),
+        n=_value(cfg, "n", 1000),
+        T=_value(cfg, "t", 10),
+        u_l=_value(cfg, "ul", 1.0, float),
+        p=_value(cfg, "p", 0.5, float),
+        seed=_value(cfg, "seed", None),
+    )
 
 
 def _specs_from(cfg: dict) -> NuisanceSpecs:
@@ -126,11 +148,11 @@ def _cmd_estimate(args) -> int:
     if not cfg.get("input"):
         raise ConfigError("estimate needs --input")
     ds = load_long_csv(cfg["input"])
-    t = int(cfg.get("t", ds.T))
-    K = int(cfg.get("K", 2))
-    alpha = float(cfg.get("alpha", 0.05))
-    B = int(cfg.get("B", 10_000))
-    seed = int(cfg["seed"])
+    t = _value(cfg, "t", ds.T)
+    K = _value(cfg, "K", 2)
+    alpha = _value(cfg, "alpha", 0.05, float)
+    B = _value(cfg, "B", 10_000)
+    seed = _value(cfg, "seed", None)
     grid = _grid_from(cfg)
     specs = _specs_from(cfg)
     est, eif = estimate_cross_fit(ds, K, seed, specs, grid, t)
@@ -173,14 +195,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     keys = ["kind", "n", "t", "ul", "p", "seed", "out"]
     cfg = _merge_config(args, keys)
-    dgp = DgpConfig(
-        kind=cfg.get("kind", "dropout"),
-        n=int(cfg.get("n", 1000)),
-        T=int(cfg.get("t", 10)),
-        u_l=float(cfg.get("ul", 1.0)),
-        p=float(cfg.get("p", 0.5)),
-        seed=int(cfg["seed"]),
-    )
+    dgp = _dgp_from(cfg)
     ds = simulate(dgp)
     out = _outdir(cfg)
     write_long_csv(ds, out / "panel.csv")
@@ -204,28 +219,21 @@ def _cmd_bench(args) -> int:
         "pi_learner", "omega_learner", "m_learner",
     ]
     cfg = _merge_config(args, keys)
-    dgp = DgpConfig(
-        kind=cfg.get("kind", "dropout"),
-        n=int(cfg.get("n", 1000)),
-        T=int(cfg.get("t", 10)),
-        u_l=float(cfg.get("ul", 1.0)),
-        p=float(cfg.get("p", 0.5)),
-        seed=int(cfg["seed"]),
-    )
+    dgp = _dgp_from(cfg)
     grid = DeltaGrid.log_spaced(
-        float(cfg.get("grid_lo", 0.1)),
-        float(cfg.get("grid_hi", 5.0)),
-        int(cfg.get("grid_size", 9)),
+        _value(cfg, "grid_lo", 0.1, float),
+        _value(cfg, "grid_hi", 5.0, float),
+        _value(cfg, "grid_size", 9),
     )
     result = run_benchmark(
         dgp,
-        S=int(cfg.get("S", 50)),
+        S=_value(cfg, "S", 50),
         grid=grid,
         specs=_specs_from(cfg),
-        seed=int(cfg["seed"]),
-        K=int(cfg.get("K", 2)),
-        truth_draws=int(cfg.get("truth_draws", 200_000)),
-        threads=int(cfg.get("threads", 1)),
+        seed=dgp.seed,
+        K=_value(cfg, "K", 2),
+        truth_draws=_value(cfg, "truth_draws", 200_000),
+        threads=_value(cfg, "threads", 1),
     )
     out = _outdir(cfg)
     summary = result.summary()
@@ -250,11 +258,11 @@ def _cmd_bench(args) -> int:
 def _cmd_efficiency(args) -> int:
     keys = ["delta", "p", "tmax", "variant", "c", "seed", "out"]
     cfg = _merge_config(args, keys)
-    delta = float(cfg.get("delta", 2.0))
-    p = float(cfg.get("p", 0.5))
-    tmax = int(cfg.get("tmax", 12))
+    delta = _value(cfg, "delta", 2.0, float)
+    p = _value(cfg, "p", 0.5, float)
+    tmax = _value(cfg, "tmax", 12)
     variant = cfg.get("variant", "always_treated")
-    c = float(cfg["c"]) if cfg.get("c") is not None else None
+    c = _value(cfg, "c", None, float) if cfg.get("c") is not None else None
     report = efficiency_curve(
         lambda T: trial_moments(T, p, delta), tmax, variant=variant, c=c
     )

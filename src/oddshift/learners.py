@@ -78,10 +78,13 @@ class LearnerSpec:
         if not isinstance(obj, str):
             raise ConfigError(f"cannot parse learner spec {obj!r}")
         name, _, arg = obj.partition(":")
-        if name == "knn":
-            return cls.knn(int(arg)) if arg else cls.knn(5)
-        if name == "ridge":
-            return cls.ridge(float(arg)) if arg else cls.ridge(0.0)
+        try:
+            if name == "knn":
+                return cls.knn(int(arg)) if arg else cls.knn(5)
+            if name == "ridge":
+                return cls.ridge(float(arg)) if arg else cls.ridge(0.0)
+        except ValueError:
+            raise ConfigError(f"bad learner argument in {obj!r}") from None
         if name in ("logistic_irls", "logistic"):
             return cls.logistic()
         if name == "zero":

@@ -18,11 +18,10 @@ weights, producing the next regression target:
           / (delta * pi_t + 1 - pi_t).
 
 It walks the stages once.  Each stage builds its history features and the
-a=1/a=0 query copies once, then makes one fit per distinct stage spec:
-the delta columns sharing a spec go to ``fit_learner`` as one (rows, D)
-target, whose columns are bitwise one-column fits, so every column gets
-exactly what a one-delta recursion would give it.  A plain LearnerSpec
-fits once per stage; per-delta oracle closures still fit once per delta.
+a=1/a=0 query copies once, then makes one fit: all D delta columns go to
+``fit_learner`` as one (rows, D) target, whose columns are bitwise
+one-column fits, so every column gets exactly what a one-delta recursion
+would give it.
 Predictions for units already censored at t are defined as zero; every
 influence-function term touching them carries a retention indicator.
 """
@@ -55,8 +54,9 @@ class NuisanceSpecs:
     """Learner choice per nuisance.
 
     Each entry is a LearnerSpec applied at every time, or a sequence with
-    one spec per time 1..t*.  ``m`` may also be a callable delta ->
-    (spec | sequence) because the continuation models are delta-specific.
+    one spec per time 1..t*.  ``m`` may also be a callable grid ->
+    (spec | sequence): it receives the tuple of deltas once per recursion,
+    and its learners must predict one column per delta, in grid order.
     """
 
     pi: LearnerSpec | Sequence[LearnerSpec]
@@ -71,12 +71,9 @@ def _spec_at(spec, s: int) -> LearnerSpec:
     return spec[s - 1]
 
 
-def _spec_groups(specs: list, s: int) -> dict[LearnerSpec, list[int]]:
-    """Delta columns per distinct time-s spec among the per-delta ``specs``."""
-    groups: dict[LearnerSpec, list[int]] = {}
-    for j, spec in enumerate(specs):
-        groups.setdefault(_spec_at(spec, s), []).append(j)
-    return groups
+def _check_horizon(ds: PanelDataset, t_star: int) -> None:
+    if t_star not in ds.outcome_times:
+        raise ConfigError(f"no recorded outcome at horizon t={t_star}")
 
 
 def _train_mask(ds: PanelDataset, folds: FoldAssignment | None, exclude_fold) -> np.ndarray:
@@ -180,18 +177,17 @@ def fit_pseudo_outcome_sequence(
     """Backward continuation-value recursion over a grid of odds multipliers.
 
     ``spec`` is a LearnerSpec, a per-time sequence of them, or a callable
-    delta -> either, called once per delta.  Each stage fits once per
-    distinct spec, on the target columns of the deltas that share it.
+    grid -> either, called once with the tuple of deltas.  Each stage
+    makes one fit on the (rows, D) target, one column per delta.
     ``pi_pred`` must hold propensity predictions from the same training
     pool; they weight the two arms when the recursion collapses A_t.  m1
     and m0 hold the units of the ``rows`` mask (every unit by default),
     one column per delta.
     """
-    if t_star not in ds.outcome_times:
-        raise ConfigError(f"no recorded outcome at horizon t={t_star}")
+    _check_horizon(ds, t_star)
     deltas = tuple(deltas)
     grid = np.asarray(deltas, dtype=float)
-    m_specs = [spec(delta) if callable(spec) else spec for delta in deltas]
+    m_spec = spec(deltas) if callable(spec) else spec
     train = _train_mask(ds, folds, exclude_fold)
     keep = slice(None) if rows is None else rows
     m1 = np.zeros((ds.n if rows is None else int(rows.sum()), t_star, grid.size))
@@ -210,12 +206,11 @@ def fit_pseudo_outcome_sequence(
         F1[:, layout.action_col] = 1.0
         F0 = F1.copy()
         F0[:, layout.action_col] = 0.0
+        model = fit_learner(_spec_at(m_spec, s), F_pool, target[pool], "regression")
         m1s = np.zeros((ds.n, grid.size))
         m0s = np.zeros((ds.n, grid.size))
-        for stage_spec, cols in _spec_groups(m_specs, s).items():
-            model = fit_learner(stage_spec, F_pool, target[np.ix_(pool, cols)], "regression")
-            m1s[np.ix_(alive, cols)] = model.predict(F1)
-            m0s[np.ix_(alive, cols)] = model.predict(F0)
+        m1s[alive] = model.predict(F1)
+        m0s[alive] = model.predict(F0)
         m1[:, s - 1] = m1s[keep]
         m0[:, s - 1] = m0s[keep]
         if s > 1:
@@ -278,8 +273,10 @@ def fit_nuisances(
     ``rows`` (a boolean mask over units) limits the retention and
     continuation predictions, and the returned arrays, to those units.
     ``omega_one`` pins the retention propensities at one (the no-dropout
-    analysis of complete cases).
+    analysis of complete cases).  A horizon without a recorded outcome is
+    rejected before any fit.
     """
+    _check_horizon(ds, t_star)
     sel = slice(None) if rows is None else rows
     pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold, t_star)
     if omega_one:

@@ -225,69 +225,42 @@ def _e_abs_shifted(v: np.ndarray, sigma2: float = 2.0) -> np.ndarray:
 class _ContinuationOracle:
     """Exact continuation values m_s(H_s, a) for the covariate DGP family.
 
-    Only (1'X_s, A_s, A_{s-1}) matter at the two periods nearest the
-    horizon; deeper periods collapse to a table over (A_s, A_{s-1}).
+    One oracle serves a whole delta grid: every value below carries a
+    trailing delta axis of length D.  Only (1'X_s, A_s, A_{s-1}) matter at
+    the two periods nearest the horizon; deeper periods collapse to a
+    (2, 2, D) table over (A_s, A_{s-1}).
     """
 
-    def __init__(self, t_star: int, delta: float):
+    def __init__(self, t_star: int, deltas):
         self.t_star = t_star
-        self.delta = delta
         x, w = hermgauss(_GH_NODES)
-        self._u = math.sqrt(2.0 * 2.0) * x  # integration points for U ~ N(0,2)
-        self._w = w / math.sqrt(math.pi)
+        u = math.sqrt(2.0 * 2.0) * x  # integration points for U ~ N(0,2)
+        w = w / math.sqrt(math.pi)
         # mean of E|U' + U| over U ~ N(0,2): |N(0,4)| has mean 2*sqrt(2/pi)
-        self._c_abs = 2.0 * math.sqrt(2.0 / math.pi)
-        self._qbar: dict = {}
+        c_abs = 2.0 * math.sqrt(2.0 / math.pi)
+        # qbar[s, a, b, j]: mean shifted propensity at s given A_{s-1}=a and
+        # A_{s-2}=b, for delta j; each delta's node sum stays a 1-D sum
+        grid = np.asarray(deltas, dtype=float)[:, None]
+        qbar = np.zeros((t_star + 1, 2, 2, grid.size))
         for s in range(2, t_star + 1):
             for a in (0, 1):
                 for b in (0, 1):
-                    q = incremental_propensity(
-                        expit(_prop_logit(self._u, a, b, s)), delta
-                    )
-                    self._qbar[(s, a, b)] = float(np.sum(self._w * q))
-        self._tables: dict = {}
-        self._build_tables()
-
-    def _qb(self, s: int, a, b) -> float:
-        return self._qbar[(s, int(a), int(b))]
-
-    def _penultimate(self, u: np.ndarray, a, b) -> np.ndarray:
-        """m_{t*-1}(H, a) with u = 1'X_{t*-1} and b = A_{t*-2}."""
-        qb = np.where(
-            np.asarray(a) == 1,
-            np.where(np.asarray(b) == 1, self._qb(self.t_star, 1, 1), self._qb(self.t_star, 1, 0)),
-            np.where(np.asarray(b) == 1, self._qb(self.t_star, 0, 1), self._qb(self.t_star, 0, 0)),
-        )
-        return 10.0 + np.asarray(a, float) + _e_abs_shifted(u) + qb
-
-    def _build_tables(self) -> None:
-        t = self.t_star
-        if t < 3:
-            return
-        # s = t-2: integrate the penultimate level over 1'X_{t-1}
-        level: dict = {}
-        for a in (0, 1):
-            gap = 1.0 + self._qb(t, 1, a) - self._qb(t, 0, a)
-            for b in (0, 1):
-                level[(a, b)] = (
-                    10.0
-                    + self._c_abs
-                    + self._qb(t, 0, a)
-                    + self._qb(t - 1, a, b) * gap
-                )
-        self._tables[t - 2] = level
+                    q = w * incremental_propensity(expit(_prop_logit(u, a, b, s)), grid)
+                    qbar[s, a, b] = [np.sum(row) for row in q]
+        # tables[s, a, b, j]: m_s at A_s=a, A_{s-1}=b for delta j, s <= t*-2
+        t = t_star
+        tables = np.zeros_like(qbar)
+        if t >= 3:
+            # s = t-2: integrate the penultimate level over 1'X_{t-1}
+            gap = 1.0 + qbar[t, 1] - qbar[t, 0]  # (a, D)
+            tables[t - 2] = 10.0 + c_abs + qbar[t, 0][:, None] + qbar[t - 1] * gap[:, None]
         for s in range(t - 3, 0, -1):
-            nxt = self._tables[s + 1]
-            level = {}
-            for a in (0, 1):
-                for b in (0, 1):
-                    qb = self._qb(s + 1, a, b)
-                    level[(a, b)] = qb * nxt[(1, a)] + (1.0 - qb) * nxt[(0, a)]
-            self._tables[s] = level
-        return
+            q, nxt = qbar[s + 1], tables[s + 1]
+            tables[s] = q * nxt[1][:, None] + (1.0 - q) * nxt[0][:, None]
+        self._qbar, self._tables = qbar, tables
 
     def predict(self, s: int, F: np.ndarray) -> np.ndarray:
-        """Evaluate m_s at feature rows (history through s plus current A_s)."""
+        """m_s at feature rows (history through s plus A_s): (q,) at the horizon, else (q, D)."""
         t, d = self.t_star, 2
         a = F[:, -1]
         u_cur = F[:, (s - 1) * d : s * d].sum(axis=1)
@@ -295,15 +268,10 @@ class _ContinuationOracle:
         if s == t:
             u_prev = F[:, (s - 2) * d : (s - 1) * d].sum(axis=1) if s >= 2 else 0.0
             return _outcome_mean(a, a_prev, u_cur, u_prev)
+        ab = a.astype(np.intp), a_prev.astype(np.intp)
         if s == t - 1:
-            return self._penultimate(u_cur, a, a_prev)
-        table = self._tables[s]
-        out = np.empty(F.shape[0])
-        for aa in (0, 1):
-            for bb in (0, 1):
-                mask = (a == aa) & (a_prev == bb)
-                out[mask] = table[(aa, bb)]
-        return out
+            return (10.0 + a + _e_abs_shifted(u_cur))[:, None] + self._qbar[t][ab]
+        return self._tables[s][ab]
 
 
 class _RetentionOracle:
@@ -388,12 +356,12 @@ def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
         ]
 
     if cfg.kind == "trial":
-        def m_specs(delta: float):
-            q = incremental_propensity(cfg.p, delta)
+        def m_specs(deltas: tuple):
+            q = incremental_propensity(cfg.p, np.asarray(deltas, dtype=float))
             values: dict[int, np.ndarray] = {}
-            table = 10.0 + np.sqrt(np.arange(t_star + 1.0))
+            table = (10.0 + np.sqrt(np.arange(t_star + 1.0)))[:, None]
             for s in range(t_star - 1, 0, -1):
-                table = q * table[1:] + (1.0 - q) * table[:-1]  # v_s over k_s = 0..s
+                table = q * table[1:] + (1.0 - q) * table[:-1]  # v_s over (k_s = 0..s, delta)
                 values[s] = table
 
             def fn_for(s):
@@ -408,8 +376,8 @@ def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
 
             return [LearnerSpec.oracle(fn_for(s)) for s in range(1, t_star + 1)]
     else:
-        def m_specs(delta: float):
-            oracle = _ContinuationOracle(t_star, delta)
+        def m_specs(deltas: tuple):
+            oracle = _ContinuationOracle(t_star, deltas)
             return [
                 LearnerSpec.oracle(lambda F, s=s: oracle.predict(s, F))
                 for s in range(1, t_star + 1)

@@ -157,6 +157,33 @@ class TestEstimateCommand:
         res = run(["estimate", "--seed", "1", "--out", str(tmp_path)])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            (["--omega-learner", "knn:abc"], {}),
+            (["--m-learner", "ridge:x"], {}),
+            (["--grid", "notjson"], {}),
+            (["--grid", '[1,"a"]'], {}),
+            ([], {"K": "two"}),
+        ],
+    )
+    def test_unparsable_value_exits_2(self, panel_dir, tmp_path, flags, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"input": str(panel_dir / "panel.csv"), "seed": 1, "B": 50, **config}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        res = run(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)] + flags)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr)["error"] == "ConfigError"
+
+    def test_horizon_beyond_panel_names_it(self, panel_dir, tmp_path):
+        res = run(
+            ["estimate", "--input", str(panel_dir / "panel.csv"), "--seed", "1",
+             "--t", "7", "--out", str(tmp_path)]
+        )
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err == {"error": "ConfigError", "message": "no recorded outcome at horizon t=7"}
+
 
 class TestBenchCommand:
     def test_small_bench(self, tmp_path):

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit
 
 from oddshift import (
+    ConfigError,
     DgpConfig,
     EstimationError,
     LearnerSpec,
@@ -11,6 +15,7 @@ from oddshift import (
     fit_missingness_sequence,
     fit_propensity_sequence,
     fit_pseudo_outcome_sequence,
+    fit_learner,
     fit_nuisances,
     incremental_propensity,
     oracle_specs,
@@ -20,7 +25,14 @@ from oddshift import (
 )
 from oddshift import nuisance
 from oddshift.learners import OMEGA_FLOOR, PI_CLIP
-from oddshift.simulation import _ContinuationOracle, _RetentionOracle, _prop_logit
+from oddshift.simulation import (
+    _GH_NODES,
+    _ContinuationOracle,
+    _RetentionOracle,
+    _e_abs_shifted,
+    _outcome_mean,
+    _prop_logit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -214,29 +226,28 @@ class TestGroupedContinuationFits:
         assert len(fit_calls) == 4
         assert all(shape[1] == len(self.DELTAS) for shape in fit_calls)
 
-    def test_callable_oracle_fits_once_per_delta(self, dropout_ds, pi_pred, fit_calls):
+    def test_callable_oracle_fits_once_per_stage(self, dropout_ds, pi_pred, fit_calls):
         specs = oracle_specs(DgpConfig(kind="dropout", n=2000, T=4, u_l=1.0, seed=11), 4)
         fit_pseudo_outcome_sequence(dropout_ds, None, pi_pred, specs.m, self.DELTAS, 4)
-        assert len(fit_calls) == 4 * len(self.DELTAS)
-        assert all(shape[1] == 1 for shape in fit_calls)
+        assert len(fit_calls) == 4
+        assert all(shape[1] == len(self.DELTAS) for shape in fit_calls)
 
-    def test_grouped_grid_equals_one_delta_recursions_bitwise(self, dropout_ds, pi_pred, fit_calls):
-        # two specs over the grid: each stage fits once per distinct spec
-        def spec(delta):
-            return LearnerSpec.ridge(0.3) if delta < 1 else LearnerSpec.knn(25)
+    def test_callable_gets_the_grid_once(self, dropout_ds, pi_pred):
+        seen = []
 
-        folds = split_folds(dropout_ds, 2, seed=4)
-        rows = folds.by_index == 1
-        grid = fit_pseudo_outcome_sequence(
-            dropout_ds, folds, pi_pred, spec, self.DELTAS, 4, exclude_fold=1, rows=rows
-        )
-        assert len(fit_calls) == 4 * 2
-        for j, delta in enumerate(self.DELTAS):
-            one = fit_pseudo_outcome_sequence(
-                dropout_ds, folds, pi_pred, spec, [delta], 4, exclude_fold=1, rows=rows
-            )
-            assert np.array_equal(grid.m1[..., j].view(np.uint64), one.m1[..., 0].view(np.uint64))
-            assert np.array_equal(grid.m0[..., j].view(np.uint64), one.m0[..., 0].view(np.uint64))
+        def spec(deltas):
+            seen.append(deltas)
+            return LearnerSpec.ridge(0.3)
+
+        fit_pseudo_outcome_sequence(dropout_ds, None, pi_pred, spec, list(self.DELTAS), 4)
+        assert seen == [self.DELTAS]
+
+
+def test_horizon_checked_before_any_fit(dropout_ds, monkeypatch):
+    monkeypatch.setattr(nuisance, "fit_learner", lambda *a, **k: pytest.fail("fit before check"))
+    specs = NuisanceSpecs(pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.zero())
+    with pytest.raises(ConfigError, match=r"no recorded outcome at horizon t=7$"):
+        fit_nuisances(dropout_ds, None, specs, [1.0], 7)
 
 
 class TestCrossFitHygiene:
@@ -256,7 +267,7 @@ class TestContinuationOracle:
     @pytest.mark.parametrize("s,a,b,u", [(3, 1, 0, 0.7), (2, 0, 1, -1.2), (1, 1, 0, 0.4)])
     def test_matches_forward_monte_carlo(self, s, a, b, u):
         t_star, delta = 3, 2.0
-        oracle = _ContinuationOracle(t_star, delta)
+        oracle = _ContinuationOracle(t_star, [delta])
         d = 2
         F = np.zeros((1, d * s + (s - 1) + 1))
         F[0, (s - 1) * d] = u  # put the whole block sum in one coordinate
@@ -264,7 +275,7 @@ class TestContinuationOracle:
             F[0, d * s + (s - 2)] = b
             F[0, (s - 2) * d] = -0.3  # u_{s-1}, only used when s == t_star
         F[0, -1] = a
-        got = oracle.predict(s, F)[0]
+        got = oracle.predict(s, F).ravel()[0]
 
         rng = np.random.default_rng(123)
         m = 400_000
@@ -327,7 +338,7 @@ class TestOracleLookups:
         cfg = DgpConfig(kind="trial", n=10, T=5, p=0.3)
         delta, t_star = 1.7, 5
         q = incremental_propensity(cfg.p, delta)
-        fns = oracle_specs(cfg, t_star).m(delta)
+        fns = oracle_specs(cfg, t_star).m((delta,))
         table = 10.0 + np.sqrt(np.arange(t_star + 1.0))
         rng = np.random.default_rng(0)
         for s in range(t_star - 1, 0, -1):
@@ -335,4 +346,112 @@ class TestOracleLookups:
             F = rng.integers(0, 2, size=(50, s)).astype(float)
             lut = dict(enumerate(table))
             want = np.array([lut[int(v)] for v in F.sum(axis=1)])
-            assert np.array_equal(fns[s - 1].fn(F), want)
+            assert np.array_equal(fns[s - 1].fn(F)[:, 0], want)
+
+
+class PerDeltaOracle:
+    """The one-delta continuation oracle the grid oracle replaced, kept as its reference."""
+
+    def __init__(self, t_star, delta):
+        self.t_star = t_star
+        self.delta = delta
+        x, w = hermgauss(_GH_NODES)
+        self._u = math.sqrt(2.0 * 2.0) * x
+        self._w = w / math.sqrt(math.pi)
+        self._c_abs = 2.0 * math.sqrt(2.0 / math.pi)
+        self._qbar = {}
+        for s in range(2, t_star + 1):
+            for a in (0, 1):
+                for b in (0, 1):
+                    q = incremental_propensity(expit(_prop_logit(self._u, a, b, s)), delta)
+                    self._qbar[(s, a, b)] = float(np.sum(self._w * q))
+        self._tables = {}
+        self._build_tables()
+
+    def _qb(self, s, a, b):
+        return self._qbar[(s, int(a), int(b))]
+
+    def _penultimate(self, u, a, b):
+        qb = np.where(
+            np.asarray(a) == 1,
+            np.where(np.asarray(b) == 1, self._qb(self.t_star, 1, 1), self._qb(self.t_star, 1, 0)),
+            np.where(np.asarray(b) == 1, self._qb(self.t_star, 0, 1), self._qb(self.t_star, 0, 0)),
+        )
+        return 10.0 + np.asarray(a, float) + _e_abs_shifted(u) + qb
+
+    def _build_tables(self):
+        t = self.t_star
+        if t < 3:
+            return
+        level = {}
+        for a in (0, 1):
+            gap = 1.0 + self._qb(t, 1, a) - self._qb(t, 0, a)
+            for b in (0, 1):
+                level[(a, b)] = 10.0 + self._c_abs + self._qb(t, 0, a) + self._qb(t - 1, a, b) * gap
+        self._tables[t - 2] = level
+        for s in range(t - 3, 0, -1):
+            nxt = self._tables[s + 1]
+            level = {}
+            for a in (0, 1):
+                for b in (0, 1):
+                    qb = self._qb(s + 1, a, b)
+                    level[(a, b)] = qb * nxt[(1, a)] + (1.0 - qb) * nxt[(0, a)]
+            self._tables[s] = level
+
+    def predict(self, s, F):
+        t, d = self.t_star, 2
+        a = F[:, -1]
+        u_cur = F[:, (s - 1) * d : s * d].sum(axis=1)
+        a_prev = F[:, d * s + (s - 2)] if s >= 2 else np.zeros(F.shape[0])
+        if s == t:
+            u_prev = F[:, (s - 2) * d : (s - 1) * d].sum(axis=1) if s >= 2 else 0.0
+            return _outcome_mean(a, a_prev, u_cur, u_prev)
+        if s == t - 1:
+            return self._penultimate(u_cur, a, a_prev)
+        table = self._tables[s]
+        out = np.empty(F.shape[0])
+        for aa in (0, 1):
+            for bb in (0, 1):
+                mask = (a == aa) & (a_prev == bb)
+                out[mask] = table[(aa, bb)]
+        return out
+
+
+def per_delta_trial(p, delta, t_star, s, F):
+    """The one-delta trial continuation table, looked up at stage s."""
+    q = incremental_propensity(p, delta)
+    values = {}
+    table = 10.0 + np.sqrt(np.arange(t_star + 1.0))
+    for r in range(t_star - 1, 0, -1):
+        table = q * table[1:] + (1.0 - q) * table[:-1]
+        values[r] = table
+    k = (F[:, :-1].sum(axis=1) if s >= 2 else np.zeros(F.shape[0])) + F[:, -1]
+    return 10.0 + np.sqrt(k) if s == t_star else values[s][k.astype(np.intp)]
+
+
+class TestGridOracleEqualsPerDelta:
+    DELTAS = (0.1, 0.35, 1.0, 1.7, 5.0, 0.9)
+
+    @pytest.mark.parametrize("kind", ["dropout", "observational", "trial"])
+    @pytest.mark.parametrize("t_star", [1, 2, 3, 5])
+    def test_every_column_bitwise(self, kind, t_star):
+        cfg = DgpConfig(kind=kind, n=10, T=t_star, p=0.3)
+        fns = oracle_specs(cfg, t_star).m(self.DELTAS)
+        refs = [PerDeltaOracle(t_star, delta) for delta in self.DELTAS]
+        rng = np.random.default_rng(100 * t_star + len(kind))
+        n = 64
+        for s in range(1, t_star + 1):
+            F = np.column_stack([
+                rng.normal(size=(n, cfg.d * s)),
+                rng.integers(0, 2, size=(n, s - 1)),
+                rng.integers(0, 2, size=n),
+            ])
+            model = fit_learner(fns[s - 1], np.empty((0, F.shape[1])), np.empty((0, 6)), "regression")
+            got = model.predict(F)
+            assert got.shape == (n, len(self.DELTAS))
+            for j, delta in enumerate(self.DELTAS):
+                if kind == "trial":
+                    want = per_delta_trial(cfg.p, delta, t_star, s, F)
+                else:
+                    want = refs[j].predict(s, F)
+                assert np.array_equal(got[:, j].view(np.uint64), want.view(np.uint64))
