@@ -21,8 +21,8 @@ import numpy as np
 from .efficiency import efficiency_curve, trial_moments
 from .errors import ConfigError, EstimationError, PanelDataError
 from .estimator import estimate_cross_fit
-from .inference import uniform_band
-from .intervention import DeltaGrid, default_grid
+from .inference import check_band_options, uniform_band
+from .intervention import DeltaGrid
 from .learners import LearnerSpec
 from .nuisance import NuisanceSpecs
 from .panel import load_long_csv, validate_monotonicity, write_long_csv
@@ -48,9 +48,11 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The config file's keys, overridden by the flags given; only the subcommand's options."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "config")}
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
@@ -59,13 +61,10 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        unknown = set(cfg) - set(keys)
+        unknown = set(cfg) - set(flags)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
     if cfg.get("seed") is None:
         raise ConfigError("a seed is required (no wall-clock default)")
     return cfg
@@ -80,20 +79,20 @@ def _value(cfg: dict, key: str, default, kind=int):
         raise ConfigError(f"{key} must be {kind.__name__}, got {val!r}") from None
 
 
-def _grid_from(cfg: dict) -> DeltaGrid:
+def _grid_from(cfg: dict, size: int) -> DeltaGrid:
+    """The ``grid`` list if given, else ``grid_size`` (default ``size``) log-spaced points."""
     if cfg.get("grid"):
         vals = cfg["grid"]
         try:
             values = tuple(float(v) for v in (json.loads(vals) if isinstance(vals, str) else vals))
         except (TypeError, ValueError):
             raise ConfigError(f"grid must be a JSON list of numbers, got {vals!r}") from None
-        return DeltaGrid(values=values, spacing="linear")
-    num = _value(cfg, "grid_size", 25)
-    lo = _value(cfg, "grid_lo", 0.1, float)
-    hi = _value(cfg, "grid_hi", 5.0, float)
-    if (num, lo, hi) == (25, 0.1, 5.0):
-        return default_grid()
-    return DeltaGrid.log_spaced(lo, hi, num)
+        return DeltaGrid(values=values)
+    return DeltaGrid.log_spaced(
+        _value(cfg, "grid_lo", 0.1, float),
+        _value(cfg, "grid_hi", 5.0, float),
+        _value(cfg, "grid_size", size),
+    )
 
 
 def _dgp_from(cfg: dict) -> DgpConfig:
@@ -122,7 +121,7 @@ def _outdir(cfg: dict) -> Path:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _merge_config(args, ["input", "seed", "out"])
+    cfg = _merge_config(args)
     if not cfg.get("input"):
         raise ConfigError("validate needs --input")
     ds = load_long_csv(cfg["input"])
@@ -139,12 +138,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    keys = [
-        "input", "out", "seed", "K", "t", "alpha", "B",
-        "grid", "grid_size", "grid_lo", "grid_hi",
-        "pi_learner", "omega_learner", "m_learner",
-    ]
-    cfg = _merge_config(args, keys)
+    cfg = _merge_config(args)
     if not cfg.get("input"):
         raise ConfigError("estimate needs --input")
     ds = load_long_csv(cfg["input"])
@@ -153,8 +147,9 @@ def _cmd_estimate(args) -> int:
     alpha = _value(cfg, "alpha", 0.05, float)
     B = _value(cfg, "B", 10_000)
     seed = _value(cfg, "seed", None)
-    grid = _grid_from(cfg)
+    grid = _grid_from(cfg, 25)
     specs = _specs_from(cfg)
+    check_band_options(alpha, B)
     est, eif = estimate_cross_fit(ds, K, seed, specs, grid, t)
     band = uniform_band(eif, est, alpha=alpha, B=B, seed=seed)
     out = _outdir(cfg)
@@ -193,8 +188,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    keys = ["kind", "n", "t", "ul", "p", "seed", "out"]
-    cfg = _merge_config(args, keys)
+    cfg = _merge_config(args)
     dgp = _dgp_from(cfg)
     ds = simulate(dgp)
     out = _outdir(cfg)
@@ -213,18 +207,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    keys = [
-        "kind", "n", "t", "ul", "p", "seed", "out", "S", "K", "threads",
-        "grid_size", "grid_lo", "grid_hi", "truth_draws",
-        "pi_learner", "omega_learner", "m_learner",
-    ]
-    cfg = _merge_config(args, keys)
+    cfg = _merge_config(args)
     dgp = _dgp_from(cfg)
-    grid = DeltaGrid.log_spaced(
-        _value(cfg, "grid_lo", 0.1, float),
-        _value(cfg, "grid_hi", 5.0, float),
-        _value(cfg, "grid_size", 9),
-    )
+    grid = _grid_from(cfg, 9)
     result = run_benchmark(
         dgp,
         S=_value(cfg, "S", 50),
@@ -256,8 +241,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_efficiency(args) -> int:
-    keys = ["delta", "p", "tmax", "variant", "c", "seed", "out"]
-    cfg = _merge_config(args, keys)
+    cfg = _merge_config(args)
     delta = _value(cfg, "delta", 2.0, float)
     p = _value(cfg, "p", 0.5, float)
     tmax = _value(cfg, "tmax", 12)

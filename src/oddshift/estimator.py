@@ -30,19 +30,21 @@ or a whole grid at once (one column per delta).
 Estimators: ``estimate_cross_fit`` (one nuisance pass per fold, fit on
 the other K-1 folds over the whole grid, values computed on the held-out
 fold), ``estimate_plugin`` (the same pass with no splitting: trained and
-evaluated on all units), ``estimate_ipw`` (weight products only, no
-continuation models), and ``estimate_complete_case`` (subgroup mean
-contrast among fully retained, fully compliant units).
+evaluated on all units), ``estimate_no_censoring`` (the cross-fit pass
+on the complete cases with an omega = 1 spec), ``estimate_ipw`` (weight
+products only, no continuation models), and ``estimate_complete_case``
+(subgroup mean contrast among fully retained, fully compliant units).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, EstimationError
 from .intervention import DeltaGrid
+from .learners import LearnerSpec
 from .nuisance import NuisanceSet, NuisanceSpecs, fit_nuisances
 from .panel import FoldAssignment, PanelDataset, split_folds
 
@@ -265,22 +267,19 @@ def _reduce(values: np.ndarray, fold_by_row: np.ndarray, K: int) -> tuple[np.nda
 
 
 def _as_grid(grid) -> DeltaGrid:
-    if isinstance(grid, DeltaGrid):
-        return grid
-    return DeltaGrid(values=tuple(grid), spacing="linear")
+    return grid if isinstance(grid, DeltaGrid) else DeltaGrid(values=tuple(grid))
 
 
-def _fold_loop(
+def _fold_pass(
     ds: PanelDataset,
     specs: NuisanceSpecs,
     grid: DeltaGrid,
     t: int,
-    omega_one: bool,
+    kind: str,
     folds: FoldAssignment | None,
-    K: int = 1,
     eta: NuisanceSet | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Influence values (n, D) and diagnostics from one nuisance pass per fold.
+) -> tuple[EffectEstimate, EifMatrix]:
+    """Effect curve and influence values from one nuisance pass per fold.
 
     Fold k's nuisances are fit without its units, over the whole grid,
     and evaluated on its units only; its warnings are tagged ``fold k: ``.
@@ -289,18 +288,33 @@ def _fold_loop(
     """
     values = np.empty((ds.n, len(grid)))
     diagnostics: dict = {"folds": [], "warnings": []}
-    for k in [None] if folds is None else range(1, K + 1):
+    for k in [None] if folds is None else range(1, folds.K + 1):
         rows = None if k is None else folds.by_index == k
         if eta is None:
-            eta = fit_nuisances(
-                ds, folds, specs, grid.values, t, exclude_fold=k, omega_one=omega_one, rows=rows
-            )
+            eta = fit_nuisances(ds, folds, specs, grid.values, t, exclude_fold=k, rows=rows)
         values[slice(None) if rows is None else rows] = eif_values_for(ds, eta, rows)
         diagnostics["folds"].append(eta.summary())
         tag = "" if k is None else f"fold {k}: "
         diagnostics["warnings"].extend(tag + w for w in eta.warnings)
         eta = None  # free this fold's arrays before the next fold is fit
-    return values, diagnostics
+    diagnostics["fully_weighted_units"] = int(np.sum(ds.R[:, t] == 1))
+    if folds is None:
+        psi_hat = values.mean(axis=0)
+        per_fold, fold_by_row = psi_hat[None, :].copy(), np.zeros(ds.n, dtype=np.int64)
+    else:
+        psi_hat, per_fold = _reduce(values, folds.by_index, folds.K)
+        fold_by_row = folds.by_index.copy()
+    estimate = EffectEstimate(
+        psi_hat=psi_hat,
+        sigma_hat=_sigma_hat(values, psi_hat),
+        n=ds.n,
+        t=t,
+        kind=kind,
+        grid=grid,
+        per_fold=per_fold,
+        diagnostics=diagnostics,
+    )
+    return estimate, EifMatrix(values=values, t=t, grid=grid, fold_by_row=fold_by_row)
 
 
 def estimate_cross_fit(
@@ -310,7 +324,6 @@ def estimate_cross_fit(
     specs: NuisanceSpecs,
     grid,
     t: int,
-    omega_one: bool = False,
     folds: FoldAssignment | None = None,
 ) -> tuple[EffectEstimate, EifMatrix]:
     """Cross-fitted effect curve: eta fit per excluded fold, phi averaged per fold.
@@ -321,24 +334,9 @@ def estimate_cross_fit(
     Deterministic given (data, K, seed, specs); the reduction runs in
     fixed fold order so results do not depend on scheduling.
     """
-    grid = _as_grid(grid)
     if folds is None:
         folds = split_folds(ds, K, seed)
-    values, diagnostics = _fold_loop(ds, specs, grid, t, omega_one, folds, K)
-    psi_hat, per_fold = _reduce(values, folds.by_index, K)
-    diagnostics["fully_weighted_units"] = int(np.sum(ds.R[:, t] == 1))
-    estimate = EffectEstimate(
-        psi_hat=psi_hat,
-        sigma_hat=_sigma_hat(values, psi_hat),
-        n=ds.n,
-        t=t,
-        kind="cross_fit" if not omega_one else "no_censoring",
-        grid=grid,
-        per_fold=per_fold,
-        diagnostics=diagnostics,
-    )
-    eif = EifMatrix(values=values, t=t, grid=grid, fold_by_row=folds.by_index.copy())
-    return estimate, eif
+    return _fold_pass(ds, specs, _as_grid(grid), t, "cross_fit", folds)
 
 
 def estimate_plugin(
@@ -352,21 +350,7 @@ def estimate_plugin(
 
     ``eta``, a full-sample fit over the same grid, replaces the fit.
     """
-    grid = _as_grid(grid)
-    values, diagnostics = _fold_loop(ds, specs, grid, t, False, None, eta=eta)
-    psi_hat = values.mean(axis=0)
-    estimate = EffectEstimate(
-        psi_hat=psi_hat,
-        sigma_hat=_sigma_hat(values, psi_hat),
-        n=ds.n,
-        t=t,
-        kind="plugin",
-        grid=grid,
-        per_fold=psi_hat[None, :].copy(),
-        diagnostics=diagnostics,
-    )
-    eif = EifMatrix(values=values, t=t, grid=grid, fold_by_row=np.zeros(ds.n, dtype=np.int64))
-    return estimate, eif
+    return _fold_pass(ds, specs, _as_grid(grid), t, "plugin", None, eta)
 
 
 def ipw_weight_products(
@@ -430,6 +414,11 @@ def complete_case_subset(ds: PanelDataset, t: int) -> PanelDataset:
     )
 
 
+def _ones(F: np.ndarray) -> np.ndarray:
+    """Retention propensity of the complete cases, who never drop out."""
+    return np.ones(F.shape[0])
+
+
 def estimate_no_censoring(
     ds: PanelDataset,
     K: int,
@@ -438,9 +427,10 @@ def estimate_no_censoring(
     grid,
     t: int,
 ) -> tuple[EffectEstimate, EifMatrix]:
-    """Cross-fit estimator that discards dropped-out units and pins omega at one."""
+    """Cross-fit estimator on the complete cases, an omega = 1 oracle replacing ``specs.omega``."""
     sub = complete_case_subset(ds, t)
-    return estimate_cross_fit(sub, K, seed, specs, grid, t, omega_one=True)
+    pinned = replace(specs, omega=LearnerSpec.oracle(_ones))
+    return _fold_pass(sub, pinned, _as_grid(grid), t, "no_censoring", split_folds(sub, K, seed))
 
 
 def estimate_complete_case(ds: PanelDataset, t: int) -> float:

@@ -23,6 +23,7 @@ from .estimator import EffectEstimate, EifMatrix, _sigma_hat
 
 __all__ = [
     "ConfidenceBand",
+    "check_band_options",
     "estimate_variance",
     "pointwise_interval",
     "uniform_band",
@@ -49,6 +50,14 @@ def pointwise_interval(
     half = z * np.asarray(sigma_hat) / np.sqrt(n)
     psi_hat = np.asarray(psi_hat)
     return psi_hat - half, psi_hat + half
+
+
+def check_band_options(alpha: float, B: int) -> None:
+    """Reject a band level outside (0,1) or fewer than 100 bootstrap replicates."""
+    if not 0 < alpha < 1:
+        raise ConfigError("alpha must lie in (0,1)")
+    if B < 100:
+        raise ConfigError("need at least 100 bootstrap replicates")
 
 
 @dataclass
@@ -104,10 +113,7 @@ def uniform_band(
     jointly.  Off by default: pooling widens the band and multiplies the
     bootstrap cost.
     """
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must lie in (0,1)")
-    if B < 100:
-        raise ConfigError("need at least 100 bootstrap replicates")
+    check_band_options(alpha, B)
     n = eif.n
     if n < 2:
         raise EstimationError("band needs at least two units")

@@ -70,7 +70,6 @@ class DeltaGrid:
     """Strictly increasing grid of odds multipliers in (0, inf)."""
 
     values: tuple
-    spacing: str  # "log" or "linear"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -80,8 +79,6 @@ class DeltaGrid:
             raise ConfigError("grid values must be positive")
         if vals.size > 1 and np.any(np.diff(vals) <= 0):
             raise ConfigError("grid values must be strictly increasing")
-        if self.spacing not in ("log", "linear"):
-            raise ConfigError("spacing must be 'log' or 'linear'")
         object.__setattr__(self, "values", tuple(float(v) for v in vals))
 
     def __len__(self) -> int:
@@ -94,8 +91,8 @@ class DeltaGrid:
         return json.dumps(list(self.values))
 
     @classmethod
-    def from_json(cls, text: str, spacing: str = "log") -> "DeltaGrid":
-        return cls(values=tuple(json.loads(text)), spacing=spacing)
+    def from_json(cls, text: str) -> "DeltaGrid":
+        return cls(values=tuple(json.loads(text)))
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, num: int) -> "DeltaGrid":
@@ -106,7 +103,7 @@ class DeltaGrid:
         vals = np.exp(np.linspace(np.log(lo), np.log(hi), num))
         # pin the endpoints exactly; exp/log round-trips drift in the last ulp
         vals[0], vals[-1] = lo, hi
-        return cls(values=tuple(vals), spacing="log")
+        return cls(values=tuple(vals))
 
 
 def default_grid() -> DeltaGrid:

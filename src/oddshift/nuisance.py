@@ -265,28 +265,18 @@ def fit_nuisances(
     deltas,
     t_star: int,
     exclude_fold: int | None = None,
-    omega_one: bool = False,
     rows: np.ndarray | None = None,
 ) -> NuisanceSet:
     """Fit all three nuisance sequences for one fold over a delta grid.
 
     ``rows`` (a boolean mask over units) limits the retention and
     continuation predictions, and the returned arrays, to those units.
-    ``omega_one`` pins the retention propensities at one (the no-dropout
-    analysis of complete cases).  A horizon without a recorded outcome is
-    rejected before any fit.
+    A horizon without a recorded outcome is rejected before any fit.
     """
     _check_horizon(ds, t_star)
     sel = slice(None) if rows is None else rows
     pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold, t_star)
-    if omega_one:
-        omega_fit = SequenceFit(
-            models=[],
-            pred=np.where(ds.R[:, :t_star] == 1, 1.0, np.nan),
-            train_rows=pi_fit.train_rows,
-        )
-    else:
-        omega_fit = fit_missingness_sequence(ds, folds, specs.omega, exclude_fold, t_star, rows)
+    omega_fit = fit_missingness_sequence(ds, folds, specs.omega, exclude_fold, t_star, rows)
     m_fit = fit_pseudo_outcome_sequence(
         ds, folds, pi_fit.pred, specs.m, deltas, t_star, exclude_fold, rows
     )

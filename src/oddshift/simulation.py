@@ -46,7 +46,7 @@ from .estimator import (
 from .intervention import DeltaGrid, incremental_propensity
 from .learners import LearnerSpec
 from .nuisance import NuisanceSpecs, fit_nuisances
-from .panel import PanelDataset
+from .panel import PanelDataset, history_features
 
 __all__ = [
     "DgpConfig",
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _GH_NODES = 48
+_GL_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -283,8 +284,8 @@ class _RetentionOracle:
     One-dimensional Gauss-Legendre quadrature over the uniform prior.
     """
 
-    def __init__(self, u_l: float, nodes: int = 64):
-        x, w = np.polynomial.legendre.leggauss(nodes)
+    def __init__(self, u_l: float):
+        x, w = np.polynomial.legendre.leggauss(_GL_NODES)
         self._c = 0.5 * (x + 1.0) * (5.0 - u_l) + u_l
         self._w = w  # prior density constant cancels in the posterior mean
 
@@ -304,44 +305,32 @@ class _RetentionOracle:
         return by_path[row_path.ravel()]
 
 
+def _true_pi(cfg: DgpConfig, s: int, F: np.ndarray) -> np.ndarray:
+    """Structural treatment propensity at time s for rows of history features H_s."""
+    if cfg.kind == "trial":
+        return np.full(F.shape[0], cfg.p)
+    d = cfg.d
+    u = F[:, (s - 1) * d : s * d].sum(axis=1)
+    a1 = F[:, d * s + (s - 2)] if s >= 2 else 0.0
+    a2 = F[:, d * s + (s - 3)] if s >= 3 else 0.0
+    return expit(_prop_logit(u, a1, a2, s))
+
+
 def true_propensities(cfg: DgpConfig, ds: PanelDataset, t: int) -> np.ndarray:
-    """Structural treatment propensities for every unit and period 1..t."""
+    """Structural treatment propensities for every unit and period 1..t, NaN after dropout."""
     out = np.full((ds.n, t), np.nan)
     for s in range(1, t + 1):
-        alive = ds.R[:, s - 1] == 1
-        if cfg.kind == "trial":
-            out[alive, s - 1] = cfg.p
-            continue
-        u = ds.X[:, s - 1, :].sum(axis=1)
-        a1 = ds.A[:, s - 2] if s >= 2 else np.zeros(ds.n)
-        a2 = ds.A[:, s - 3] if s >= 3 else np.zeros(ds.n)
-        lin = _prop_logit(
-            np.where(alive, u, 0.0),
-            np.where(alive, np.nan_to_num(a1), 0.0),
-            np.where(alive, np.nan_to_num(a2), 0.0),
-            s,
-        )
-        out[alive, s - 1] = expit(lin)[alive]
+        F, alive, _ = history_features(ds, s)
+        out[alive, s - 1] = _true_pi(cfg, s, F[alive])
     return out
 
 
 def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
     """Oracle learner specs exposing the generator's true nuisance functions."""
     d = cfg.d
-
-    def pi_fn(s: int):
-        if cfg.kind == "trial":
-            return lambda F: np.full(F.shape[0], cfg.p)
-
-        def fn(F, s=s):
-            u = F[:, (s - 1) * d : s * d].sum(axis=1)
-            a1 = F[:, d * s + (s - 2)] if s >= 2 else 0.0
-            a2 = F[:, d * s + (s - 3)] if s >= 3 else 0.0
-            return expit(_prop_logit(u, a1, a2, s))
-
-        return fn
-
-    pi_specs = [LearnerSpec.oracle(pi_fn(s)) for s in range(1, t_star + 1)]
+    pi_specs = [
+        LearnerSpec.oracle(lambda F, s=s: _true_pi(cfg, s, F)) for s in range(1, t_star + 1)
+    ]
 
     if cfg.kind == "dropout":
         ret = _RetentionOracle(cfg.u_l)
@@ -450,7 +439,7 @@ def _derived_seed(seed: int, *key: int) -> int:
 
 def _benchmark_one(args):
     cfg, grid_values, specs, t, K, rep_seed, fold_seed = args
-    grid = DeltaGrid(values=tuple(grid_values), spacing="log")
+    grid = DeltaGrid(values=tuple(grid_values))
     ds = simulate(replace(cfg, seed=rep_seed))
     out = {}
     est, _ = estimate_cross_fit(ds, K, fold_seed, specs, grid, t)
@@ -489,7 +478,7 @@ def run_benchmark(
             pickle.dumps(specs)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ConfigError(f"threads > 1 needs picklable specs: {exc}") from None
-    grid = grid if isinstance(grid, DeltaGrid) else DeltaGrid(tuple(grid), "log")
+    grid = grid if isinstance(grid, DeltaGrid) else DeltaGrid(tuple(grid))
     t = cfg.T if t is None else t
     truths, truth_se = true_effect_curve(
         cfg, grid, t, draws=truth_draws, seed=_derived_seed(seed, 0)

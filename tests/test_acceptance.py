@@ -405,19 +405,19 @@ def test_criterion_10_inference_properties():
         D = int(rng.integers(1, 8))
         n = int(rng.integers(200, 800))
         values = rng.normal(size=(n, D)) * rng.uniform(0.5, 2.0, size=D)
-        eif, est = _pair_from(values, od.DeltaGrid(values=tuple(np.linspace(1, 2, D)), spacing="linear"))
+        eif, est = _pair_from(values, od.DeltaGrid(values=tuple(np.linspace(1, 2, D))))
         band = od.uniform_band(eif, est, alpha=float(rng.uniform(0.02, 0.2)), B=300, seed=trial)
         floor_ok &= band.c_alpha >= norm.ppf(1.0 - band.alpha / 2.0)
 
     # 10b: single-point grid recovers the normal quantile at B = 10000
     values = rng.normal(2.0, 1.5, size=(4000, 1))
-    eif, est = _pair_from(values, od.DeltaGrid(values=(1.0,), spacing="linear"))
+    eif, est = _pair_from(values, od.DeltaGrid(values=(1.0,)))
     band = od.uniform_band(eif, est, alpha=0.05, B=10_000, seed=77)
     quantile_gap = abs(band.c_alpha - Z975)
 
     # 10c: nesting in the level given shared draws
     values = rng.normal(size=(2000, 5)) + rng.normal(size=(2000, 1))
-    eif, est = _pair_from(values, od.DeltaGrid(values=tuple(np.linspace(1, 2, 5)), spacing="linear"))
+    eif, est = _pair_from(values, od.DeltaGrid(values=tuple(np.linspace(1, 2, 5))))
     wide = od.uniform_band(eif, est, alpha=0.05, B=1000, seed=3)
     narrow = od.uniform_band(eif, est, alpha=0.10, B=1000, seed=3)
     nested = bool(
@@ -428,7 +428,7 @@ def test_criterion_10_inference_properties():
 
     # 10d: outputs identical across worker counts
     cfg = od.DgpConfig(kind="dropout", n=120, T=2, u_l=1.0, seed=1)
-    grid = od.DeltaGrid(values=(0.5, 2.0), spacing="linear")
+    grid = od.DeltaGrid(values=(0.5, 2.0))
     specs = NuisanceSpecs(
         pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(30), m=LearnerSpec.ridge(0.01)
     )

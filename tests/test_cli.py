@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from oddshift import cli
+
 BASE = [sys.executable, "-m", "oddshift"]
 
 
@@ -175,6 +177,28 @@ class TestEstimateCommand:
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--alpha", "2"], "alpha must lie in (0,1)"),
+            (["--B", "0"], "need at least 100 bootstrap replicates"),
+        ],
+    )
+    def test_band_options_checked_before_any_fit(
+        self, panel_dir, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("estimate_cross_fit called")
+
+        monkeypatch.setattr(cli, "estimate_cross_fit", no_fit)
+        code = cli.main(
+            ["estimate", "--input", str(panel_dir / "panel.csv"), "--seed", "1",
+             "--out", str(tmp_path)] + flags
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": message}
+
     def test_horizon_beyond_panel_names_it(self, panel_dir, tmp_path):
         res = run(
             ["estimate", "--input", str(panel_dir / "panel.csv"), "--seed", "1",
@@ -183,6 +207,25 @@ class TestEstimateCommand:
         assert res.returncode == 2
         err = json.loads(res.stderr)
         assert err == {"error": "ConfigError", "message": "no recorded outcome at horizon t=7"}
+
+
+@pytest.mark.parametrize(
+    "command,foreign",
+    [
+        ("estimate", "truth_draws"),
+        ("simulate", "K"),
+        ("bench", "grid"),
+        ("efficiency", "input"),
+        ("validate", "n"),
+    ],
+)
+def test_unknown_config_key_rejected_by_every_subcommand(tmp_path, capsys, command, foreign):
+    for key in ("bogus", foreign, "fn", "command"):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, key: 2}), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": f"unknown config keys: [{key!r}]"}
 
 
 class TestBenchCommand:

@@ -160,7 +160,7 @@ class TestGeneralRecursion:
 def oracle_run():
     cfg = DgpConfig(kind="observational", n=5000, T=3, seed=31)
     ds = simulate(cfg)
-    grid = DeltaGrid(values=(0.5, 1.0, 2.0), spacing="linear")
+    grid = DeltaGrid(values=(0.5, 1.0, 2.0))
     specs = oracle_specs(cfg, 3)
     est, eif = estimate_cross_fit(ds, K=2, seed=3, specs=specs, grid=grid, t=3)
     return cfg, ds, grid, specs, est, eif
@@ -208,7 +208,7 @@ class TestCrossFit:
         )
         est, _ = estimate_cross_fit(
             ds, K=2, seed=0, specs=specs,
-            grid=DeltaGrid(values=(2.0,), spacing="linear"), t=2, folds=folds,
+            grid=DeltaGrid(values=(2.0,)), t=2, folds=folds,
         )
         assert est.per_fold[0] == pytest.approx(est.per_fold[1], abs=1e-10)
 
@@ -231,7 +231,7 @@ class TestCrossFitHeldOut:
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(15), m=LearnerSpec.ridge(1e-6)
         )
-        grid = DeltaGrid(values=(0.5, 1.0, 2.0), spacing="linear")
+        grid = DeltaGrid(values=(0.5, 1.0, 2.0))
         _, eif = estimate_cross_fit(ds, K=2, seed=4, specs=specs, grid=grid, t=3)
         folds = split_folds(ds, 2, seed=4)
         assert np.any(ds.R[:, 3] == 0)
@@ -276,7 +276,7 @@ class TestBaselines:
             omega=LearnerSpec.oracle(lambda F: np.ones(F.shape[0])),
             m=LearnerSpec.zero(),
         )
-        est = estimate_ipw(ds, specs, DeltaGrid(values=(2.0,), spacing="linear"), 1)
+        est = estimate_ipw(ds, specs, DeltaGrid(values=(2.0,)), 1)
         assert est.psi_hat[0] == pytest.approx((2.0 / 1.5 * 2.0 + 1.0 / 1.5 * 4.0) / 2.0)
 
     def test_ipw_at_delta_one_is_sample_mean(self):
@@ -284,12 +284,12 @@ class TestBaselines:
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.zero()
         )
-        est = estimate_ipw(ds, specs, DeltaGrid(values=(1.0,), spacing="linear"), 2)
+        est = estimate_ipw(ds, specs, DeltaGrid(values=(1.0,)), 2)
         assert est.psi_hat[0] == pytest.approx(np.mean(ds.Y[:, 1]), abs=1e-10)
 
     def test_plugin_zero_m_equals_ipw_bitwise(self):
         ds = simulate(DgpConfig(kind="dropout", n=500, T=3, u_l=1.0, seed=9))
-        grid = DeltaGrid(values=(0.5, 1.0, 3.0), spacing="linear")
+        grid = DeltaGrid(values=(0.5, 1.0, 3.0))
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.zero()
         )
@@ -299,7 +299,7 @@ class TestBaselines:
 
     def test_shared_full_sample_fits_change_nothing(self):
         ds = simulate(DgpConfig(kind="dropout", n=300, T=3, u_l=1.0, seed=13))
-        grid = DeltaGrid(values=(0.5, 2.0), spacing="linear")
+        grid = DeltaGrid(values=(0.5, 2.0))
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(10), m=LearnerSpec.ridge(1e-6)
         )
@@ -315,7 +315,7 @@ class TestBaselines:
         cfg = DgpConfig(kind="trial", n=500, T=2, p=0.5, seed=12)
         ds = simulate(cfg)
         specs = oracle_specs(cfg, 2)
-        grid = DeltaGrid(values=(0.5, 2.0), spacing="linear")
+        grid = DeltaGrid(values=(0.5, 2.0))
         plug, _ = estimate_plugin(ds, specs, grid, 2)
         cross, _ = estimate_cross_fit(ds, K=2, seed=1, specs=specs, grid=grid, t=2)
         assert np.allclose(plug.psi_hat, cross.psi_hat, atol=1e-10)
@@ -328,9 +328,36 @@ class TestBaselines:
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(0.01)
         )
-        est, _ = estimate_no_censoring(ds, 2, 5, specs, DeltaGrid(values=(1.0,), spacing="linear"), 3)
+        est, _ = estimate_no_censoring(ds, 2, 5, specs, DeltaGrid(values=(1.0,)), 3)
         assert est.kind == "no_censoring"
         assert est.n == sub.n
+
+    @pytest.mark.parametrize("omega", [LearnerSpec.logistic(), LearnerSpec.zero()])
+    def test_no_censoring_is_cross_fit_on_complete_cases_bitwise(self, omega):
+        ds = simulate(DgpConfig(kind="dropout", n=600, T=3, u_l=1.0, seed=17))
+        grid = DeltaGrid(values=(0.5, 1.0, 2.0))
+        specs = NuisanceSpecs(pi=LearnerSpec.logistic(), omega=omega, m=LearnerSpec.ridge(1e-6))
+        est, eif = estimate_no_censoring(ds, 2, 5, specs, grid, 3)
+        # every complete case is retained, so IRLS fits its constant model at 1.0
+        logistic = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-6)
+        )
+        ref, ref_eif = estimate_cross_fit(complete_case_subset(ds, 3), 2, 5, logistic, grid, 3)
+        assert np.array_equal(est.psi_hat, ref.psi_hat)
+        assert np.array_equal(est.sigma_hat, ref.sigma_hat)
+        assert np.array_equal(eif.values, ref_eif.values)
+        assert np.array_equal(eif.fold_by_row, ref_eif.fold_by_row)
+
+    def test_plugin_is_one_unsplit_fold(self):
+        ds = simulate(DgpConfig(kind="dropout", n=300, T=3, u_l=1.0, seed=13))
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(10), m=LearnerSpec.ridge(1e-6)
+        )
+        plug, eif = estimate_plugin(ds, specs, DeltaGrid(values=(0.5, 2.0)), 3)
+        assert np.array_equal(plug.per_fold, plug.psi_hat[None])
+        assert np.array_equal(plug.psi_hat, eif.values.mean(axis=0))
+        assert eif.fold_by_row.dtype == np.int64
+        assert not np.any(eif.fold_by_row)
 
 
 class TestCompleteCase:

@@ -15,7 +15,7 @@ from oddshift import (
 
 def make_pair(values, grid=None):
     n, D = values.shape
-    grid = grid or DeltaGrid(values=tuple(np.linspace(1.0, 2.0, D)), spacing="linear")
+    grid = grid or DeltaGrid(values=tuple(np.linspace(1.0, 2.0, D)))
     psi = values.mean(axis=0)
     est = EffectEstimate(
         psi_hat=psi,
@@ -105,7 +105,7 @@ class TestUniformBand:
     def test_grid_monotone_sup(self, gaussian_pair):
         eif, est = gaussian_pair
         sub_vals = eif.values[:, :2]
-        sub_eif, sub_est = make_pair(sub_vals, DeltaGrid(values=eif.grid.values[:2], spacing="linear"))
+        sub_eif, sub_est = make_pair(sub_vals, DeltaGrid(values=eif.grid.values[:2]))
         small = uniform_band(sub_eif, sub_est, alpha=0.05, B=300, seed=5)
         big = uniform_band(eif, est, alpha=0.05, B=300, seed=5)
         assert big.c_alpha >= small.c_alpha - 1e-12
@@ -129,7 +129,7 @@ class TestUniformBand:
         rng = np.random.default_rng(21)
         other_vals = rng.normal(size=(eif.values.shape[0], 3))
         other_eif, other_est = make_pair(
-            other_vals, DeltaGrid(values=(1.0, 2.0, 3.0), spacing="linear")
+            other_vals, DeltaGrid(values=(1.0, 2.0, 3.0))
         )
         single = uniform_band(eif, est, alpha=0.05, B=300, seed=6)
         pooled = uniform_band(

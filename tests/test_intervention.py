@@ -79,11 +79,9 @@ class TestGrid:
 
     def test_invalid_grids(self):
         with pytest.raises(ConfigError):
-            DeltaGrid(values=(0.0, 1.0), spacing="log")
+            DeltaGrid(values=(0.0, 1.0))
         with pytest.raises(ConfigError):
-            DeltaGrid(values=(2.0, 1.0), spacing="log")
-        with pytest.raises(ConfigError):
-            DeltaGrid(values=(1.0,), spacing="other")
+            DeltaGrid(values=(2.0, 1.0))
 
     def test_json_round_trip(self):
         grid = default_grid()

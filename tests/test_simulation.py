@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
 from oddshift import (
     ConfigError,
     DeltaGrid,
@@ -13,11 +15,34 @@ from oddshift import (
     run_benchmark,
     simulate,
     true_effect_curve,
+    true_propensities,
     validate_monotonicity,
     write_long_csv,
 )
 from oddshift.learners import LearnerSpec
 from oddshift.nuisance import NuisanceSpecs
+from oddshift.simulation import _prop_logit
+
+
+def array_true_propensities(cfg, ds, t):
+    """The structural propensities computed on the panel arrays directly."""
+    out = np.full((ds.n, t), np.nan)
+    for s in range(1, t + 1):
+        alive = ds.R[:, s - 1] == 1
+        if cfg.kind == "trial":
+            out[alive, s - 1] = cfg.p
+            continue
+        u = ds.X[:, s - 1, :].sum(axis=1)
+        a1 = ds.A[:, s - 2] if s >= 2 else np.zeros(ds.n)
+        a2 = ds.A[:, s - 3] if s >= 3 else np.zeros(ds.n)
+        lin = _prop_logit(
+            np.where(alive, u, 0.0),
+            np.where(alive, np.nan_to_num(a1), 0.0),
+            np.where(alive, np.nan_to_num(a2), 0.0),
+            s,
+        )
+        out[alive, s - 1] = expit(lin)[alive]
+    return out
 
 
 class TestGenerators:
@@ -62,6 +87,18 @@ class TestGenerators:
             DgpConfig(kind="trial", n=10, T=2, p=1.5)
         with pytest.raises(ConfigError):
             DgpConfig(kind="dropout", n=10, T=2, u_l=6.0)
+
+
+class TestTruePropensities:
+    @pytest.mark.parametrize("kind", ["dropout", "trial", "observational"])
+    def test_equals_array_version_bitwise(self, kind):
+        cfg = DgpConfig(kind=kind, n=500, T=5, u_l=1.0, p=0.3, seed=4)
+        ds = simulate(cfg)
+        for t in (1, 2, 5):
+            pi = true_propensities(cfg, ds, t)
+            assert np.array_equal(pi, array_true_propensities(cfg, ds, t), equal_nan=True)
+        if kind == "dropout":
+            assert np.isnan(pi).any()
 
 
 class TestTruth:
@@ -112,7 +149,7 @@ class TestNormalizedRmse:
 class TestBenchmark:
     def test_small_run_completes_and_is_deterministic(self):
         cfg = DgpConfig(kind="dropout", n=120, T=2, u_l=1.0, seed=1)
-        grid = DeltaGrid(values=(0.5, 2.0), spacing="linear")
+        grid = DeltaGrid(values=(0.5, 2.0))
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(30), m=LearnerSpec.ridge(0.01)
         )
@@ -125,7 +162,7 @@ class TestBenchmark:
 
     def test_summary_is_json_ready(self):
         cfg = DgpConfig(kind="trial", n=100, T=2, p=0.5, seed=2)
-        grid = DeltaGrid(values=(1.0, 2.0), spacing="linear")
+        grid = DeltaGrid(values=(1.0, 2.0))
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(0.01)
         )
@@ -137,7 +174,7 @@ class TestBenchmark:
     def test_unpicklable_specs_rejected_before_the_pool(self):
         # the oracle nuisances are local closures, which a process pool cannot ship
         cfg = DgpConfig(kind="trial", n=100, T=2, p=0.5, seed=2)
-        grid = DeltaGrid(values=(1.0, 2.0), spacing="linear")
+        grid = DeltaGrid(values=(1.0, 2.0))
         with pytest.raises(ConfigError, match="picklable"):
             run_benchmark(cfg, S=2, grid=grid, specs=oracle_specs(cfg, 2), seed=3, threads=2)
 
