@@ -31,9 +31,10 @@ Estimators: ``estimate_cross_fit`` (one nuisance pass per fold, fit on
 the other K-1 folds over the whole grid, values computed on the held-out
 fold), ``estimate_plugin`` (the same pass with no splitting: trained and
 evaluated on all units), ``estimate_no_censoring`` (the cross-fit pass
-on the complete cases with an omega = 1 spec), ``estimate_ipw`` (weight
-products only, no continuation models), and ``estimate_complete_case``
-(subgroup mean contrast among fully retained, fully compliant units).
+on the complete cases with an omega = 1 spec), ``estimate_ipw`` (the
+plug-in pass with every continuation value zero), and
+``estimate_complete_case`` (subgroup mean contrast among fully retained,
+fully compliant units).
 """
 
 from __future__ import annotations
@@ -138,14 +139,10 @@ def eif_from_arrays(
     return phi
 
 
-def eif_values_for(ds: PanelDataset, eta: NuisanceSet, rows: np.ndarray | None = None) -> np.ndarray:
-    """Influence values (units, D) under fitted nuisances.
-
-    The units are every unit, or the ``rows`` mask's, which must be the
-    mask ``eta`` was fitted with.
-    """
+def eif_values_for(ds: PanelDataset, eta: NuisanceSet) -> np.ndarray:
+    """Influence values (units, D) under fitted nuisances, for the units ``eta`` holds."""
     t = eta.t_star
-    sel = slice(None) if rows is None else rows
+    sel = slice(None) if eta.rows is None else eta.rows
     return eif_from_arrays(
         ds.A[sel, :t], ds.R[sel, : t + 1], ds.Y[sel, t - 1],
         eta.pi, eta.omega, eta.m1, eta.m0, np.asarray(eta.deltas),
@@ -153,12 +150,17 @@ def eif_values_for(ds: PanelDataset, eta: NuisanceSet, rows: np.ndarray | None =
 
 
 def eif_contribution(ds: PanelDataset, eta: NuisanceSet, i: int) -> np.ndarray:
-    """Influence values (D,) of one trajectory (dataset row i); ``eta`` must cover every unit."""
+    """Influence values (D,) of one trajectory (dataset row i), which ``eta`` must hold."""
+    j = i
+    if eta.rows is not None:
+        if not eta.rows[i]:
+            raise ConfigError(f"dataset row {i} is not among the units the nuisance set holds")
+        j = int(np.count_nonzero(eta.rows[:i]))
     t = eta.t_star
     return eif_from_arrays(
         ds.A[i : i + 1, :t], ds.R[i : i + 1, : t + 1], ds.Y[i : i + 1, t - 1],
-        eta.pi[i : i + 1], eta.omega[i : i + 1],
-        eta.m1[i : i + 1], eta.m0[i : i + 1], np.asarray(eta.deltas),
+        eta.pi[j : j + 1], eta.omega[j : j + 1],
+        eta.m1[j : j + 1], eta.m0[j : j + 1], np.asarray(eta.deltas),
     )[0]
 
 
@@ -292,7 +294,7 @@ def _fold_pass(
         rows = None if k is None else folds.by_index == k
         if eta is None:
             eta = fit_nuisances(ds, folds, specs, grid.values, t, exclude_fold=k, rows=rows)
-        values[slice(None) if rows is None else rows] = eif_values_for(ds, eta, rows)
+        values[slice(None) if rows is None else rows] = eif_values_for(ds, eta)
         diagnostics["folds"].append(eta.summary())
         tag = "" if k is None else f"fold {k}: "
         diagnostics["warnings"].extend(tag + w for w in eta.warnings)
@@ -375,30 +377,19 @@ def estimate_ipw(
     t: int,
     eta: NuisanceSet | None = None,
 ) -> EffectEstimate:
-    """Pure inverse-probability-weighted estimator (continuation models unused).
+    """Inverse-probability-weighted estimator: the plug-in pass with m = 0.
 
-    Propensities are fit on the full sample, mirroring how this baseline
-    is usually run with parametric models; ``eta``, a full-sample fit
-    over the same grid, replaces the fit.
+    With every continuation value zero, each stage term vanishes and
+    phi = C_t * Y_t.  Propensities are fit on the full sample, mirroring
+    how this baseline is usually run with parametric models, and
+    ``specs.m`` is never fit; ``eta``, a full-sample fit over the same
+    grid, replaces the fit.
     """
     grid = _as_grid(grid)
     if eta is None:
-        eta = fit_nuisances(ds, None, specs, grid.values, t)
-    y = _gate(ds.R[:, t] == 1, ds.Y[:, t - 1], 0.0)
-    grid_values = np.asarray(grid.values)
-    W = ipw_weight_products(ds.A[:, :t], ds.R[:, : t + 1], eta.pi, eta.omega, grid_values)
-    values = W * y[:, None]
-    psi_hat = values.mean(axis=0)
-    return EffectEstimate(
-        psi_hat=psi_hat,
-        sigma_hat=_sigma_hat(values, psi_hat),
-        n=ds.n,
-        t=t,
-        kind="ipw",
-        grid=grid,
-        per_fold=psi_hat[None, :].copy(),
-        diagnostics={"warnings": list(eta.warnings)},
-    )
+        eta = fit_nuisances(ds, None, replace(specs, m=LearnerSpec.zero()), grid.values, t)
+    zero = np.broadcast_to(0.0, eta.m1.shape)
+    return _fold_pass(ds, specs, grid, t, "ipw", None, replace(eta, m1=zero, m0=zero))[0]
 
 
 def complete_case_subset(ds: PanelDataset, t: int) -> PanelDataset:

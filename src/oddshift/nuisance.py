@@ -90,7 +90,6 @@ class SequenceFit:
 
     models: list[FittedModel]
     pred: np.ndarray  # (n, t_star), NaN where the unit has left
-    train_rows: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
 
@@ -99,16 +98,39 @@ class PseudoOutcomeFit:
     m1: np.ndarray  # (units, t_star, D), zero where the unit has left
     m0: np.ndarray
     deltas: tuple
-    train_rows: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_pool(n_train: int, width: int, s: int, warnings: list[str], what: str) -> None:
-    """Fail below two training units; warn when they barely outnumber the features."""
+def _check_pool(spec, n_train: int, width: int, s: int, warnings: list[str], what: str) -> None:
+    """Fail below two training units; for a learner that fits, warn below max(10, width + 2)."""
     if n_train < 2:
         raise EstimationError(f"{n_train} training unit(s) for {what} at t={s}; need at least 2")
-    if n_train < max(10, width + 2):
+    if spec.kind not in ("oracle", "zero") and n_train < max(10, width + 2):
         warnings.append(f"underdetermined {what} fit at t={s}: {n_train} units")
+
+
+def _fit_forward(
+    ds, folds, spec, exclude_fold, t_star, rows, target, with_action: bool, what: str, clip=None
+) -> SequenceFit:
+    """Fit target[:, t-1] ~ history_features(t) on retained training units, t = 1..t*.
+
+    Predictions fill the retained units of the ``rows`` mask (every
+    retained unit by default), NaN elsewhere.
+    """
+    t_star = ds.T if t_star is None else t_star
+    train = _train_mask(ds, folds, exclude_fold)
+    pred = np.full((ds.n, t_star), np.nan)
+    models, warns = [], []
+    for s in range(1, t_star + 1):
+        F, alive = history_features(ds, s, with_action=with_action)
+        pool = train & alive
+        spec_s = _spec_at(spec, s)
+        _check_pool(spec_s, int(pool.sum()), F.shape[1], s, warns, what)
+        model = fit_learner(spec_s, F[pool], target[pool, s - 1], "probability", clip=clip)
+        query = alive if rows is None else alive & rows
+        pred[query, s - 1] = model.predict(F[query])
+        models.append(model)
+    return SequenceFit(models=models, pred=pred, warnings=warns)
 
 
 def fit_propensity_sequence(
@@ -119,18 +141,7 @@ def fit_propensity_sequence(
     t_star: int | None = None,
 ) -> SequenceFit:
     """Fit A_t ~ H_t for t = 1..t* on retained units in the training pool."""
-    t_star = ds.T if t_star is None else t_star
-    train = _train_mask(ds, folds, exclude_fold)
-    pred = np.full((ds.n, t_star), np.nan)
-    models, warns = [], []
-    for s in range(1, t_star + 1):
-        F, alive, layout = history_features(ds, s)
-        pool = train & alive
-        _check_pool(int(pool.sum()), layout.width, s, warns, "propensity")
-        model = fit_learner(_spec_at(spec, s), F[pool], ds.A[pool, s - 1], "probability")
-        pred[alive, s - 1] = model.predict(F[alive])
-        models.append(model)
-    return SequenceFit(models=models, pred=pred, train_rows=np.flatnonzero(train), warnings=warns)
+    return _fit_forward(ds, folds, spec, exclude_fold, t_star, None, ds.A, False, "propensity")
 
 
 def fit_missingness_sequence(
@@ -146,22 +157,8 @@ def fit_missingness_sequence(
     ``rows`` (a boolean mask over units) limits the prediction cache to
     those units, NaN elsewhere; by default every retained unit is predicted.
     """
-    t_star = ds.T if t_star is None else t_star
-    train = _train_mask(ds, folds, exclude_fold)
-    pred = np.full((ds.n, t_star), np.nan)
-    models, warns = [], []
-    for s in range(1, t_star + 1):
-        F, alive, layout = history_features(ds, s, with_action=True)
-        pool = train & alive
-        _check_pool(int(pool.sum()), layout.width, s, warns, "missingness")
-        target = ds.R[pool, s].astype(float)
-        model = fit_learner(
-            _spec_at(spec, s), F[pool], target, "probability", clip=(OMEGA_FLOOR, 1.0)
-        )
-        query = alive if rows is None else alive & rows
-        pred[query, s - 1] = model.predict(F[query])
-        models.append(model)
-    return SequenceFit(models=models, pred=pred, train_rows=np.flatnonzero(train), warnings=warns)
+    return _fit_forward(ds, folds, spec, exclude_fold, t_star, rows, ds.R[:, 1:],  # R_{t+1}
+                        True, "missingness", (OMEGA_FLOOR, 1.0))
 
 
 def fit_pseudo_outcome_sequence(
@@ -197,16 +194,16 @@ def fit_pseudo_outcome_sequence(
     y = np.where(ds.R[:, t_star] == 1, ds.Y[:, t_star - 1], np.nan)
     target = np.repeat(y[:, None], grid.size, axis=1)
     for s in range(t_star, 0, -1):
-        F, alive, layout = history_features(ds, s, with_action=True)
+        F, alive = history_features(ds, s, with_action=True)
         next_alive = ds.R[:, s] == 1  # R_{s+1} = 1
         pool = train & next_alive
-        _check_pool(int(pool.sum()), layout.width, s, warns, "pseudo-outcome")
-        F_pool = F[pool]
+        spec_s = _spec_at(m_spec, s)
+        _check_pool(spec_s, int(pool.sum()), F.shape[1], s, warns, "pseudo-outcome")
         F1 = F[alive].copy()
-        F1[:, layout.action_col] = 1.0
+        F1[:, -1] = 1.0  # the action column
         F0 = F1.copy()
-        F0[:, layout.action_col] = 0.0
-        model = fit_learner(_spec_at(m_spec, s), F_pool, target[pool], "regression")
+        F0[:, -1] = 0.0
+        model = fit_learner(spec_s, F[pool], target[pool], "regression")
         m1s = np.zeros((ds.n, grid.size))
         m0s = np.zeros((ds.n, grid.size))
         m1s[alive] = model.predict(F1)
@@ -217,18 +214,16 @@ def fit_pseudo_outcome_sequence(
             p = pi_pred[:, s - 1, None]
             num = grid * p * m1s + (1.0 - p) * m0s
             target = np.where(alive[:, None], num / (grid * p + 1.0 - p), np.nan)
-    return PseudoOutcomeFit(
-        m1=m1, m0=m0, deltas=deltas, train_rows=np.flatnonzero(train), warnings=warns
-    )
+    return PseudoOutcomeFit(m1=m1, m0=m0, deltas=deltas, warnings=warns)
 
 
 @dataclass
 class NuisanceSet:
     """Fitted nuisances for one excluded fold over a delta grid.
 
-    Arrays hold the units the set was fitted to evaluate: every unit, or
-    those of the ``rows`` mask given to ``fit_nuisances``.  No model saw
-    the excluded fold's units.
+    Arrays hold the units the set was fitted to evaluate: every unit when
+    ``rows`` is None, else those of the ``rows`` mask, in dataset order.
+    No model saw the excluded fold's units.
     """
 
     pi: np.ndarray      # (units, t_star)
@@ -239,6 +234,7 @@ class NuisanceSet:
     t_star: int
     excluded_fold: int | None
     train_rows: np.ndarray
+    rows: np.ndarray | None = None  # boolean mask over dataset rows
     pi_models: list = field(default_factory=list)
     omega_models: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -288,7 +284,8 @@ def fit_nuisances(
         deltas=m_fit.deltas,
         t_star=t_star,
         excluded_fold=exclude_fold,
-        train_rows=m_fit.train_rows,
+        train_rows=np.flatnonzero(_train_mask(ds, folds, exclude_fold)),
+        rows=rows,
         pi_models=pi_fit.models,
         omega_models=omega_fit.models,
         warnings=pi_fit.warnings + omega_fit.warnings + m_fit.warnings,

@@ -41,7 +41,6 @@ __all__ = [
     "Trajectory",
     "PanelDataset",
     "FoldAssignment",
-    "FeatureLayout",
     "retention_violations",
     "validate_monotonicity",
     "split_folds",
@@ -274,7 +273,6 @@ def validate_monotonicity(ds: PanelDataset) -> list[tuple[str, int]]:
 class FoldAssignment:
     """Partition of subjects into K folds, generated from an explicit seed."""
 
-    labels: dict  # subject_id -> fold in 1..K
     K: int
     seed: int
     by_index: np.ndarray = field(repr=False)  # (n,) fold label per dataset row
@@ -293,59 +291,30 @@ def split_folds(ds: PanelDataset, K: int, seed: int) -> FoldAssignment:
     order = rng.permutation(n)
     by_index = np.empty(n, dtype=np.int64)
     by_index[order] = np.arange(n) % K + 1
-    labels = {ds.ids[i]: int(by_index[i]) for i in range(n)}
-    return FoldAssignment(labels=labels, K=K, seed=seed, by_index=by_index)
-
-
-@dataclass(frozen=True)
-class FeatureLayout:
-    """Column layout of a flattened history feature matrix at time t.
-
-    Order is fixed: covariate blocks X_1..X_t (d columns each), then past
-    treatments A_1..A_{t-1}, then past outcomes Y_s for recorded times
-    s <= t-1 in increasing s, then (optionally) the current treatment A_t.
-    """
-
-    d: int
-    t: int
-    outcome_cols: tuple  # 1-based outcome times included
-    with_action: bool
-
-    @property
-    def width(self) -> int:
-        return self.d * self.t + (self.t - 1) + len(self.outcome_cols) + (
-            1 if self.with_action else 0
-        )
-
-    @property
-    def action_col(self) -> int:
-        if not self.with_action:
-            raise ValueError("layout has no action column")
-        return self.width - 1
+    return FoldAssignment(K=K, seed=seed, by_index=by_index)
 
 
 def history_features(
     ds: PanelDataset, t: int, with_action: bool = False
-) -> tuple[np.ndarray, np.ndarray, FeatureLayout]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Flattened history H_t for every unit, plus the alive-at-t mask.
 
-    Rows for units with R_t = 0 contain NaN and must not be used.  With
-    ``with_action`` the observed A_t is appended as the last column.
+    Columns run: covariate blocks X_1..X_t (d each), past treatments
+    A_1..A_{t-1}, past outcomes Y_s at recorded times s <= t-1, and, with
+    ``with_action``, the observed A_t last.  Rows for units with R_t = 0
+    contain NaN and must not be used.
     """
     if not 1 <= t <= ds.T:
         raise ConfigError(f"time t={t} outside 1..{ds.T}")
-    outcome_cols = tuple(s for s in ds.outcome_times if s <= t - 1)
-    layout = FeatureLayout(d=ds.d, t=t, outcome_cols=outcome_cols, with_action=with_action)
+    outcome_cols = [s - 1 for s in ds.outcome_times if s <= t - 1]
     parts = [ds.X[:, :t, :].reshape(ds.n, t * ds.d)]
     if t > 1:
         parts.append(ds.A[:, : t - 1])
     if outcome_cols:
-        parts.append(ds.Y[:, [s - 1 for s in outcome_cols]])
+        parts.append(ds.Y[:, outcome_cols])
     if with_action:
         parts.append(ds.A[:, t - 1 : t])
-    F = np.concatenate(parts, axis=1) if parts else np.empty((ds.n, 0))
-    alive = ds.R[:, t - 1] == 1
-    return F, alive, layout
+    return np.concatenate(parts, axis=1), ds.R[:, t - 1] == 1
 
 
 def history_at(tr: Trajectory, t: int) -> np.ndarray:

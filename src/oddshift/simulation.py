@@ -320,7 +320,7 @@ def true_propensities(cfg: DgpConfig, ds: PanelDataset, t: int) -> np.ndarray:
     """Structural treatment propensities for every unit and period 1..t, NaN after dropout."""
     out = np.full((ds.n, t), np.nan)
     for s in range(1, t + 1):
-        F, alive, _ = history_features(ds, s)
+        F, alive = history_features(ds, s)
         out[alive, s - 1] = _true_pi(cfg, s, F[alive])
     return out
 

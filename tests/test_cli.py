@@ -171,11 +171,14 @@ class TestEstimateCommand:
     )
     def test_unparsable_value_exits_2(self, panel_dir, tmp_path, flags, config):
         cfg_path = tmp_path / "cfg.json"
-        cfg = {"input": str(panel_dir / "panel.csv"), "seed": 1, "B": 50, **config}
+        cfg = {"input": str(panel_dir / "panel.csv"), "seed": 1, "B": 200, **config}
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         res = run(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)] + flags)
         assert res.returncode == 2, res.stderr
-        assert json.loads(res.stderr)["error"] == "ConfigError"
+        err = json.loads(res.stderr)
+        assert err["error"] == "ConfigError"
+        band = ("alpha must lie in (0,1)", "need at least 100 bootstrap replicates")
+        assert err["message"] not in band
 
     @pytest.mark.parametrize(
         "flags,message",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oddshift import (
+    ConfigError,
     DeltaGrid,
     DgpConfig,
     EstimationError,
@@ -200,12 +201,7 @@ class TestCrossFit:
         from oddshift.panel import FoldAssignment
 
         by_index = np.array([1] * 300 + [2] * 300)
-        folds = FoldAssignment(
-            labels={ds.ids[i]: int(by_index[i]) for i in range(600)},
-            K=2,
-            seed=0,
-            by_index=by_index,
-        )
+        folds = FoldAssignment(K=2, seed=0, by_index=by_index)
         est, _ = estimate_cross_fit(
             ds, K=2, seed=0, specs=specs,
             grid=DeltaGrid(values=(2.0,)), t=2, folds=folds,
@@ -221,6 +217,38 @@ class TestCrossFit:
         assert eif_contribution(ds, eta, i) == pytest.approx(phi[i], abs=1e-12)
         j = grid.values.index(2.0)
         assert eif.values[i, j] == pytest.approx(phi[i], abs=1e-12)
+
+
+class TestRowsFittedSet:
+    """A nuisance set fitted for a rows mask holds those units, in dataset order."""
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        ds = simulate(DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=4))
+        folds = split_folds(ds, 2, seed=0)
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-3)
+        )
+        rows = folds.by_index == 1
+        full = fit_nuisances(ds, folds, specs, [0.5, 2.0], 3, exclude_fold=1)
+        held = fit_nuisances(ds, folds, specs, [0.5, 2.0], 3, exclude_fold=1, rows=rows)
+        return ds, rows, full, held
+
+    def test_contribution_reads_the_unit_itself(self, sets):
+        ds, rows, full, held = sets
+        assert np.any(ds.R[rows, 3] == 0)
+        for i in np.flatnonzero(rows):
+            assert np.array_equal(eif_contribution(ds, held, i), eif_contribution(ds, full, i))
+
+    def test_contribution_outside_the_mask_raises(self, sets):
+        ds, rows, _, held = sets
+        i = int(np.flatnonzero(~rows)[0])
+        with pytest.raises(ConfigError, match=f"dataset row {i} is not among"):
+            eif_contribution(ds, held, i)
+
+    def test_values_for_equal_the_full_set_at_those_rows(self, sets):
+        ds, rows, full, held = sets
+        assert np.array_equal(eif_values_for(ds, held), eif_values_for(ds, full)[rows])
 
 
 class TestCrossFitHeldOut:
@@ -310,6 +338,35 @@ class TestBaselines:
         ipw = estimate_ipw(ds, specs, grid, 3)
         shared = estimate_ipw(ds, specs, grid, 3, eta=eta)
         assert np.array_equal(ipw.psi_hat, shared.psi_hat)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_ipw_is_weight_products_times_outcome(self, shared):
+        ds = simulate(DgpConfig(kind="dropout", n=400, T=3, u_l=1.0, seed=14))
+        grid = DeltaGrid(values=(0.2, 1.0, 4.0))
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(15), m=LearnerSpec.ridge(1e-6)
+        )
+        eta = fit_nuisances(ds, None, specs, grid.values, 3)
+        est = estimate_ipw(ds, specs, grid, 3, eta=eta if shared else None)
+        W = ipw_weight_products(ds.A[:, :3], ds.R[:, :4], eta.pi, eta.omega, np.array(grid.values))
+        values = W * np.where(ds.R[:, 3] == 1, ds.Y[:, 2], 0.0)[:, None]
+        psi_hat = values.mean(axis=0)
+        assert np.array_equal(est.psi_hat, psi_hat)
+        assert np.array_equal(est.sigma_hat, np.sqrt(np.mean((values - psi_hat) ** 2, axis=0)))
+
+    def test_ipw_never_fits_the_continuation_spec(self):
+        ds = simulate(DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=15))
+
+        def no_m(F):
+            raise AssertionError("continuation spec used by IPW")
+
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.oracle(no_m)
+        )
+        zero_m = NuisanceSpecs(pi=specs.pi, omega=specs.omega, m=LearnerSpec.zero())
+        grid = DeltaGrid(values=(0.5, 2.0))
+        est = estimate_ipw(ds, specs, grid, 3)
+        assert np.array_equal(est.psi_hat, estimate_ipw(ds, zero_m, grid, 3).psi_hat)
 
     def test_plugin_equals_cross_fit_with_oracles(self):
         cfg = DgpConfig(kind="trial", n=500, T=2, p=0.5, seed=12)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from oddshift import (
     LearnerSpec,
     NuisanceSpecs,
     PanelDataset,
+    default_grid,
+    estimate_cross_fit,
+    estimate_no_censoring,
     fit_missingness_sequence,
     fit_propensity_sequence,
     fit_pseudo_outcome_sequence,
@@ -25,6 +29,7 @@ from oddshift import (
 )
 from oddshift import nuisance
 from oddshift.learners import OMEGA_FLOOR, PI_CLIP
+from oddshift.panel import history_features
 from oddshift.simulation import (
     _GH_NODES,
     _ContinuationOracle,
@@ -150,6 +155,104 @@ class TestMissingnessSequence:
                 assert np.ptp(oracle) < 1e-12  # depends on the path only
                 se = np.sqrt(emp * (1 - emp) / sel.sum())
                 assert abs(oracle[0] - emp) < 4 * se + 1e-4
+
+
+def reference_pool_warnings(spec, pool, F, s, what):
+    if spec.kind in ("oracle", "zero") or pool.sum() >= max(10, F.shape[1] + 2):
+        return []
+    return [f"underdetermined {what} fit at t={s}: {int(pool.sum())} units"]
+
+
+def reference_propensity_loop(ds, train, spec):
+    """The propensity stage loop as written before the forward fitter was shared."""
+    pred = np.full((ds.n, ds.T), np.nan)
+    models, warns = [], []
+    for s in range(1, ds.T + 1):
+        F, alive = history_features(ds, s)
+        pool = train & alive
+        spec_s = spec if isinstance(spec, LearnerSpec) else spec[s - 1]
+        warns += reference_pool_warnings(spec_s, pool, F, s, "propensity")
+        model = fit_learner(spec_s, F[pool], ds.A[pool, s - 1], "probability")
+        pred[alive, s - 1] = model.predict(F[alive])
+        models.append(model)
+    return pred, models, warns
+
+
+def reference_missingness_loop(ds, train, spec, rows):
+    """The retention stage loop as written before the forward fitter was shared."""
+    pred = np.full((ds.n, ds.T), np.nan)
+    models, warns = [], []
+    for s in range(1, ds.T + 1):
+        F, alive = history_features(ds, s, with_action=True)
+        pool = train & alive
+        spec_s = spec if isinstance(spec, LearnerSpec) else spec[s - 1]
+        warns += reference_pool_warnings(spec_s, pool, F, s, "missingness")
+        target = ds.R[pool, s].astype(float)
+        model = fit_learner(spec_s, F[pool], target, "probability", clip=(OMEGA_FLOOR, 1.0))
+        query = alive if rows is None else alive & rows
+        pred[query, s - 1] = model.predict(F[query])
+        models.append(model)
+    return pred, models, warns
+
+
+class TestForwardFitter:
+    """One forward stage fitter gives pi and omega exactly what their own loops gave."""
+
+    @pytest.mark.parametrize("n", [12, 300])  # 12: the held-out pools warn
+    @pytest.mark.parametrize("learner", ["logistic", "knn", "oracle"])
+    @pytest.mark.parametrize("held_out", [False, True])
+    def test_bitwise_equal_to_separate_loops(self, n, learner, held_out):
+        cfg = DgpConfig(kind="dropout", n=n, T=3, u_l=1.0, seed=17)
+        ds = simulate(cfg)
+        pi_spec, omega_spec = {
+            "logistic": (LearnerSpec.logistic(), LearnerSpec.logistic()),
+            "knn": (LearnerSpec.knn(7), LearnerSpec.knn(7)),
+            "oracle": (oracle_specs(cfg, 3).pi, oracle_specs(cfg, 3).omega),
+        }[learner]
+        folds = split_folds(ds, 3, seed=1)
+        k = 2 if held_out else None
+        train = np.ones(ds.n, dtype=bool) if k is None else folds.by_index != k
+        rows = None if k is None else folds.by_index == k
+        for fit, (pred, models, warns) in (
+            (fit_propensity_sequence(ds, folds, pi_spec, exclude_fold=k),
+             reference_propensity_loop(ds, train, pi_spec)),
+            (fit_missingness_sequence(ds, folds, omega_spec, exclude_fold=k, rows=rows),
+             reference_missingness_loop(ds, train, omega_spec, rows)),
+        ):
+            assert np.array_equal(fit.pred, pred, equal_nan=True)
+            assert [(m.iterations, m.converged) for m in fit.models] == [
+                (m.iterations, m.converged) for m in models
+            ]
+            assert fit.warnings == warns
+
+
+class TestPoolWarnings:
+    """Oracle and zero learners fit nothing, so only learners that fit warn on small pools."""
+
+    CFG = DgpConfig(kind="dropout", n=16, T=3, u_l=1.0, seed=3)
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return simulate(self.CFG)
+
+    def test_no_censoring_omega_oracle_does_not_warn(self, tiny):
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(5), m=LearnerSpec.ridge(1e-6)
+        )
+        est, _ = estimate_no_censoring(tiny, 2, 1, specs, default_grid(), 3)
+        assert not [w for w in est.diagnostics["warnings"] if "underdetermined missingness" in w]
+
+    def test_oracle_cross_fit_does_not_warn(self, tiny):
+        specs = oracle_specs(self.CFG, 3)
+        est, _ = estimate_cross_fit(tiny, 2, 1, specs, default_grid(), 3)
+        assert not [w for w in est.diagnostics["warnings"] if "underdetermined" in w]
+
+    def test_logistic_on_the_same_pools_still_warns(self, tiny):
+        specs = replace(oracle_specs(self.CFG, 3), pi=LearnerSpec.logistic())
+        est, _ = estimate_cross_fit(tiny, 2, 1, specs, default_grid(), 3)
+        warned = [w for w in est.diagnostics["warnings"] if "underdetermined" in w]
+        assert len(warned) == 6  # every stage of both folds: 8-unit pools
+        assert all("underdetermined propensity fit" in w for w in warned)
 
 
 class TestPseudoOutcome:
