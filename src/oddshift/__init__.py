@@ -50,8 +50,6 @@ from .nuisance import (
 from .panel import (
     FoldAssignment,
     PanelDataset,
-    Trajectory,
-    history_at,
     history_features,
     load_long_csv,
     split_folds,

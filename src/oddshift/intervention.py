@@ -75,6 +75,8 @@ class DeltaGrid:
         vals = np.asarray(self.values, dtype=float)
         if vals.size == 0:
             raise ConfigError("grid must be non-empty")
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError("grid values must be finite")
         if vals[0] <= 0:
             raise ConfigError("grid values must be positive")
         if vals.size > 1 and np.any(np.diff(vals) <= 0):
@@ -96,6 +98,8 @@ class DeltaGrid:
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, num: int) -> "DeltaGrid":
+        if not np.all(np.isfinite([lo, hi])):
+            raise ConfigError("grid values must be finite")
         if not 0 < lo <= hi:
             raise ConfigError("need 0 < lo <= hi")
         if num < 1 or (num == 1 and lo != hi):

@@ -13,8 +13,7 @@ A dataset need not record outcomes at every time; ``outcome_times`` lists
 the times at which outcomes are present for every retained subject.
 
 The dense arrays ``X, A, Y, R`` of a ``PanelDataset`` are the panel and
-its only copy of the data; a per-subject ``Trajectory`` of Python tuples
-is built on demand, never stored.
+its only copy of the data.
 
 CSV layout (long format, one row per observed subject-time):
 ``id,time,x1,...,xd,a,y,r`` with time 1-based, a and r in {0,1}, x and
@@ -29,6 +28,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -38,13 +38,10 @@ import numpy as np
 from .errors import ConfigError, PanelDataError
 
 __all__ = [
-    "Trajectory",
     "PanelDataset",
     "FoldAssignment",
-    "retention_violations",
     "validate_monotonicity",
     "split_folds",
-    "history_at",
     "history_features",
     "load_long_csv",
     "write_long_csv",
@@ -60,38 +57,8 @@ def _treatment(a: float):
     return int(a) if a in (0, 1) else a
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One subject's chain. Entries for times with R_t = 0 are None."""
-
-    subject_id: str
-    covariates: tuple  # tuple over t=1..T of tuple[float, ...] | None
-    treatments: tuple  # tuple over t=1..T of int | None
-    outcomes: tuple    # tuple over t=1..T of float | None
-    retention: tuple   # tuple over t=1..T+1 of int
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.covariates)
-
-
-def retention_violations(retention: Sequence[int]) -> list[int]:
-    """Times t at which a retention sequence breaks monotonicity.
-
-    Returns the 1-based times where R_t = 1 follows R_{t-1} = 0, plus
-    t = 1 if R_1 != 1.
-    """
-    bad = []
-    if len(retention) == 0 or retention[0] != 1:
-        bad.append(1)
-    for i in range(1, len(retention)):
-        if retention[i] == 1 and retention[i - 1] == 0:
-            bad.append(i + 1)
-    return bad
-
-
 def _monotonicity_mask(R: np.ndarray) -> np.ndarray:
-    """(n, T+1) mask of the times ``retention_violations`` reports, per row of R."""
+    """(n, T+1) mask of non-monotone times: t = 1 if R_1 != 1, and R_t = 1 after R_{t-1} = 0."""
     bad = np.zeros(R.shape, dtype=bool)
     bad[:, 0] = R[:, 0] != 1
     bad[:, 1:] = (R[:, 1:] == 1) & (R[:, :-1] == 0)
@@ -115,43 +82,9 @@ class PanelDataset:
     Arrays are indexed [unit, time-1]; entries unavailable because of
     dropout hold NaN (never a usable sentinel).  ``R`` has one extra
     column so that R[:, t] is the retention indicator R_{t+1} gating Y_t.
-    The arrays are the only copy of the data: ``trajectory(i)`` and
-    ``trajectories`` build ``Trajectory`` views from them on each call.
+    The arrays are the only copy of the data.  Build a panel with
+    ``from_arrays`` or ``load_long_csv``.
     """
-
-    def __init__(self, trajectories: Sequence[Trajectory], validate: bool = True):
-        trajectories = list(trajectories)
-        n = len(trajectories)
-        T = trajectories[0].n_periods if trajectories else 0
-        d = None
-        for tr in trajectories:
-            if tr.n_periods != T:
-                raise PanelDataError(
-                    f"subject {tr.subject_id!r}: expected {T} periods, got {tr.n_periods}"
-                )
-            for x in tr.covariates:
-                if x is not None:
-                    if d is None:
-                        d = len(x)
-                    elif len(x) != d:
-                        raise PanelDataError(
-                            f"subject {tr.subject_id!r}: covariate dimension mismatch"
-                        )
-            if len(tr.retention) != T + 1:
-                raise PanelDataError(
-                    f"subject {tr.subject_id!r}: retention must have length T+1"
-                )
-        d = d or 0
-
-        def pack(attr, blank):
-            rows = (getattr(tr, attr) for tr in trajectories)
-            return [[blank if v is None else v for v in row] for row in rows]
-
-        X = np.array(pack("covariates", (np.nan,) * d), dtype=float).reshape(n, T, d)
-        A = np.array(pack("treatments", np.nan), dtype=float).reshape(n, T)
-        Y = np.array(pack("outcomes", np.nan), dtype=float).reshape(n, T)
-        R = np.array([tr.retention for tr in trajectories], dtype=np.int8).reshape(n, T + 1)
-        self._store(X, A, Y, R, [tr.subject_id for tr in trajectories], validate)
 
     def _store(self, X, A, Y, R, ids, validate: bool) -> None:
         """Adopt the arrays (without copying) as the panel, freeze them, validate."""
@@ -203,25 +136,6 @@ class PanelDataset:
             for i, t, k in zip(*(idx.tolist() for idx in np.nonzero(cells)))
         ]
 
-    def trajectory(self, i: int) -> Trajectory:
-        """Subject i's chain; a cell is None where R_t != 1 and nothing is recorded."""
-        alive = self.R[i, : self.T] == 1
-        x_kept = alive | ~np.isnan(self.X[i]).all(axis=1)
-        a_kept = alive | ~np.isnan(self.A[i])
-        X, A = self.X[i].tolist(), self.A[i].tolist()
-        return Trajectory(
-            subject_id=self.ids[i],
-            covariates=tuple(tuple(x) if k else None for k, x in zip(x_kept, X)),
-            treatments=tuple(_treatment(a) if k else None for k, a in zip(a_kept, A)),
-            outcomes=tuple(None if y != y else y for y in self.Y[i].tolist()),
-            retention=tuple(self.R[i].tolist()),
-        )
-
-    @property
-    def trajectories(self) -> tuple:
-        """Every subject's ``Trajectory``, built afresh on each access."""
-        return tuple(self.trajectory(i) for i in range(self.n))
-
     @classmethod
     def from_arrays(
         cls,
@@ -271,10 +185,9 @@ def validate_monotonicity(ds: PanelDataset) -> list[tuple[str, int]]:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Partition of subjects into K folds, generated from an explicit seed."""
+    """Partition of subjects into K folds."""
 
     K: int
-    seed: int
     by_index: np.ndarray = field(repr=False)  # (n,) fold label per dataset row
 
 
@@ -291,7 +204,7 @@ def split_folds(ds: PanelDataset, K: int, seed: int) -> FoldAssignment:
     order = rng.permutation(n)
     by_index = np.empty(n, dtype=np.int64)
     by_index[order] = np.arange(n) % K + 1
-    return FoldAssignment(K=K, seed=seed, by_index=by_index)
+    return FoldAssignment(K=K, by_index=by_index)
 
 
 def history_features(
@@ -315,24 +228,6 @@ def history_features(
     if with_action:
         parts.append(ds.A[:, t - 1 : t])
     return np.concatenate(parts, axis=1), ds.R[:, t - 1] == 1
-
-
-def history_at(tr: Trajectory, t: int) -> np.ndarray:
-    """Flattened history vector for one trajectory (R_t = 1 required)."""
-    if not 1 <= t <= tr.n_periods:
-        raise ConfigError(f"time t={t} outside 1..{tr.n_periods}")
-    if tr.retention[t - 1] != 1:
-        raise PanelDataError(
-            f"subject {tr.subject_id!r} not retained at t={t}; history undefined"
-        )
-    parts: list[float] = []
-    for s in range(t):
-        parts.extend(tr.covariates[s])
-    parts.extend(tr.treatments[s] for s in range(t - 1))
-    parts.extend(
-        tr.outcomes[s] for s in range(t - 1) if tr.outcomes[s] is not None
-    )
-    return np.asarray(parts, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +256,8 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
 
     ``n_periods`` overrides the horizon T; otherwise the metadata sidecar
     ``<path>.meta.json`` is consulted, falling back to the largest time
-    present in the file.  A sidecar whose ``n``, ``d`` or ``sha256`` does
-    not match the file is rejected.
+    present in the file; T must be an integer >= 1.  A sidecar whose ``n``,
+    ``d`` or ``sha256`` does not match the file is rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -414,7 +309,7 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     if not subjects:
         raise PanelDataError(f"{path}: no data rows")
     i, t, r, a, y = map(np.array, zip(*cells))
-    T = n_periods
+    T, source = n_periods, "n_periods"
     if T is None:
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
@@ -428,9 +323,11 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
                         f"{meta_path}: stale sidecar: {key} is {meta.get(key)!r}, "
                         f"the file gives {value!r}"
                     )
-            T = int(meta["n_periods"])
+            T, source = meta.get("n_periods"), f"{meta_path}: n_periods"
         else:
             T = int(t.max())
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 1:
+        raise PanelDataError(f"{source} must be an integer >= 1, got {T!r}")
 
     # rows beyond T are ignored; absent rows are R = 0 cells
     n = len(subjects)

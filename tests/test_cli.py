@@ -24,6 +24,16 @@ def panel_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def forbid_fit(monkeypatch):
+    """Make any call of ``estimate_cross_fit`` from the CLI fail the test."""
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("estimate_cross_fit called")
+
+    monkeypatch.setattr(cli, "estimate_cross_fit", no_fit)
+
+
 class TestSimulateCommand:
     def test_outputs(self, panel_dir):
         assert (panel_dir / "panel.csv").exists()
@@ -202,6 +212,20 @@ class TestEstimateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": message}
 
+    @pytest.mark.parametrize(
+        "flags", [["--grid", "[0.5,NaN,2.0]"], ["--grid-hi", "inf", "--grid-size", "3"]]
+    )
+    def test_non_finite_grid_checked_before_any_fit(
+        self, panel_dir, tmp_path, forbid_fit, capsys, flags
+    ):
+        code = cli.main(
+            ["estimate", "--input", str(panel_dir / "panel.csv"), "--seed", "1",
+             "--out", str(tmp_path)] + flags
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "grid values must be finite"}
+
     def test_horizon_beyond_panel_names_it(self, panel_dir, tmp_path):
         res = run(
             ["estimate", "--input", str(panel_dir / "panel.csv"), "--seed", "1",
@@ -210,6 +234,23 @@ class TestEstimateCommand:
         assert res.returncode == 2
         err = json.loads(res.stderr)
         assert err == {"error": "ConfigError", "message": "no recorded outcome at horizon t=7"}
+
+
+@pytest.mark.parametrize("n_periods", [0, -2, "x"])
+@pytest.mark.parametrize("command", ["validate", "estimate"])
+def test_bad_sidecar_horizon_exits_2(panel_dir, tmp_path, forbid_fit, capsys, command, n_periods):
+    for name in ("panel.csv", "panel.csv.meta.json"):
+        (tmp_path / name).write_bytes((panel_dir / name).read_bytes())
+    meta_path = tmp_path / "panel.csv.meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta_path.write_text(json.dumps({**meta, "n_periods": n_periods}), encoding="utf-8")
+    code = cli.main(
+        [command, "--input", str(tmp_path / "panel.csv"), "--seed", "0", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    message = f"{meta_path}: n_periods must be an integer >= 1, got {n_periods!r}"
+    assert err == {"error": "PanelDataError", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -201,7 +201,7 @@ class TestCrossFit:
         from oddshift.panel import FoldAssignment
 
         by_index = np.array([1] * 300 + [2] * 300)
-        folds = FoldAssignment(K=2, seed=0, by_index=by_index)
+        folds = FoldAssignment(K=2, by_index=by_index)
         est, _ = estimate_cross_fit(
             ds, K=2, seed=0, specs=specs,
             grid=DeltaGrid(values=(2.0,)), t=2, folds=folds,

@@ -82,6 +82,13 @@ class TestGrid:
             DeltaGrid(values=(0.0, 1.0))
         with pytest.raises(ConfigError):
             DeltaGrid(values=(2.0, 1.0))
+        for values in [(0.5, np.nan, 2.0), (1.0, np.inf), (-np.inf, 1.0), (np.nan,)]:
+            with pytest.raises(ConfigError, match="grid values must be finite"):
+                DeltaGrid(values=values)
+        with pytest.raises(ConfigError, match="grid values must be finite"):
+            DeltaGrid.from_json("[0.5, NaN, 2.0]")
+        with pytest.raises(ConfigError, match="grid values must be finite"):
+            DeltaGrid.log_spaced(0.1, np.inf, 3)
 
     def test_json_round_trip(self):
         grid = default_grid()

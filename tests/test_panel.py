@@ -9,25 +9,22 @@ from oddshift import (
     ConfigError,
     DgpConfig,
     PanelDataset,
-    Trajectory,
-    history_at,
+    history_features,
     load_long_csv,
     simulate,
     split_folds,
     validate_monotonicity,
     write_long_csv,
 )
-from oddshift.panel import retention_violations, history_features
+
+nan = np.nan
 
 
-def make_traj(sid, retention, x, a, y):
-    return Trajectory(
-        subject_id=sid,
-        covariates=tuple(x),
-        treatments=tuple(a),
-        outcomes=tuple(y),
-        retention=tuple(retention),
-    )
+def assert_same_panel(ds, other):
+    for name in ("X", "A", "Y", "R"):
+        a, b = getattr(ds, name), getattr(other, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+    assert ds.ids == other.ids and ds.outcome_times == other.outcome_times
 
 
 def full_csv(tmp_path, text, name="panel.csv"):
@@ -60,10 +57,14 @@ class TestLoader:
             "s2,1,0.7,0,,1\n"
         )
         ds = load_long_csv(full_csv(tmp_path, text))
-        tr = ds.trajectories[1]
-        assert tr.retention == (1, 0, 0)
-        assert tr.outcomes == (None, None)
-        assert tr.covariates[1] is None
+        expected = PanelDataset.from_arrays(
+            X=[[0.5, 0.6], [0.7, nan]],
+            A=[[1, 0], [0, nan]],
+            Y=[[nan, 3.0], [nan, nan]],
+            R=[[1, 1, 1], [1, 0, 0]],
+            ids=["s1", "s2"],
+        )
+        assert_same_panel(ds, expected)
 
     def test_nonmonotone_rejected(self, tmp_path):
         text = (
@@ -117,27 +118,27 @@ class TestLoader:
         assert np.isnan(ds.Y[0, 0]) and ds.Y[0, 1] == 2.0
 
     def test_round_trip(self, tmp_path):
-        text = (
-            "id,time,x1,a,y,r\n"
-            "u1,1,0.25,1,,1\n"
-            "u1,2,0.5,0,3.25,1\n"
-            "u2,1,-1.5,0,,1\n"
+        ds = PanelDataset.from_arrays(
+            X=[[0.25, 0.5], [-1.5, nan]],
+            A=[[1, 0], [0, nan]],
+            Y=[[nan, 3.25], [nan, nan]],
+            R=[[1, 1, 1], [1, 0, 0]],
+            ids=["u1", "u2"],
         )
-        ds = load_long_csv(full_csv(tmp_path, text))
         out = tmp_path / "copy.csv"
         write_long_csv(ds, out)
-        ds2 = load_long_csv(out, n_periods=ds.T)
-        assert ds2.trajectories == ds.trajectories
+        assert_same_panel(load_long_csv(out, n_periods=ds.T), ds)
         meta = json.loads((tmp_path / "copy.csv.meta.json").read_text())
         assert meta["n"] == 2 and meta["n_periods"] == 2 and meta["d"] == 1
         assert len(meta["sha256"]) == 64
 
     def test_sidecar_supplies_horizon(self, tmp_path):
-        ds = PanelDataset(
-            [
-                make_traj("a", (1, 1, 0), [(0.0,), (0.5,)], [1, 0], [None, None]),
-                make_traj("b", (1, 0, 0), [(1.0,), None], [0, None], [None, None]),
-            ]
+        ds = PanelDataset.from_arrays(
+            X=[[0.0, 0.5], [1.0, nan]],
+            A=[[1, 0], [0, nan]],
+            Y=np.full((2, 2), nan),
+            R=[[1, 1, 0], [1, 0, 0]],
+            ids=["a", "b"],
         )
         out = tmp_path / "p.csv"
         write_long_csv(ds, out)
@@ -155,22 +156,54 @@ class TestLoader:
             load_long_csv(out)
         assert load_long_csv(out, n_periods=6).T == 6
 
+    @pytest.mark.parametrize("n_periods", [0, -1, 2.5, "2", True])
+    def test_bad_horizon_argument(self, tmp_path, n_periods):
+        path = full_csv(tmp_path, "id,time,x1,a,y,r\ns1,1,0.5,1,1.0,1\n")
+        message = f"n_periods must be an integer >= 1, got {n_periods!r}"
+        with pytest.raises(PanelDataError, match=re.escape(message)):
+            load_long_csv(path, n_periods=n_periods)
+
+    @pytest.mark.parametrize("n_periods", [0, -2, "x", None])
+    def test_bad_sidecar_horizon(self, tmp_path, n_periods):
+        out = tmp_path / "p.csv"
+        write_long_csv(simulate(DgpConfig(kind="dropout", n=20, T=3, u_l=1.0, seed=1)), out)
+        meta_path = tmp_path / "p.csv.meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if n_periods is None:
+            del meta["n_periods"]
+        else:
+            meta["n_periods"] = n_periods
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        message = f"{meta_path}: n_periods must be an integer >= 1, got {n_periods!r}"
+        with pytest.raises(PanelDataError, match=re.escape(message)):
+            load_long_csv(out)
+        assert load_long_csv(out, n_periods=3).T == 3
+
+
+def one_subject(R, validate=True):
+    """A one-covariate panel of one subject with retention R and no outcomes."""
+    T = len(R) - 1
+    return PanelDataset.from_arrays(
+        np.zeros((1, T)), np.zeros((1, T)), np.full((1, T), nan), [R],
+        ids=["a"], validate=validate,
+    )
+
 
 class TestValidation:
     def test_all_retained_empty_report(self):
-        ds = PanelDataset(
-            [make_traj("a", (1, 1, 1), [(0.0,), (1.0,)], [1, 0], [None, 2.0])]
+        ds = PanelDataset.from_arrays(
+            X=[[0.0, 1.0]], A=[[1, 0]], Y=[[nan, 2.0]], R=[[1, 1, 1]], ids=["a"]
         )
         assert validate_monotonicity(ds) == []
 
     def test_legal_dropout_empty_report(self):
-        assert retention_violations((1, 1, 0, 0)) == []
+        assert validate_monotonicity(one_subject((1, 1, 0, 0))) == []
 
     def test_violation_reported_at_reentry(self):
-        assert retention_violations((1, 0, 1, 0)) == [3]
-        tr = make_traj("bad", (1, 0, 1, 0), [(0.0,), None, (1.0,)], [1, None, 0], [None] * 3)
-        ds = PanelDataset([tr], validate=False)
-        assert validate_monotonicity(ds) == [("bad", 3)]
+        ds = one_subject((1, 0, 1, 0), validate=False)
+        assert validate_monotonicity(ds) == [("a", 3)]
+        ds = one_subject((0, 1, 1), validate=False)
+        assert validate_monotonicity(ds) == [("a", 1), ("a", 2)]
 
 
 class TestFolds:
@@ -190,7 +223,7 @@ class TestFolds:
         assert sorted(sizes) == [5, 5]
 
     def test_near_balanced_split(self, ds10):
-        sub = PanelDataset(ds10.trajectories[:5])
+        sub = PanelDataset.from_arrays(ds10.X[:5], ds10.A[:5], ds10.Y[:5], ds10.R[:5])
         folds = split_folds(sub, 2, seed=1)
         sizes = sorted(int(np.sum(folds.by_index == k)) for k in (1, 2))
         assert sizes == [2, 3]
@@ -225,39 +258,54 @@ class TestFolds:
 
 class TestHistory:
     @pytest.fixture
-    def traj(self):
-        return make_traj(
-            "h",
-            (1, 1, 0, 0),
-            [(1.0, 2.0), (3.0, 4.0), None, None],
-            [1, 0, None, None],
-            [10.0, None, None, None],
+    def ds(self):
+        # h stays through t=2 with Y_1 recorded; g leaves after t=1
+        return PanelDataset.from_arrays(
+            X=[[[1.0, 2.0], [3.0, 4.0], [nan, nan]], [[5.0, 6.0], [nan, nan], [nan, nan]]],
+            A=[[1, 0, nan], [0, nan, nan]],
+            Y=[[10.0, nan, nan], [nan, nan, nan]],
+            R=[[1, 1, 0, 0], [1, 0, 0, 0]],
+            ids=["h", "g"],
         )
 
-    def test_t1_covariates_only(self, traj):
-        assert np.array_equal(history_at(traj, 1), [1.0, 2.0])
+    def test_t1_covariates_only(self, ds):
+        F, alive = history_features(ds, 1)
+        assert np.array_equal(F, [[1.0, 2.0], [5.0, 6.0]])
+        assert alive.tolist() == [True, True]
 
-    def test_t2_order(self, traj):
-        assert np.array_equal(history_at(traj, 2), [1.0, 2.0, 3.0, 4.0, 1.0, 10.0])
+    def test_t2_order(self, ds):
+        F, _ = history_features(ds, 2)
+        assert np.array_equal(F[0], [1.0, 2.0, 3.0, 4.0, 1.0, 10.0])
+        F, _ = history_features(ds, 2, with_action=True)
+        assert np.array_equal(F[0], [1.0, 2.0, 3.0, 4.0, 1.0, 10.0, 0.0])
 
-    def test_censored_query_errors(self, traj):
-        with pytest.raises(PanelDataError):
-            history_at(traj, 3)
-        with pytest.raises(ConfigError):
-            history_at(traj, 9)
+    def test_censored_query_errors(self, ds):
+        assert history_features(ds, 2)[1].tolist() == [True, False]
+        assert history_features(ds, 3)[1].tolist() == [False, False]
+        for t in (0, 4):
+            with pytest.raises(ConfigError):
+                history_features(ds, t)
 
     def test_depends_only_on_past(self):
-        base = make_traj("x", (1, 1, 1), [(0.5,), (1.5,)], [0, 1], [None, 4.0])
-        changed = make_traj("x", (1, 1, 1), [(0.5,), (9.9,)], [0, 0], [None, -4.0])
-        assert np.array_equal(history_at(base, 1), history_at(changed, 1))
+        def panel(x2, a2, y2):
+            return PanelDataset.from_arrays(
+                X=[[0.5, x2]], A=[[0, a2]], Y=[[nan, y2]], R=[[1, 1, 1]]
+            )
+
+        base, changed = panel(1.5, 1, 4.0), panel(9.9, 0, -4.0)
+        assert np.array_equal(history_features(base, 1)[0], history_features(changed, 1)[0])
+        assert np.array_equal(history_features(base, 2)[0][0], [0.5, 1.5, 0.0])
+        assert np.array_equal(history_features(changed, 2)[0][0], [0.5, 9.9, 0.0])
 
     def test_matrix_matches_per_trajectory(self):
-        ds = PanelDataset(
-            [
-                make_traj("a", (1, 1, 1), [(0.0, 1.0), (2.0, 3.0)], [1, 0], [5.0, 6.0]),
-                make_traj("b", (1, 0, 0), [(4.0, 5.0), None], [0, None], [None, None]),
-            ]
+        ds = PanelDataset.from_arrays(
+            X=[[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [nan, nan]]],
+            A=[[1, 0], [0, nan]],
+            Y=[[5.0, 6.0], [nan, nan]],
+            R=[[1, 1, 1], [1, 0, 0]],
+            ids=["a", "b"],
         )
         F, alive = history_features(ds, 2)
         assert alive.tolist() == [True, False]
-        assert np.array_equal(F[0], history_at(ds.trajectories[0], 2))
+        assert np.array_equal(F[0], [0.0, 1.0, 2.0, 3.0, 1.0, 5.0])
+        assert np.isnan(F[1, 2:4]).all()

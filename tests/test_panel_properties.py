@@ -1,25 +1,35 @@
 """Property tests of the array-backed panel: vectorised validation and CSV round trips.
 
-``reference_invariants`` is the per-cell loop that validated panels when
-each subject was stored as a ``Trajectory`` of tuples; the vectorised
-``PanelDataset.check_invariants`` must report the same messages in the
-same order, whichever constructor built the dataset.
+``reference_invariants`` is a per-cell loop over each subject's cells held
+as tuples; the vectorised ``PanelDataset.check_invariants`` must report the
+same messages in the same order.
 """
 
 import hashlib
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oddshift import PanelDataError, PanelDataset, Trajectory, load_long_csv, write_long_csv
+from oddshift import PanelDataError, PanelDataset, load_long_csv, write_long_csv
 
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+
+
+class Cells(NamedTuple):
+    """One subject's cells over t = 1..T; None marks an absent value."""
+
+    subject_id: str
+    covariates: tuple
+    treatments: tuple
+    outcomes: tuple
+    retention: tuple  # over t = 1..T+1
 
 
 def reference_violations(retention):
@@ -32,14 +42,14 @@ def reference_violations(retention):
     return bad
 
 
-def reference_invariants(trajectories):
-    """Per-cell invariant loop over tuples; None marks an absent value."""
-    T = trajectories[0].n_periods
+def reference_invariants(subjects):
+    """Per-cell invariant loop over ``Cells``."""
+    T = len(subjects[0].covariates)
     outcome_times = {
-        t + 1 for tr in trajectories for t in range(T) if tr.outcomes[t] is not None
+        t + 1 for tr in subjects for t in range(T) if tr.outcomes[t] is not None
     }
     problems = []
-    for tr in trajectories:
+    for tr in subjects:
         bad = reference_violations(tr.retention)
         for t in bad:
             problems.append(f"subject {tr.subject_id!r}: non-monotone retention at t={t}")
@@ -104,12 +114,10 @@ def valid_panels(draw):
 
 @st.composite
 def damaged_cells(draw):
-    """Per-subject cells of a valid panel with violations of every kind injected.
+    """Arrays of a valid panel with violations of every kind injected.
 
-    Covariates are either complete or absent (None / all-NaN) and at least
-    one covariate vector is present, so d is known: a panel that records no
-    covariate at all has d = 0, and zero-width arrays cannot mark a
-    covariate as missing.
+    Covariates are either complete or absent (all-NaN), with d >= 1:
+    zero-width arrays cannot mark a covariate as missing.
     """
     X, A, Y, R, ids = draw(valid_panels())
     n, T = A.shape
@@ -147,17 +155,17 @@ def damaged_cells(draw):
     return X, A, Y, R, ids
 
 
-def as_trajectories(X, A, Y, R, ids, blank):
-    """Tuples of the arrays, NaN read as absent; ``blank`` drops X and A where R_t != 1."""
+def as_cells(X, A, Y, R, ids):
+    """``Cells`` of the arrays, NaN read as absent and X, A dropped where R_t != 1."""
     out = []
     for i, sid in enumerate(ids):
         cov, trt, res = [], [], []
         for t in range(A.shape[1]):
-            gone = blank and R[i, t] != 1
+            gone = R[i, t] != 1
             cov.append(None if gone or np.isnan(X[i, t]).all() else tuple(X[i, t].tolist()))
             trt.append(None if gone or np.isnan(A[i, t]) else A[i, t].item())
             res.append(None if np.isnan(Y[i, t]) else Y[i, t].item())
-        out.append(Trajectory(sid, tuple(cov), tuple(trt), tuple(res), tuple(R[i].tolist())))
+        out.append(Cells(sid, tuple(cov), tuple(trt), tuple(res), tuple(R[i].tolist())))
     return out
 
 
@@ -166,12 +174,8 @@ class TestVectorisedInvariants:
     @given(damaged_cells())
     def test_both_constructors_match_cell_loop(self, panel):
         X, A, Y, R, ids = panel
-        trajectories = as_trajectories(X, A, Y, R, ids, blank=False)
-        ds = PanelDataset(trajectories, validate=False)
-        assert ds.check_invariants() == reference_invariants(trajectories)
-
         ds = PanelDataset.from_arrays(X, A, Y, R, ids=ids, validate=False)
-        expected = reference_invariants(as_trajectories(X, A, Y, R, ids, blank=True))
+        expected = reference_invariants(as_cells(X, A, Y, R, ids))
         assert ds.check_invariants() == expected
         if expected:
             with pytest.raises(PanelDataError) as err:
@@ -183,10 +187,6 @@ class TestVectorisedInvariants:
     def test_valid_panels_pass_and_views_round_trip(self, panel):
         ds = PanelDataset.from_arrays(*panel)
         assert ds.check_invariants() == []
-        again = PanelDataset(ds.trajectories)
-        for name in ("X", "A", "Y", "R"):
-            assert np.array_equal(getattr(again, name), getattr(ds, name), equal_nan=True)
-        assert again.ids == ds.ids and again.outcome_times == ds.outcome_times
 
 
 class TestCsvRoundTrip:
@@ -237,7 +237,3 @@ class TestTypedArrayErrors:
     def test_arrays_are_the_only_state(self):
         ds = PanelDataset.from_arrays(*self.arrays(), ids=["u", "v"])
         assert set(vars(ds)) == {"X", "A", "Y", "R", "ids", "n", "T", "d", "outcome_times"}
-        assert ds.trajectory(1) == Trajectory(
-            "v", ((2.5,), (3.5,)), (0, 1), (None, 5.0), (1, 1, 1)
-        )
-        assert ds.trajectories == (ds.trajectory(0), ds.trajectory(1))
