@@ -1,4 +1,4 @@
-"""Score the four estimators against the Monte Carlo truth.
+"""Score the four estimators against the exact truth.
 
 A scaled-down version of the benchmark protocol: repeat the generator,
 run the cross-fitted estimator and its three baselines on each draw, and
@@ -17,7 +17,7 @@ specs = od.NuisanceSpecs(
     m=od.LearnerSpec.ridge(1e-6),
 )
 
-result = od.run_benchmark(cfg, S=10, grid=grid, specs=specs, seed=11, truth_draws=100_000)
+result = od.run_benchmark(cfg, S=10, grid=grid, specs=specs, seed=11)
 
 print(f"replications: {result.S}, n={result.n}, periods={result.T}")
 print(f"average dropout by the end: {result.dropout_fraction:.1%}\n")

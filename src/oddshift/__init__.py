@@ -59,6 +59,7 @@ from .panel import (
 from .simulation import (
     BenchmarkResult,
     DgpConfig,
+    exact_effect_curve,
     normalized_rmse,
     oracle_specs,
     relative_efficiency_mc,

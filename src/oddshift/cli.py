@@ -217,7 +217,6 @@ def _cmd_bench(args) -> int:
         specs=_specs_from(cfg),
         seed=dgp.seed,
         K=_value(cfg, "K", 2),
-        truth_draws=_value(cfg, "truth_draws", 200_000),
         threads=_value(cfg, "threads", 1),
     )
     out = _outdir(cfg)
@@ -308,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, help="trial treatment probability")
     sp.set_defaults(fn=_cmd_simulate)
 
-    sp = sub.add_parser("bench", help="estimator benchmark against the Monte Carlo truth")
+    sp = sub.add_parser("bench", help="estimator benchmark against the exact truth")
     add_common(sp)
     sp.add_argument("--kind", choices=["dropout", "trial", "observational"])
     sp.add_argument("--n", type=int)
@@ -321,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-size", dest="grid_size", type=int)
     sp.add_argument("--grid-lo", dest="grid_lo", type=float)
     sp.add_argument("--grid-hi", dest="grid_hi", type=float)
-    sp.add_argument("--truth-draws", dest="truth_draws", type=int)
+    sp.add_argument("--truth-draws", dest="truth_draws", type=int,
+                    help="ignored: the truth is exact")
     sp.add_argument("--pi-learner", dest="pi_learner")
     sp.add_argument("--omega-learner", dest="omega_learner")
     sp.add_argument("--m-learner", dest="m_learner")

@@ -115,7 +115,8 @@ def _fit_forward(
     """Fit target[:, t-1] ~ history_features(t) on retained training units, t = 1..t*.
 
     Predictions fill the retained units of the ``rows`` mask (every
-    retained unit by default), NaN elsewhere.
+    retained unit by default), NaN elsewhere.  A fit that stops at the
+    iteration cap without converging adds a warning.
     """
     t_star = ds.T if t_star is None else t_star
     train = _train_mask(ds, folds, exclude_fold)
@@ -127,6 +128,10 @@ def _fit_forward(
         spec_s = _spec_at(spec, s)
         _check_pool(spec_s, int(pool.sum()), F.shape[1], s, warns, what)
         model = fit_learner(spec_s, F[pool], target[pool, s - 1], "probability", clip=clip)
+        if not model.converged:
+            warns.append(
+                f"{what} fit at t={s} stopped at IRLS_MAX_ITER={model.iterations} without converging"
+            )
         query = alive if rows is None else alive & rows
         pred[query, s - 1] = model.predict(F[query])
         models.append(model)

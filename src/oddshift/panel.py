@@ -113,8 +113,10 @@ class PanelDataset:
 
         Messages run subject by subject, then by time, then in the order of
         ``_PROBLEMS``; a non-monotone subject reports only its monotonicity
-        lines.  A value is present when it is not NaN; covariates must be
-        complete where R_t = 1 and absent elsewhere.
+        lines.  A value is present when it is not NaN; covariates and the
+        treatment must be complete where R_t = 1.  Neither can be present
+        where R_t != 1: ``from_arrays`` blanks those cells and
+        ``load_long_csv`` rejects them, so only retained cells are checked.
         """
         alive = self.R[:, : self.T] == 1
         stays = self.R[:, 1:] == 1
@@ -124,8 +126,7 @@ class PanelDataset:
         mono = _monotonicity_mask(self.R)
         cells = np.zeros((self.n, self.T + 1, len(_PROBLEMS)), dtype=bool)
         cells[:, :, 0] = mono
-        cells[:, :-1, 1] = np.where(alive, x_nan.any(axis=2), ~x_nan.all(axis=2))
-        cells[:, :-1, 1] |= has_a != alive
+        cells[:, :-1, 1] = alive & (x_nan.any(axis=2) | ~has_a)
         cells[:, :-1, 2] = has_a & (self.A != 0) & (self.A != 1)
         cells[:, :-1, 3] = has_y & ~stays
         cells[:, :-1, 4] = has_y.any(axis=0) & stays & ~has_y

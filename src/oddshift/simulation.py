@@ -13,9 +13,12 @@ Three generators share one structural family:
   dropout, and Y_T normal around 10 + sqrt(#treated) truncated at two
   standard deviations.
 
-``true_effect_curve`` computes the target curve by drawing treatments
-from the shifted propensities (no dropout) and averaging the structural
-outcome mean; it is the ground truth all estimator checks compare to.
+``exact_effect_curve`` computes the target curve exactly, with no
+dropout: for the covariate family a forward recursion over the last two
+treatments with the mean shifted propensities, for the trial a binomial
+sum.  ``true_effect_curve`` computes the same curve by drawing treatments
+from the shifted propensities and averaging the structural outcome mean;
+it is coded separately and kept as an independent Monte Carlo check.
 
 Each generator also exports oracle nuisance functions.  For the dropout
 generator the observable retention propensity marginalizes the latent
@@ -53,6 +56,7 @@ __all__ = [
     "BenchmarkResult",
     "simulate",
     "true_effect_curve",
+    "exact_effect_curve",
     "oracle_specs",
     "true_propensities",
     "normalized_rmse",
@@ -172,7 +176,7 @@ def true_effect_curve(
     draws: int = 200_000,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-truth curve by intervention-draw Monte Carlo.
+    """Ground-truth curve by intervention-draw Monte Carlo, the check on ``exact_effect_curve``.
 
     Treatments are drawn from the shifted propensities, covariates evolve
     as in the generator, there is no dropout, and the structural outcome
@@ -207,6 +211,34 @@ def true_effect_curve(
     return psi, se
 
 
+def exact_effect_curve(cfg: DgpConfig, grid, t: int) -> np.ndarray:
+    """Ground-truth curve psi_t(delta), exact up to quadrature, one value per grid point.
+
+    Covariate family: psi_t = 10 + E|1'X_t + 1'X_{t-1}| + P(A_t=1) +
+    P(A_{t-1}=1), where the covariates are independent of the treatments,
+    so the absolute term is 2/sqrt(pi) at t=1 and 2*sqrt(2/pi) after, and
+    P(A_s=1) comes from a forward recursion over (A_{s-1}, A_{s-2}) with
+    the mean shifted propensities as transitions.  Trial: the continuation
+    table collapsed to stage 0, sum_k Binom(t, q)(k) * (10 + sqrt(k)).
+    """
+    if not 1 <= t <= cfg.T:
+        raise ConfigError(f"horizon t={t} must lie in 1..{cfg.T}")
+    deltas = np.asarray(grid.values if isinstance(grid, DeltaGrid) else grid, dtype=float)
+    if cfg.kind == "trial":
+        return _trial_tables(t, incremental_propensity(cfg.p, deltas))[0][0]
+    qbar = _mean_shifted_propensity(t, deltas)
+    # state[a, b, j]: P(A_{s-1}=a, A_{s-2}=b) under delta j; no treatment before s=1
+    state = np.zeros((2, 2, deltas.size))
+    state[0, 0] = 1.0
+    prev = cur = np.zeros(deltas.size)  # P(A_{s-1}=1), P(A_s=1)
+    for s in range(1, t + 1):
+        joint = state * qbar[s]  # P(A_s=1, A_{s-1}=a, A_{s-2}=b)
+        prev, cur = cur, joint.sum(axis=(0, 1))
+        state = np.stack([(state - joint).sum(axis=1), joint.sum(axis=1)])
+    c_abs = 2.0 / math.sqrt(math.pi) if t == 1 else 2.0 * math.sqrt(2.0 / math.pi)
+    return 10.0 + c_abs + cur + prev
+
+
 # ---------------------------------------------------------------------------
 # Oracle nuisance functions
 # ---------------------------------------------------------------------------
@@ -223,6 +255,26 @@ def _e_abs_shifted(v: np.ndarray, sigma2: float = 2.0) -> np.ndarray:
     )
 
 
+def _mean_shifted_propensity(t_star: int, deltas) -> np.ndarray:
+    """qbar[s, a, b, j]: mean shifted propensity at s = 1..t* given A_{s-1}=a, A_{s-2}=b.
+
+    Gauss-Hermite quadrature over 1'X_s ~ N(0, 2) for each delta j; row
+    s = 0 stays zero.
+    """
+    x, w = hermgauss(_GH_NODES)
+    u = math.sqrt(2.0 * 2.0) * x  # integration points for U ~ N(0,2)
+    w = w / math.sqrt(math.pi)
+    # each delta's node sum stays a 1-D sum
+    grid = np.asarray(deltas, dtype=float)[:, None]
+    qbar = np.zeros((t_star + 1, 2, 2, grid.size))
+    for s in range(1, t_star + 1):
+        for a in (0, 1):
+            for b in (0, 1):
+                q = w * incremental_propensity(expit(_prop_logit(u, a, b, s)), grid)
+                qbar[s, a, b] = [np.sum(row) for row in q]
+    return qbar
+
+
 class _ContinuationOracle:
     """Exact continuation values m_s(H_s, a) for the covariate DGP family.
 
@@ -234,20 +286,9 @@ class _ContinuationOracle:
 
     def __init__(self, t_star: int, deltas):
         self.t_star = t_star
-        x, w = hermgauss(_GH_NODES)
-        u = math.sqrt(2.0 * 2.0) * x  # integration points for U ~ N(0,2)
-        w = w / math.sqrt(math.pi)
         # mean of E|U' + U| over U ~ N(0,2): |N(0,4)| has mean 2*sqrt(2/pi)
         c_abs = 2.0 * math.sqrt(2.0 / math.pi)
-        # qbar[s, a, b, j]: mean shifted propensity at s given A_{s-1}=a and
-        # A_{s-2}=b, for delta j; each delta's node sum stays a 1-D sum
-        grid = np.asarray(deltas, dtype=float)[:, None]
-        qbar = np.zeros((t_star + 1, 2, 2, grid.size))
-        for s in range(2, t_star + 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    q = w * incremental_propensity(expit(_prop_logit(u, a, b, s)), grid)
-                    qbar[s, a, b] = [np.sum(row) for row in q]
+        qbar = _mean_shifted_propensity(t_star, deltas)
         # tables[s, a, b, j]: m_s at A_s=a, A_{s-1}=b for delta j, s <= t*-2
         t = t_star
         tables = np.zeros_like(qbar)
@@ -305,6 +346,20 @@ class _RetentionOracle:
         return by_path[row_path.ravel()]
 
 
+def _trial_tables(t_star: int, q: np.ndarray) -> dict[int, np.ndarray]:
+    """Trial continuation values v_s over (k_s = 0..s, delta) for s = t*-1 down to 0.
+
+    k_s counts the treated periods through s and q holds the shifted
+    propensity per delta; v_0[0] is the curve psi_t*.
+    """
+    values = {}
+    table = (10.0 + np.sqrt(np.arange(t_star + 1.0)))[:, None]
+    for s in range(t_star - 1, -1, -1):
+        table = q * table[1:] + (1.0 - q) * table[:-1]
+        values[s] = table
+    return values
+
+
 def _true_pi(cfg: DgpConfig, s: int, F: np.ndarray) -> np.ndarray:
     """Structural treatment propensity at time s for rows of history features H_s."""
     if cfg.kind == "trial":
@@ -347,11 +402,7 @@ def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
     if cfg.kind == "trial":
         def m_specs(deltas: tuple):
             q = incremental_propensity(cfg.p, np.asarray(deltas, dtype=float))
-            values: dict[int, np.ndarray] = {}
-            table = (10.0 + np.sqrt(np.arange(t_star + 1.0)))[:, None]
-            for s in range(t_star - 1, 0, -1):
-                table = q * table[1:] + (1.0 - q) * table[:-1]  # v_s over (k_s = 0..s, delta)
-                values[s] = table
+            values = _trial_tables(t_star, q)
 
             def fn_for(s):
                 def fn(F, s=s):
@@ -470,8 +521,11 @@ def run_benchmark(
 
     Estimators: the cross-fit estimator, the plug-in and IPW baselines,
     and the no-censoring baseline (dropouts discarded, retention weights
-    pinned at one).  Deterministic for a given seed; replicate seeds are
-    derived so results do not depend on execution order or thread count.
+    pinned at one).  The truth is ``exact_effect_curve``, so ``truth_se``
+    is all zeros.  ``truth_draws`` is ignored; it is still accepted so
+    that callers passing it keep working until it is removed.
+    Deterministic for a given seed; replicate seeds are derived so
+    results do not depend on execution order or thread count.
     """
     if threads > 1:
         try:
@@ -480,9 +534,7 @@ def run_benchmark(
             raise ConfigError(f"threads > 1 needs picklable specs: {exc}") from None
     grid = grid if isinstance(grid, DeltaGrid) else DeltaGrid(tuple(grid))
     t = cfg.T if t is None else t
-    truths, truth_se = true_effect_curve(
-        cfg, grid, t, draws=truth_draws, seed=_derived_seed(seed, 0)
-    )
+    truths = exact_effect_curve(cfg, grid, t)
     psi_bar = float(truths.mean())
     jobs = [
         (cfg, grid.values, specs, t, K, _derived_seed(seed, r, 1), _derived_seed(seed, r, 2))
@@ -510,7 +562,7 @@ def run_benchmark(
         u_l=cfg.u_l,
         seed=seed,
         truths=truths,
-        truth_se=truth_se,
+        truth_se=np.zeros_like(truths),
         estimates=estimates,
     )
 

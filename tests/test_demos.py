@@ -1,4 +1,4 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion and leaves no temporary files."""
 
 import os
 import subprocess
@@ -12,9 +12,12 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script, tmp_path):
-    # TMPDIR keeps the files a demo writes under tempfile inside tmp_path
-    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    # TMPDIR catches the files a demo writes under tempfile; it must clean them up
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = {**os.environ, "TMPDIR": str(tmpdir)}
     proc = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []

@@ -27,7 +27,7 @@ from oddshift import (
     split_folds,
     true_propensities,
 )
-from oddshift import nuisance
+from oddshift import learners, nuisance
 from oddshift.learners import OMEGA_FLOOR, PI_CLIP
 from oddshift.panel import history_features
 from oddshift.simulation import (
@@ -253,6 +253,41 @@ class TestPoolWarnings:
         warned = [w for w in est.diagnostics["warnings"] if "underdetermined" in w]
         assert len(warned) == 6  # every stage of both folds: 8-unit pools
         assert all("underdetermined propensity fit" in w for w in warned)
+
+
+class TestIterationCap:
+    """A propensity or retention fit stopped by the IRLS iteration cap is a tagged warning."""
+
+    CFG = DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=5)
+    SPECS = NuisanceSpecs(
+        pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-6)
+    )
+
+    def test_capped_fits_warn_by_fold_stage_and_nuisance(self, monkeypatch):
+        monkeypatch.setattr(learners, "IRLS_MAX_ITER", 1)
+        est, _ = estimate_cross_fit(simulate(self.CFG), 2, 1, self.SPECS, default_grid(), 3)
+        warns = est.diagnostics["warnings"]
+        for k in (1, 2):
+            assert not any(est.diagnostics["folds"][k - 1]["pi_converged"])
+            for s in (1, 2, 3):
+                assert (
+                    f"fold {k}: propensity fit at t={s} stopped at IRLS_MAX_ITER=1 "
+                    "without converging"
+                ) in warns
+        assert any(w.startswith("fold 1: missingness fit at t=") for w in warns)
+
+    def test_warnings_match_the_convergence_flags(self):
+        est, _ = estimate_cross_fit(simulate(self.CFG), 2, 1, self.SPECS, default_grid(), 3)
+        cap = learners.IRLS_MAX_ITER
+        want = [
+            f"fold {k}: {what} fit at t={s} stopped at IRLS_MAX_ITER={cap} without converging"
+            for k, fold in enumerate(est.diagnostics["folds"], start=1)
+            for key, what in (("pi_converged", "propensity"), ("omega_converged", "missingness"))
+            for s, converged in enumerate(fold[key], start=1)
+            if not converged
+        ]
+        assert want  # fold 1's retention fit at t=2 runs into the cap at the default
+        assert [w for w in est.diagnostics["warnings"] if "IRLS_MAX_ITER" in w] == want
 
 
 class TestPseudoOutcome:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from oddshift import (
     ConfigError,
     DeltaGrid,
     DgpConfig,
+    exact_effect_curve,
     normalized_rmse,
     oracle_specs,
     relative_efficiency_mc,
@@ -19,9 +21,10 @@ from oddshift import (
     validate_monotonicity,
     write_long_csv,
 )
+from oddshift import simulation
 from oddshift.learners import LearnerSpec
 from oddshift.nuisance import NuisanceSpecs
-from oddshift.simulation import _prop_logit
+from oddshift.simulation import _ContinuationOracle, _prop_logit
 
 
 def array_true_propensities(cfg, ds, t):
@@ -99,6 +102,64 @@ class TestTruePropensities:
             assert np.array_equal(pi, array_true_propensities(cfg, ds, t), equal_nan=True)
         if kind == "dropout":
             assert np.isnan(pi).any()
+
+
+class TestExactTruth:
+    GRID = DeltaGrid.log_spaced(0.1, 5.0, 5)
+
+    @pytest.mark.parametrize("kind", ["dropout", "observational", "trial"])
+    def test_agrees_with_monte_carlo(self, kind):
+        # the exact curve carries no error, so the pooled SE is the Monte Carlo one
+        cfg = DgpConfig(kind=kind, n=10, T=10, u_l=1.0, p=0.3)
+        for t in (1, 2, 3, 10):
+            exact = exact_effect_curve(cfg, self.GRID, t)
+            psi, se = true_effect_curve(cfg, self.GRID, t, draws=200_000, seed=t)
+            assert exact.shape == (len(self.GRID),)
+            assert np.all(np.abs(exact - psi) < 4.0 * se), (t, (exact - psi) / se)
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 12])
+    def test_trial_limits(self, t):
+        cfg = DgpConfig(kind="trial", n=10, T=12, p=0.3)
+        never, always = exact_effect_curve(cfg, [1e-12, 1e12], t)
+        assert never == pytest.approx(10.0, abs=1e-9)
+        assert always == pytest.approx(10.0 + math.sqrt(t), abs=1e-9)
+
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    def test_covariate_limits(self, t):
+        # E|1'X_t + 1'X_{t-1}| is E|N(0,2)| at t=1 and E|N(0,4)| after
+        c_abs = 2.0 / math.sqrt(math.pi) if t == 1 else 2.0 * math.sqrt(2.0 / math.pi)
+        never, always = exact_effect_curve(DgpConfig(kind="dropout", n=10, T=5), [1e-12, 1e12], t)
+        assert never == pytest.approx(10.0 + c_abs, abs=1e-8)
+        assert always == pytest.approx(10.0 + min(t, 2) + c_abs, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [3, 4, 10])
+    def test_forward_recursion_equals_backward_tables(self, t):
+        # collapsing the continuation oracle's stage-1 table over A_1 gives psi_t
+        deltas = tuple(self.GRID.values)
+        oracle = _ContinuationOracle(t, deltas)
+        q1 = oracle._qbar[1, 0, 0]
+        backward = q1 * oracle._tables[1][1, 0] + (1.0 - q1) * oracle._tables[1][0, 0]
+        forward = exact_effect_curve(DgpConfig(kind="observational", n=10, T=t), deltas, t)
+        assert np.allclose(forward, backward, rtol=0.0, atol=1e-12)
+
+    def test_horizon_checked(self):
+        cfg = DgpConfig(kind="trial", n=10, T=3)
+        for t in (0, 4):
+            with pytest.raises(ConfigError):
+                exact_effect_curve(cfg, [1.0], t)
+
+    def test_benchmark_runs_no_monte_carlo(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_benchmark drew a Monte Carlo truth")
+
+        monkeypatch.setattr(simulation, "true_effect_curve", fail)
+        cfg = DgpConfig(kind="dropout", n=120, T=2, u_l=1.0, seed=1)
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(30), m=LearnerSpec.ridge(0.01)
+        )
+        res = run_benchmark(cfg, S=1, grid=self.GRID, specs=specs, seed=4, truth_draws=10)
+        assert np.array_equal(res.truths, exact_effect_curve(cfg, self.GRID, 2))
+        assert np.array_equal(res.truth_se, np.zeros(len(self.GRID)))
 
 
 class TestTruth:
