@@ -8,7 +8,13 @@ i.i.d. Rademacher signs and records the supremum over the grid of the
 absolute standardized mean; c_alpha is the empirical 1-alpha quantile of
 these suprema, floored at z_{1-alpha/2} so the uniform band always
 contains the pointwise band.
-"""
+
+The bootstrap runs in two passes.  The first stacks a block of
+replicates' signs and takes their suprema with one matrix product; the
+second recomputes, one matrix-vector product each, the few replicates
+whose suprema lie within a rounding bound of the order statistics the
+quantile reads.  c_alpha is therefore bitwise the quantile of the
+per-replicate products, whatever the block size."""
 
 from __future__ import annotations
 
@@ -53,9 +59,11 @@ def pointwise_interval(
 
 
 def check_band_options(alpha: float, B: int) -> None:
-    """Reject a band level outside (0,1) or fewer than 100 bootstrap replicates."""
+    """Reject a band level outside (0,1), or a B that is not an integer of at least 100."""
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0,1)")
+    if not isinstance(B, (int, np.integer)):
+        raise ConfigError(f"the bootstrap replicate count B must be an integer, got {B!r}")
     if B < 100:
         raise ConfigError("need at least 100 bootstrap replicates")
 
@@ -78,21 +86,87 @@ class ConfidenceBand:
     excluded: tuple = ()
 
 
-def _bootstrap_sup(
-    centered: np.ndarray, sigma: np.ndarray, n: int, B: int, seed: int
-) -> np.ndarray:
-    """Suprema of |standardized multiplier means| for B replicates.
+# Bytes of +-1 signs that the first bootstrap pass stacks into one block,
+# so that a block of replicates costs one gemm over the standardized
+# values instead of one gemv per replicate.
+_SIGN_BLOCK_BYTES = 1 << 20
+_UNIT_ROUNDOFF = 2.0**-53
 
-    Replicate b draws its signs from a stream keyed by (seed, b), so the
+
+def _signs(seed: int, b: int, n: int) -> np.ndarray:
+    """Replicate b's 0/1 draws, from a stream keyed by (seed, b)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+    return rng.integers(0, 2, size=n)
+
+
+def _bootstrap_quantile(
+    centered: np.ndarray, sigma: np.ndarray, n: int, B: int, seed: int, level: float
+) -> float:
+    """The level-quantile of sup |standardized multiplier mean| over B replicates.
+
+    Replicate b draws its signs xi from a stream keyed by (seed, b), so the
     collection is identical however replicates are scheduled or batched.
+    Its statistic is max_j |sum_i xi_i s_ij| on the standardized values s.
+
+    Pass 1 stacks a block of replicates' signs and takes all their
+    statistics with one gemm.  Its rounding differs from the per-replicate
+    gemv ``xi @ s``, but both are sums of n exactly signed terms, so each
+    is within gamma_n * sum_i |s_ij| of the exact sum and, max |.| being
+    1-Lipschitz, an approximate statistic is within
+    eps = 2 gamma_n max_j sum_i |s_ij| of the gemv one.  Pass 2 recomputes
+    with the gemv every replicate within 2 eps of the two order statistics
+    that the linear quantile reads.  The patched statistics then count
+    like the gemv ones on an interval that holds both order statistics,
+    so the quantile is bitwise the one of the per-replicate gemv.
     """
     scaled = centered / (np.sqrt(n) * sigma[None, :])  # sum_i xi_i * scaled -> stat
+    rows = max(1, _SIGN_BLOCK_BYTES // (8 * n))
+    block = np.empty((min(rows, B), n))
     sups = np.empty(B)
-    for b in range(B):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        xi = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        sups[b] = np.max(np.abs(xi @ scaled))
-    return sups
+    for lo in range(0, B, rows):
+        signs = block[: min(rows, B - lo)]
+        for r in range(signs.shape[0]):
+            signs[r] = _signs(seed, lo + r, n)
+        signs *= 2.0
+        signs -= 1.0
+        sups[lo : lo + signs.shape[0]] = np.max(np.abs(signs @ scaled), axis=1)
+
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    eps = 2.0 * gamma * float(np.max(np.sum(np.abs(scaled), axis=0)))
+    i = int(np.floor((B - 1) * level))  # np.quantile's linear rule reads order stats i, j
+    j = min(i + 1, B - 1)
+    low, high = np.partition(sups, (i, j))[[i, j]]
+    window = (sups >= low - 2.0 * eps) & (sups <= high + 2.0 * eps)  # factor 2: safety
+    for b in np.flatnonzero(window):
+        sups[b] = np.max(np.abs((_signs(seed, int(b), n) * 2.0 - 1.0) @ scaled))
+    return float(np.quantile(sups, level))
+
+
+def _centered(eif: EifMatrix, psi: EffectEstimate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_hat, the mask sigma_hat > 0, and the centered influence values of those columns.
+
+    Raises EstimationError naming the horizon and the deltas whose influence
+    values or estimate are not finite, or overflow when centered and
+    standardized: the bootstrap's rounding bound needs every standardized
+    value finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = estimate_variance(eif, psi)
+        usable = sigma > 0
+        centered = eif.values[:, usable] - psi.psi_hat[None, usable]
+        overflow = ~np.isfinite(np.sqrt(eif.n) * sigma)
+    overflow[usable] |= ~np.all(np.isfinite(centered), axis=0)
+    nonfinite = ~(np.all(np.isfinite(eif.values), axis=0) & np.isfinite(psi.psi_hat))
+    deltas = np.asarray(eif.grid.values)
+    for bad, what in (
+        (nonfinite, "non-finite influence values"),
+        (overflow, "influence values overflow when standardized"),
+    ):
+        if np.any(bad):
+            raise EstimationError(
+                f"{what} at t={eif.t}, delta={tuple(float(d) for d in deltas[bad])}"
+            )
+    return sigma, usable, centered
 
 
 def uniform_band(
@@ -112,13 +186,30 @@ def uniform_band(
     the supremum so the critical value covers every (delta, horizon)
     jointly.  Off by default: pooling widens the band and multiplies the
     bootstrap cost.
+
+    Non-finite influence values or estimates, in the main horizon or a
+    pooled one, raise EstimationError naming the horizon and deltas, as do
+    values that overflow when centered and standardized.
+
+    The critical value comes from two passes over the B replicates: one
+    matrix product per block of replicates locates the 1-alpha quantile,
+    and the replicates within a rounding bound of it are recomputed one
+    by one, so c_alpha_raw is bitwise the quantile of per-replicate
+    matrix-vector products and does not depend on the block size.
     """
     check_band_options(alpha, B)
     n = eif.n
     if n < 2:
         raise EstimationError("band needs at least two units")
-    sigma = estimate_variance(eif, psi)
-    usable = sigma > 0
+    sigma, usable, main = _centered(eif, psi)
+    centered = [main]
+    sigmas = [sigma[usable]]
+    for other_eif, other_psi in pool_with:
+        if other_eif.n != n:
+            raise ConfigError("pooled horizons must cover the same units")
+        s, keep, other = _centered(other_eif, other_psi)
+        centered.append(other)
+        sigmas.append(s[keep])
     deltas = np.asarray(eif.grid.values)
     excluded = tuple(float(d) for d in deltas[~usable])
     if excluded:
@@ -128,20 +219,10 @@ def uniform_band(
         )
     if not np.any(usable):
         raise EstimationError("all grid points have zero variance; no band")
-    centered = [eif.values[:, usable] - psi.psi_hat[None, usable]]
-    sigmas = [sigma[usable]]
-    for other_eif, other_psi in pool_with:
-        if other_eif.n != n:
-            raise ConfigError("pooled horizons must cover the same units")
-        s = estimate_variance(other_eif, other_psi)
-        keep = s > 0
-        centered.append(other_eif.values[:, keep] - other_psi.psi_hat[None, keep])
-        sigmas.append(s[keep])
-    sups = _bootstrap_sup(
-        np.concatenate(centered, axis=1), np.concatenate(sigmas), n, B, seed
+    c_raw = _bootstrap_quantile(
+        np.concatenate(centered, axis=1), np.concatenate(sigmas), n, B, seed, 1.0 - alpha
     )
     z = float(norm.ppf(1.0 - alpha / 2.0))
-    c_raw = float(np.quantile(sups, 1.0 - alpha))
     c_alpha = max(c_raw, z)  # the sup statistic dominates each pointwise |Z|
     lo, hi = pointwise_interval(psi.psi_hat, sigma, n, alpha)
     half = c_alpha * sigma / np.sqrt(n)

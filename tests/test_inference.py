@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -7,7 +9,9 @@ from oddshift import (
     DeltaGrid,
     EffectEstimate,
     EifMatrix,
+    EstimationError,
     estimate_variance,
+    inference,
     pointwise_interval,
     uniform_band,
 )
@@ -139,3 +143,127 @@ class TestUniformBand:
         with pytest.raises(ConfigError):
             short_eif, short_est = make_pair(other_vals[:100])
             uniform_band(eif, est, B=300, seed=0, pool_with=[(short_eif, short_est)])
+
+
+def reference_bootstrap_sup(centered, sigma, n, B, seed):
+    """The per-replicate loop: one gemv per replicate on its own keyed stream."""
+    scaled = centered / (np.sqrt(n) * sigma[None, :])  # sum_i xi_i * scaled -> stat
+    sups = np.empty(B)
+    for b in range(B):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        xi = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        sups[b] = np.max(np.abs(xi @ scaled))
+    return sups
+
+
+def reference_c_alpha_raw(pairs, alpha, B, seed):
+    centered, sigmas = [], []
+    for eif, est in pairs:
+        sigma = estimate_variance(eif, est)
+        keep = sigma > 0
+        centered.append(eif.values[:, keep] - est.psi_hat[None, keep])
+        sigmas.append(sigma[keep])
+    n = pairs[0][0].n
+    sups = reference_bootstrap_sup(
+        np.concatenate(centered, axis=1), np.concatenate(sigmas), n, B, seed
+    )
+    return float(np.quantile(sups, 1.0 - alpha))
+
+
+def integer_values(rng, n, D):
+    """Small integers with heavy ties; no column is constant."""
+    values = rng.integers(0, 3, size=(n, D)).astype(float)
+    values[0] = 0.0
+    values[1] = rng.integers(1, 4, size=D)
+    return values
+
+
+class TestBlockedBootstrap:
+    @pytest.mark.parametrize(
+        "n, D, B, alpha, pooled, ties",
+        [
+            (2, 1, 100, 0.05, False, True),
+            (2, 9, 101, 0.5, True, True),
+            (2, 25, 1000, 0.95, False, True),
+            (3, 25, 1000, 0.01, False, True),
+            (3, 1, 101, 0.95, True, False),
+            (50, 9, 1000, 0.05, False, False),
+            (50, 25, 100, 0.95, True, True),
+            (50, 1, 101, 0.5, False, False),
+            (2000, 25, 1000, 0.05, False, False),
+            (2000, 1, 101, 0.01, True, False),
+            (2000, 9, 100, 0.5, False, True),
+            (20000, 25, 200, 0.05, False, False),
+            (20000, 9, 200, 0.01, True, False),
+        ],
+    )
+    def test_critical_value_bitwise_reference(self, n, D, B, alpha, pooled, ties):
+        rng = np.random.default_rng(n * 1000 + D * 10 + B)
+        make = integer_values if ties else (lambda r, k, d: r.normal(size=(k, d)))
+        pair = make_pair(make(rng, n, D))
+        pool = [make_pair(make(rng, n, 3), DeltaGrid(values=(1.0, 2.0, 3.0)))] if pooled else []
+        band = uniform_band(*pair, alpha=alpha, B=B, seed=17, pool_with=pool)
+        assert band.c_alpha_raw == reference_c_alpha_raw([pair, *pool], alpha, B, 17)
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_independent_of_block_size(self, gaussian_pair, monkeypatch, rows):
+        eif, est = gaussian_pair
+        default = uniform_band(eif, est, alpha=0.05, B=1000, seed=8)
+        monkeypatch.setattr(inference, "_SIGN_BLOCK_BYTES", rows * 8 * eif.n)
+        blocked = uniform_band(eif, est, alpha=0.05, B=1000, seed=8)
+        assert blocked.c_alpha_raw == default.c_alpha_raw
+        assert blocked.c_alpha == default.c_alpha
+
+    def test_refinement_recomputes_few_replicates(self, gaussian_pair, monkeypatch):
+        eif, est = gaussian_pair
+        draws = inference._signs
+        built = []
+
+        def counted(seed, b, n):
+            built.append(b)
+            return draws(seed, b, n)
+
+        monkeypatch.setattr(inference, "_signs", counted)
+        uniform_band(eif, est, alpha=0.05, B=1000, seed=4)
+        assert sorted(set(built)) == list(range(1000))
+        assert len(built) <= 1000 + 4
+
+
+class TestBandInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_non_finite_influence_values_raise(self, bad, pooled, monkeypatch):
+        rng = np.random.default_rng(5)
+        main = make_pair(rng.normal(size=(200, 3)), DeltaGrid(values=(0.5, 1.0, 2.0)))
+        other = make_pair(rng.normal(size=(200, 2)), DeltaGrid(values=(1.0, 4.0)))
+        (other if pooled else main)[0].values[7, 1] = bad
+        monkeypatch.setattr(inference, "_signs", lambda *a: pytest.fail("bootstrap started"))
+        delta = "4.0" if pooled else "1.0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match=rf"non-finite .* delta=\({delta},\)"):
+                uniform_band(*main, B=200, seed=0, pool_with=[other])
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_overflow_when_standardized_raises(self, pooled, monkeypatch):
+        rng = np.random.default_rng(6)
+        main = make_pair(rng.normal(size=(200, 2)))
+        other = make_pair(rng.normal(size=(200, 2)))
+        (other if pooled else main)[0].values[:, 0] *= 1e300
+        monkeypatch.setattr(inference, "_signs", lambda *a: pytest.fail("bootstrap started"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match=r"overflow .* delta=\(1\.0,\)"):
+                uniform_band(*main, B=200, seed=0, pool_with=[other])
+
+    @pytest.mark.parametrize("B", [1000.5, 500.0])
+    def test_non_integer_replicate_count(self, gaussian_pair, B):
+        with pytest.raises(ConfigError, match="integer"):
+            inference.check_band_options(0.05, B)
+        with pytest.raises(ConfigError, match="integer"):
+            uniform_band(*gaussian_pair, B=B, seed=0)
+
+    def test_numpy_integer_replicate_count(self, gaussian_pair):
+        inference.check_band_options(0.05, np.int64(500))
+        band = uniform_band(*gaussian_pair, B=np.int64(300), seed=2)
+        assert band.c_alpha_raw == uniform_band(*gaussian_pair, B=300, seed=2).c_alpha_raw
