@@ -25,7 +25,6 @@ from .estimator import (
     EffectEstimate,
     EifMatrix,
     complete_case_subset,
-    eif_contribution,
     eif_correction_terms,
     eif_from_arrays,
     eif_single_period,

@@ -320,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-size", dest="grid_size", type=int)
     sp.add_argument("--grid-lo", dest="grid_lo", type=float)
     sp.add_argument("--grid-hi", dest="grid_hi", type=float)
-    sp.add_argument("--truth-draws", dest="truth_draws", type=int,
-                    help="ignored: the truth is exact")
     sp.add_argument("--pi-learner", dest="pi_learner")
     sp.add_argument("--omega-learner", dest="omega_learner")
     sp.add_argument("--m-learner", dest="m_learner")

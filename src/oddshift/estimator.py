@@ -54,7 +54,6 @@ __all__ = [
     "EffectEstimate",
     "eif_from_arrays",
     "eif_values_for",
-    "eif_contribution",
     "eif_correction_terms",
     "eif_single_period",
     "estimate_cross_fit",
@@ -149,21 +148,6 @@ def eif_values_for(ds: PanelDataset, eta: NuisanceSet) -> np.ndarray:
     )
 
 
-def eif_contribution(ds: PanelDataset, eta: NuisanceSet, i: int) -> np.ndarray:
-    """Influence values (D,) of one trajectory (dataset row i), which ``eta`` must hold."""
-    j = i
-    if eta.rows is not None:
-        if not eta.rows[i]:
-            raise ConfigError(f"dataset row {i} is not among the units the nuisance set holds")
-        j = int(np.count_nonzero(eta.rows[:i]))
-    t = eta.t_star
-    return eif_from_arrays(
-        ds.A[i : i + 1, :t], ds.R[i : i + 1, : t + 1], ds.Y[i : i + 1, t - 1],
-        eta.pi[j : j + 1], eta.omega[j : j + 1],
-        eta.m1[j : j + 1], eta.m0[j : j + 1], np.asarray(eta.deltas),
-    )[0]
-
-
 def eif_correction_terms(
     A: np.ndarray,
     R: np.ndarray,
@@ -224,17 +208,6 @@ class EifMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def to_csv(self, path) -> None:
-        """Long-format dump: one row per (unit, delta) with fold provenance."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("unit,fold,delta,phi\n")
-            for i in range(self.n):
-                for j, delta in enumerate(self.grid.values):
-                    fh.write(
-                        f"{i},{int(self.fold_by_row[i])},"
-                        f"{format(delta, '.17g')},{format(self.values[i, j], '.17g')}\n"
-                    )
-
 
 @dataclass
 class EffectEstimate:
@@ -284,17 +257,16 @@ def _fold_pass(
     """Effect curve and influence values from one nuisance pass per fold.
 
     Fold k's nuisances are fit without its units, over the whole grid,
-    and evaluated on its units only; its warnings are tagged ``fold k: ``.
+    and hold its units only; its warnings are tagged ``fold k: ``.
     Without ``folds`` this is the plug-in: one pass trained and evaluated
     on every unit, using ``eta`` when it is given.
     """
     values = np.empty((ds.n, len(grid)))
     diagnostics: dict = {"folds": [], "warnings": []}
     for k in [None] if folds is None else range(1, folds.K + 1):
-        rows = None if k is None else folds.by_index == k
         if eta is None:
-            eta = fit_nuisances(ds, folds, specs, grid.values, t, exclude_fold=k, rows=rows)
-        values[slice(None) if rows is None else rows] = eif_values_for(ds, eta)
+            eta = fit_nuisances(ds, folds, specs, grid.values, t, exclude_fold=k)
+        values[slice(None) if eta.rows is None else eta.rows] = eif_values_for(ds, eta)
         diagnostics["folds"].append(eta.summary())
         tag = "" if k is None else f"fold {k}: "
         diagnostics["warnings"].extend(tag + w for w in eta.warnings)
@@ -334,10 +306,13 @@ def estimate_cross_fit(
     computed only for the held-out fold's units, the only ones that use
     them.  Each fold's warnings are listed once, prefixed ``fold k: ``.
     Deterministic given (data, K, seed, specs); the reduction runs in
-    fixed fold order so results do not depend on scheduling.
+    fixed fold order so results do not depend on scheduling.  A given
+    ``folds`` must have K folds and cover the panel's units.
     """
     if folds is None:
         folds = split_folds(ds, K, seed)
+    elif folds.K != K:
+        raise ConfigError(f"K={K} but the fold assignment has {folds.K} folds")
     return _fold_pass(ds, specs, _as_grid(grid), t, "cross_fit", folds)
 
 

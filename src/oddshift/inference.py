@@ -169,6 +169,17 @@ def _centered(eif: EifMatrix, psi: EffectEstimate) -> tuple[np.ndarray, np.ndarr
     return sigma, usable, centered
 
 
+def _warn_excluded(eif: EifMatrix, usable: np.ndarray, where: str = "") -> tuple:
+    """Warn about, and return, the delta values whose zero variance keeps them out of the sup."""
+    excluded = tuple(float(d) for d in np.asarray(eif.grid.values)[~usable])
+    if excluded:
+        _warnings.warn(
+            f"zero influence-value variance at {where}delta={excluded}; "
+            "excluded from the uniform supremum"
+        )
+    return excluded
+
+
 def uniform_band(
     eif: EifMatrix,
     psi: EffectEstimate,
@@ -180,7 +191,9 @@ def uniform_band(
     """Multiplier-bootstrap uniform band over the delta grid at fixed horizon.
 
     Grid points with zero sigma are excluded from the supremum (their
-    intervals are degenerate anyway) and reported in ``excluded``.
+    intervals are degenerate anyway), with a warning, and reported in
+    ``excluded``; a pooled horizon's are excluded and warned about by t
+    and delta, but not listed in ``excluded``.
     ``pool_with`` takes further (EifMatrix, EffectEstimate) pairs from
     other horizons on the same units; their standardized columns enter
     the supremum so the critical value covers every (delta, horizon)
@@ -208,15 +221,10 @@ def uniform_band(
         if other_eif.n != n:
             raise ConfigError("pooled horizons must cover the same units")
         s, keep, other = _centered(other_eif, other_psi)
+        _warn_excluded(other_eif, keep, f"pooled horizon t={other_eif.t}, ")
         centered.append(other)
         sigmas.append(s[keep])
-    deltas = np.asarray(eif.grid.values)
-    excluded = tuple(float(d) for d in deltas[~usable])
-    if excluded:
-        _warnings.warn(
-            f"zero influence-value variance at delta={excluded}; "
-            "excluded from the uniform supremum"
-        )
+    excluded = _warn_excluded(eif, usable)
     if not np.any(usable):
         raise EstimationError("all grid points have zero variance; no band")
     c_raw = _bootstrap_quantile(
@@ -228,7 +236,7 @@ def uniform_band(
     half = c_alpha * sigma / np.sqrt(n)
     return ConfidenceBand(
         alpha=alpha,
-        deltas=deltas,
+        deltas=np.asarray(eif.grid.values),
         psi_hat=psi.psi_hat.copy(),
         pointwise_lo=lo,
         pointwise_hi=hi,

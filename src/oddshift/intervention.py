@@ -7,7 +7,8 @@ The intervention replaces each time-t treatment probability pi with
 i.e. it multiplies the odds of treatment by delta while leaving units with
 pi in {0, 1} untouched.  ``density_ratio`` is the corresponding likelihood
 ratio between the shifted and the observational treatment distribution,
-used by the inverse-probability weights.
+a standalone reference: the estimator's stage kernel computes the same
+ratio inline for its weights.
 """
 
 from __future__ import annotations

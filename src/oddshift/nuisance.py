@@ -2,7 +2,8 @@
 
 The fold is the unit of work.  ``fit_nuisances`` fits three pipelines
 once per training pool (everything outside one held-out fold), for a
-whole delta grid at once:
+whole delta grid at once.  The excluded fold alone encodes the split:
+fold k's units are held out of every fit and are the units evaluated.
 
 * ``fit_propensity_sequence``   -- regress A_t on the history H_t;
 * ``fit_missingness_sequence``  -- regress R_{t+1} on (H_t, A_t);
@@ -76,12 +77,21 @@ def _check_horizon(ds: PanelDataset, t_star: int) -> None:
         raise ConfigError(f"no recorded outcome at horizon t={t_star}")
 
 
-def _train_mask(ds: PanelDataset, folds: FoldAssignment | None, exclude_fold) -> np.ndarray:
+def _split(ds: PanelDataset, folds: FoldAssignment | None, exclude_fold):
+    """(training, evaluated) unit masks: fold k's complement and fold k, or all units twice."""
+    if folds is not None and folds.by_index.shape != (ds.n,):
+        raise ConfigError(
+            f"fold assignment covers {folds.by_index.shape[0]} units, the panel has {ds.n}"
+        )
     if exclude_fold is None:
-        return np.ones(ds.n, dtype=bool)
+        every = np.ones(ds.n, dtype=bool)
+        return every, every
     if folds is None:
         raise ConfigError("exclude_fold given without a fold assignment")
-    return folds.by_index != exclude_fold
+    if exclude_fold not in range(1, folds.K + 1):
+        raise ConfigError(f"exclude_fold={exclude_fold!r} is not a fold of K={folds.K}")
+    train = folds.by_index != exclude_fold
+    return train, ~train
 
 
 @dataclass
@@ -89,7 +99,7 @@ class SequenceFit:
     """Per-time fitted models with a dataset-wide prediction cache."""
 
     models: list[FittedModel]
-    pred: np.ndarray  # (n, t_star), NaN where the unit has left
+    pred: np.ndarray  # (n, t_star), NaN where the unit has left or was not evaluated
     warnings: list[str] = field(default_factory=list)
 
 
@@ -110,16 +120,17 @@ def _check_pool(spec, n_train: int, width: int, s: int, warnings: list[str], wha
 
 
 def _fit_forward(
-    ds, folds, spec, exclude_fold, t_star, rows, target, with_action: bool, what: str, clip=None
+    ds, folds, spec, exclude_fold, t_star, target, with_action: bool, what: str,
+    clip=None, held_out_only: bool = False,
 ) -> SequenceFit:
     """Fit target[:, t-1] ~ history_features(t) on retained training units, t = 1..t*.
 
-    Predictions fill the retained units of the ``rows`` mask (every
-    retained unit by default), NaN elsewhere.  A fit that stops at the
+    Predictions fill every retained unit, or with ``held_out_only`` the
+    retained evaluated units, NaN elsewhere.  A fit that stops at the
     iteration cap without converging adds a warning.
     """
     t_star = ds.T if t_star is None else t_star
-    train = _train_mask(ds, folds, exclude_fold)
+    train, held = _split(ds, folds, exclude_fold)
     pred = np.full((ds.n, t_star), np.nan)
     models, warns = [], []
     for s in range(1, t_star + 1):
@@ -132,7 +143,7 @@ def _fit_forward(
             warns.append(
                 f"{what} fit at t={s} stopped at IRLS_MAX_ITER={model.iterations} without converging"
             )
-        query = alive if rows is None else alive & rows
+        query = alive & held if held_out_only else alive
         pred[query, s - 1] = model.predict(F[query])
         models.append(model)
     return SequenceFit(models=models, pred=pred, warnings=warns)
@@ -145,8 +156,8 @@ def fit_propensity_sequence(
     exclude_fold: int | None = None,
     t_star: int | None = None,
 ) -> SequenceFit:
-    """Fit A_t ~ H_t for t = 1..t* on retained units in the training pool."""
-    return _fit_forward(ds, folds, spec, exclude_fold, t_star, None, ds.A, False, "propensity")
+    """Fit A_t ~ H_t for t = 1..t* on retained training units; predict every retained unit."""
+    return _fit_forward(ds, folds, spec, exclude_fold, t_star, ds.A, False, "propensity")
 
 
 def fit_missingness_sequence(
@@ -155,15 +166,14 @@ def fit_missingness_sequence(
     spec,
     exclude_fold: int | None = None,
     t_star: int | None = None,
-    rows: np.ndarray | None = None,
 ) -> SequenceFit:
     """Fit R_{t+1} ~ (H_t, A_t) for t = 1..t*; predictions floored at OMEGA_FLOOR.
 
-    ``rows`` (a boolean mask over units) limits the prediction cache to
-    those units, NaN elsewhere; by default every retained unit is predicted.
+    Only the retained units of fold ``exclude_fold`` are predicted (every
+    retained unit without one), NaN elsewhere.
     """
-    return _fit_forward(ds, folds, spec, exclude_fold, t_star, rows, ds.R[:, 1:],  # R_{t+1}
-                        True, "missingness", (OMEGA_FLOOR, 1.0))
+    return _fit_forward(ds, folds, spec, exclude_fold, t_star, ds.R[:, 1:],  # R_{t+1}
+                        True, "missingness", (OMEGA_FLOOR, 1.0), held_out_only=True)
 
 
 def fit_pseudo_outcome_sequence(
@@ -174,7 +184,6 @@ def fit_pseudo_outcome_sequence(
     deltas,
     t_star: int,
     exclude_fold: int | None = None,
-    rows: np.ndarray | None = None,
 ) -> PseudoOutcomeFit:
     """Backward continuation-value recursion over a grid of odds multipliers.
 
@@ -182,17 +191,16 @@ def fit_pseudo_outcome_sequence(
     grid -> either, called once with the tuple of deltas.  Each stage
     makes one fit on the (rows, D) target, one column per delta.
     ``pi_pred`` must hold propensity predictions from the same training
-    pool; they weight the two arms when the recursion collapses A_t.  m1
-    and m0 hold the units of the ``rows`` mask (every unit by default),
-    one column per delta.
+    pool for every retained unit; they weight the two arms when the
+    recursion collapses A_t.  m1 and m0 hold fold ``exclude_fold``'s
+    units (every unit without one), one column per delta.
     """
     _check_horizon(ds, t_star)
     deltas = tuple(deltas)
     grid = np.asarray(deltas, dtype=float)
     m_spec = spec(deltas) if callable(spec) else spec
-    train = _train_mask(ds, folds, exclude_fold)
-    keep = slice(None) if rows is None else rows
-    m1 = np.zeros((ds.n if rows is None else int(rows.sum()), t_star, grid.size))
+    train, held = _split(ds, folds, exclude_fold)
+    m1 = np.zeros((int(np.count_nonzero(held)), t_star, grid.size))
     m0 = np.zeros_like(m1)
     warns: list[str] = []
 
@@ -213,8 +221,8 @@ def fit_pseudo_outcome_sequence(
         m0s = np.zeros((ds.n, grid.size))
         m1s[alive] = model.predict(F1)
         m0s[alive] = model.predict(F0)
-        m1[:, s - 1] = m1s[keep]
-        m0[:, s - 1] = m0s[keep]
+        m1[:, s - 1] = m1s[held]
+        m0[:, s - 1] = m0s[held]
         if s > 1:
             p = pi_pred[:, s - 1, None]
             num = grid * p * m1s + (1.0 - p) * m0s
@@ -226,9 +234,9 @@ def fit_pseudo_outcome_sequence(
 class NuisanceSet:
     """Fitted nuisances for one excluded fold over a delta grid.
 
-    Arrays hold the units the set was fitted to evaluate: every unit when
-    ``rows`` is None, else those of the ``rows`` mask, in dataset order.
-    No model saw the excluded fold's units.
+    Arrays hold the excluded fold's units, marked by the ``rows`` mask, in
+    dataset order, or every unit when ``rows`` is None.  No model saw the
+    units of ``rows``; every other unit trained them.
     """
 
     pi: np.ndarray      # (units, t_star)
@@ -238,7 +246,6 @@ class NuisanceSet:
     deltas: tuple
     t_star: int
     excluded_fold: int | None
-    train_rows: np.ndarray
     rows: np.ndarray | None = None  # boolean mask over dataset rows
     pi_models: list = field(default_factory=list)
     omega_models: list = field(default_factory=list)
@@ -250,7 +257,7 @@ class NuisanceSet:
             "delta": self.deltas[0],  # diagnostics.json layout; other fields are delta-free
             "t_star": self.t_star,
             "excluded_fold": self.excluded_fold,
-            "n_train": int(self.train_rows.size),
+            "n_train": int(self.pi.shape[0] if self.rows is None else np.sum(~self.rows)),
             "pi_converged": [bool(m.converged) for m in self.pi_models],
             "pi_iterations": [int(m.iterations) for m in self.pi_models],
             "omega_converged": [bool(m.converged) for m in self.omega_models],
@@ -266,31 +273,28 @@ def fit_nuisances(
     deltas,
     t_star: int,
     exclude_fold: int | None = None,
-    rows: np.ndarray | None = None,
 ) -> NuisanceSet:
     """Fit all three nuisance sequences for one fold over a delta grid.
 
-    ``rows`` (a boolean mask over units) limits the retention and
-    continuation predictions, and the returned arrays, to those units.
+    The arrays hold fold ``exclude_fold``'s units (every unit without one).
     A horizon without a recorded outcome is rejected before any fit.
     """
     _check_horizon(ds, t_star)
-    sel = slice(None) if rows is None else rows
+    held = _split(ds, folds, exclude_fold)[1]
     pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold, t_star)
-    omega_fit = fit_missingness_sequence(ds, folds, specs.omega, exclude_fold, t_star, rows)
+    omega_fit = fit_missingness_sequence(ds, folds, specs.omega, exclude_fold, t_star)
     m_fit = fit_pseudo_outcome_sequence(
-        ds, folds, pi_fit.pred, specs.m, deltas, t_star, exclude_fold, rows
+        ds, folds, pi_fit.pred, specs.m, deltas, t_star, exclude_fold
     )
     return NuisanceSet(
-        pi=pi_fit.pred[sel],
-        omega=omega_fit.pred[sel],
+        pi=pi_fit.pred[held],
+        omega=omega_fit.pred[held],
         m1=m_fit.m1,
         m0=m_fit.m0,
         deltas=m_fit.deltas,
         t_star=t_star,
         excluded_fold=exclude_fold,
-        train_rows=np.flatnonzero(_train_mask(ds, folds, exclude_fold)),
-        rows=rows,
+        rows=None if exclude_fold is None else held,
         pi_models=pi_fit.models,
         omega_models=omega_fit.models,
         warnings=pi_fit.warnings + omega_fit.warnings + m_fit.warnings,

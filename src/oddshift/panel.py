@@ -186,10 +186,18 @@ def validate_monotonicity(ds: PanelDataset) -> list[tuple[str, int]]:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Partition of subjects into K folds."""
+    """Partition of subjects into K >= 2 folds, each label 1..K used."""
 
     K: int
     by_index: np.ndarray = field(repr=False)  # (n,) fold label per dataset row
+
+    def __post_init__(self):
+        labels = np.unique(self.by_index)
+        if self.K < 2 or not np.array_equal(labels, np.arange(1, self.K + 1)):
+            raise ConfigError(
+                f"a {self.K}-fold assignment needs K >= 2 and the labels 1..{self.K}, "
+                f"each used; got labels {labels[:10].tolist()}"
+            )
 
 
 def split_folds(ds: PanelDataset, K: int, seed: int) -> FoldAssignment:

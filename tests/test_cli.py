@@ -256,7 +256,7 @@ def test_bad_sidecar_horizon_exits_2(panel_dir, tmp_path, forbid_fit, capsys, co
 @pytest.mark.parametrize(
     "command,foreign",
     [
-        ("estimate", "truth_draws"),
+        ("estimate", "S"),
         ("simulate", "K"),
         ("bench", "grid"),
         ("efficiency", "input"),
@@ -276,7 +276,7 @@ class TestBenchCommand:
     def test_small_bench(self, tmp_path):
         res = run(
             ["bench", "--kind", "dropout", "--n", "80", "--t", "2", "--ul", "1",
-             "--S", "2", "--seed", "3", "--grid-size", "2", "--truth-draws", "2000",
+             "--S", "2", "--seed", "3", "--grid-size", "2",
              "--omega-learner", "knn:20", "--out", str(tmp_path)]
         )
         assert res.returncode == 0, res.stderr

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +15,6 @@ from oddshift import (
     NuisanceSpecs,
     PanelDataset,
     complete_case_subset,
-    eif_contribution,
     eif_correction_terms,
     eif_from_arrays,
     eif_single_period,
@@ -24,12 +25,15 @@ from oddshift import (
     estimate_no_censoring,
     estimate_plugin,
     default_grid,
+    fit_missingness_sequence,
     fit_nuisances,
+    fit_propensity_sequence,
     oracle_specs,
     simulate,
     split_folds,
     true_effect_curve,
 )
+from oddshift import nuisance
 from oddshift.estimator import ipw_weight_products
 
 
@@ -212,39 +216,44 @@ class TestCrossFit:
         cfg, ds, grid, specs, est, eif = oracle_run
         folds = split_folds(ds, 2, seed=3)
         eta = fit_nuisances(ds, folds, specs, [2.0], 3, exclude_fold=1)
-        phi = eif_values_for(ds, eta)[:, 0]
+        phi = eif_values_for(ds, eta)[:, 0]  # fold 1's units, in dataset order
         i = int(np.flatnonzero(folds.by_index == 1)[0])
-        assert eif_contribution(ds, eta, i) == pytest.approx(phi[i], abs=1e-12)
+        assert unit_values(ds, eta, i, 0)[0] == pytest.approx(phi[0], abs=1e-12)
         j = grid.values.index(2.0)
-        assert eif.values[i, j] == pytest.approx(phi[i], abs=1e-12)
+        assert eif.values[i, j] == pytest.approx(phi[0], abs=1e-12)
+
+
+def unit_values(ds, eta, i, j):
+    """Influence values (D,) of dataset row i alone, read at row j of the set's arrays."""
+    t = eta.t_star
+    return eif_from_arrays(
+        ds.A[i : i + 1, :t], ds.R[i : i + 1, : t + 1], ds.Y[i : i + 1, t - 1],
+        eta.pi[j : j + 1], eta.omega[j : j + 1],
+        eta.m1[j : j + 1], eta.m0[j : j + 1], np.asarray(eta.deltas),
+    )[0]
 
 
 class TestRowsFittedSet:
-    """A nuisance set fitted for a rows mask holds those units, in dataset order."""
+    """A set fit without fold k holds fold k's units, in dataset order, marked by ``rows``."""
 
     @pytest.fixture(scope="class")
-    def sets(self):
+    def sets(self, reference):
         ds = simulate(DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=4))
         folds = split_folds(ds, 2, seed=0)
         specs = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-3)
         )
         rows = folds.by_index == 1
-        full = fit_nuisances(ds, folds, specs, [0.5, 2.0], 3, exclude_fold=1)
-        held = fit_nuisances(ds, folds, specs, [0.5, 2.0], 3, exclude_fold=1, rows=rows)
+        full = reference.full_set(ds, folds, specs, [0.5, 2.0], 3, exclude_fold=1)
+        held = fit_nuisances(ds, folds, specs, [0.5, 2.0], 3, exclude_fold=1)
         return ds, rows, full, held
 
     def test_contribution_reads_the_unit_itself(self, sets):
         ds, rows, full, held = sets
         assert np.any(ds.R[rows, 3] == 0)
-        for i in np.flatnonzero(rows):
-            assert np.array_equal(eif_contribution(ds, held, i), eif_contribution(ds, full, i))
-
-    def test_contribution_outside_the_mask_raises(self, sets):
-        ds, rows, _, held = sets
-        i = int(np.flatnonzero(~rows)[0])
-        with pytest.raises(ConfigError, match=f"dataset row {i} is not among"):
-            eif_contribution(ds, held, i)
+        assert np.array_equal(held.rows, rows)
+        for j, i in enumerate(np.flatnonzero(rows)):
+            assert np.array_equal(unit_values(ds, held, i, j), unit_values(ds, full, i, i))
 
     def test_values_for_equal_the_full_set_at_those_rows(self, sets):
         ds, rows, full, held = sets
@@ -267,7 +276,7 @@ class TestCrossFitHeldOut:
             rows = folds.by_index == k
             for j, delta in enumerate(grid.values):
                 eta = fit_nuisances(ds, folds, specs, [delta], 3, exclude_fold=k)
-                assert np.array_equal(eif.values[rows, j], eif_values_for(ds, eta)[rows, 0])
+                assert np.array_equal(eif.values[rows, j], eif_values_for(ds, eta)[:, 0])
 
     def test_warnings_once_per_fold_and_tagged(self):
         ds = simulate(DgpConfig(kind="dropout", n=16, T=3, u_l=1.0, seed=3))
@@ -289,6 +298,39 @@ class TestCrossFitHeldOut:
             assert tagged == expected
             assert est.diagnostics["folds"][k - 1]["warnings"] == expected
         assert all(w.startswith(("fold 1: ", "fold 2: ")) for w in warnings)
+
+
+class TestFoldAssignmentFitsThePanel:
+    """A fold assignment that does not fit the panel is a ConfigError before any fit."""
+
+    CFG = DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=4)
+    SPECS = NuisanceSpecs(
+        pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-6)
+    )
+
+    @pytest.fixture
+    def ds(self, monkeypatch):
+        monkeypatch.setattr(nuisance, "fit_learner", lambda *a, **k: pytest.fail("fit started"))
+        return simulate(self.CFG)
+
+    def test_assignment_for_fewer_units(self, ds):
+        folds = split_folds(simulate(replace(self.CFG, n=150)), 2, seed=0)
+        with pytest.raises(ConfigError, match="covers 150 units, the panel has 200"):
+            estimate_cross_fit(ds, 2, 0, self.SPECS, default_grid(), 3, folds=folds)
+        for fit in (fit_propensity_sequence, fit_missingness_sequence):
+            with pytest.raises(ConfigError, match="covers 150 units"):
+                fit(ds, folds, self.SPECS.pi)
+
+    def test_K_disagrees_with_the_assignment(self, ds):
+        folds = split_folds(ds, 2, seed=0)
+        with pytest.raises(ConfigError, match="K=5 but the fold assignment has 2 folds"):
+            estimate_cross_fit(ds, 5, 0, self.SPECS, default_grid(), 3, folds=folds)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_excluded_fold_outside_the_assignment(self, ds, k):
+        folds = split_folds(ds, 2, seed=0)
+        with pytest.raises(ConfigError, match=f"exclude_fold={k} is not a fold of K=2"):
+            fit_nuisances(ds, folds, self.SPECS, [1.0], 3, exclude_fold=k)
 
 
 class TestBaselines:
@@ -452,19 +494,6 @@ class TestUnbiasednessSmall:
         truth, se = true_effect_curve(cfg, grid, 3, draws=100_000, seed=77)
         combined = np.sqrt(se**2 + est.sigma_hat**2 / ds.n)
         assert np.all(np.abs(est.psi_hat - truth) < 3 * combined)
-
-
-class TestInfluenceSerialization:
-    def test_long_csv_round_trip(self, oracle_run, tmp_path):
-        _, _, grid, _, _, eif = oracle_run
-        path = tmp_path / "influence.csv"
-        eif.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "unit,fold,delta,phi"
-        assert len(lines) == 1 + eif.n * len(grid)
-        unit, fold, delta, phi = lines[1].split(",")
-        assert float(phi) == eif.values[0, 0]
-        assert int(fold) == int(eif.fold_by_row[0])
 
 
 # --------------------------------------------------------------------------

@@ -123,6 +123,22 @@ class TestUniformBand:
         assert band.excluded == (eif.grid.values[1],)
         assert band.uniform_lo[1] == band.uniform_hi[1] == 2.0
 
+    def test_pooled_zero_variance_column_warns(self):
+        rng = np.random.default_rng(4)
+        main = make_pair(rng.normal(size=(300, 2)))
+        other_eif, other_est = make_pair(
+            np.column_stack([rng.normal(size=300), np.full(300, 5.0)]),
+            DeltaGrid(values=(0.5, 3.0)),
+        )
+        other_eif.t = other_est.t = 4
+        with pytest.warns(UserWarning) as record:
+            band = uniform_band(*main, B=200, seed=3, pool_with=[(other_eif, other_est)])
+        assert [str(w.message) for w in record] == [
+            "zero influence-value variance at pooled horizon t=4, delta=(3.0,); "
+            "excluded from the uniform supremum"
+        ]
+        assert band.excluded == ()  # the main horizon's delta values only
+
     def test_needs_enough_replicates(self, gaussian_pair):
         eif, est = gaussian_pair
         with pytest.raises(ConfigError):

@@ -29,7 +29,6 @@ from oddshift import (
 )
 from oddshift import learners, nuisance
 from oddshift.learners import OMEGA_FLOOR, PI_CLIP
-from oddshift.panel import history_features
 from oddshift.simulation import (
     _GH_NODES,
     _ContinuationOracle,
@@ -130,14 +129,15 @@ class TestMissingnessSequence:
         pred = fit.pred[~np.isnan(fit.pred)]
         assert pred.min() >= OMEGA_FLOOR and pred.max() <= 1.0
 
-    def test_rows_mask_limits_predictions(self, dropout_ds):
+    def test_rows_mask_limits_predictions(self, dropout_ds, reference):
+        # the excluded fold is the only prediction mask
         folds = split_folds(dropout_ds, 2, seed=3)
         rows = folds.by_index == 1
         spec = LearnerSpec.knn(20)
-        full = fit_missingness_sequence(dropout_ds, folds, spec, exclude_fold=1)
-        held = fit_missingness_sequence(dropout_ds, folds, spec, exclude_fold=1, rows=rows)
+        full = reference.missingness(dropout_ds, ~rows, spec)[0]
+        held = fit_missingness_sequence(dropout_ds, folds, spec, exclude_fold=1)
         assert np.all(np.isnan(held.pred[~rows]))
-        assert np.array_equal(held.pred[rows], full.pred[rows], equal_nan=True)
+        assert np.array_equal(held.pred[rows], full[rows], equal_nan=True)
 
     def test_oracle_matches_empirical_rates(self):
         # group units alive at t=2 by their treatment path and compare the
@@ -157,51 +157,13 @@ class TestMissingnessSequence:
                 assert abs(oracle[0] - emp) < 4 * se + 1e-4
 
 
-def reference_pool_warnings(spec, pool, F, s, what):
-    if spec.kind in ("oracle", "zero") or pool.sum() >= max(10, F.shape[1] + 2):
-        return []
-    return [f"underdetermined {what} fit at t={s}: {int(pool.sum())} units"]
-
-
-def reference_propensity_loop(ds, train, spec):
-    """The propensity stage loop as written before the forward fitter was shared."""
-    pred = np.full((ds.n, ds.T), np.nan)
-    models, warns = [], []
-    for s in range(1, ds.T + 1):
-        F, alive = history_features(ds, s)
-        pool = train & alive
-        spec_s = spec if isinstance(spec, LearnerSpec) else spec[s - 1]
-        warns += reference_pool_warnings(spec_s, pool, F, s, "propensity")
-        model = fit_learner(spec_s, F[pool], ds.A[pool, s - 1], "probability")
-        pred[alive, s - 1] = model.predict(F[alive])
-        models.append(model)
-    return pred, models, warns
-
-
-def reference_missingness_loop(ds, train, spec, rows):
-    """The retention stage loop as written before the forward fitter was shared."""
-    pred = np.full((ds.n, ds.T), np.nan)
-    models, warns = [], []
-    for s in range(1, ds.T + 1):
-        F, alive = history_features(ds, s, with_action=True)
-        pool = train & alive
-        spec_s = spec if isinstance(spec, LearnerSpec) else spec[s - 1]
-        warns += reference_pool_warnings(spec_s, pool, F, s, "missingness")
-        target = ds.R[pool, s].astype(float)
-        model = fit_learner(spec_s, F[pool], target, "probability", clip=(OMEGA_FLOOR, 1.0))
-        query = alive if rows is None else alive & rows
-        pred[query, s - 1] = model.predict(F[query])
-        models.append(model)
-    return pred, models, warns
-
-
 class TestForwardFitter:
     """One forward stage fitter gives pi and omega exactly what their own loops gave."""
 
     @pytest.mark.parametrize("n", [12, 300])  # 12: the held-out pools warn
     @pytest.mark.parametrize("learner", ["logistic", "knn", "oracle"])
     @pytest.mark.parametrize("held_out", [False, True])
-    def test_bitwise_equal_to_separate_loops(self, n, learner, held_out):
+    def test_bitwise_equal_to_separate_loops(self, n, learner, held_out, reference):
         cfg = DgpConfig(kind="dropout", n=n, T=3, u_l=1.0, seed=17)
         ds = simulate(cfg)
         pi_spec, omega_spec = {
@@ -215,9 +177,9 @@ class TestForwardFitter:
         rows = None if k is None else folds.by_index == k
         for fit, (pred, models, warns) in (
             (fit_propensity_sequence(ds, folds, pi_spec, exclude_fold=k),
-             reference_propensity_loop(ds, train, pi_spec)),
-            (fit_missingness_sequence(ds, folds, omega_spec, exclude_fold=k, rows=rows),
-             reference_missingness_loop(ds, train, omega_spec, rows)),
+             reference.propensity(ds, train, pi_spec)),
+            (fit_missingness_sequence(ds, folds, omega_spec, exclude_fold=k),
+             reference.missingness(ds, train, omega_spec, rows)),
         ):
             assert np.array_equal(fit.pred, pred, equal_nan=True)
             assert [(m.iterations, m.converged) for m in fit.models] == [
@@ -397,8 +359,38 @@ class TestCrossFitHygiene:
         for k in (1, 2, 3):
             eta = fit_nuisances(dropout_ds, folds, specs, [1.5], 4, exclude_fold=k)
             held = set(np.flatnonzero(folds.by_index == k).tolist())
-            assert held.isdisjoint(set(eta.train_rows.tolist()))
+            assert held.isdisjoint(set(np.flatnonzero(~eta.rows).tolist()))
             assert eta.summary()["excluded_fold"] == k
+
+
+class TestHeldOutFit:
+    """The excluded fold decides the units a fit evaluates: fold k's, in dataset order."""
+
+    CFG = DgpConfig(kind="dropout", n=240, T=3, u_l=1.0, seed=8)
+    SPECS = NuisanceSpecs(
+        pi=LearnerSpec.logistic(), omega=LearnerSpec.knn(9), m=LearnerSpec.ridge(1e-3)
+    )
+    DELTAS = (0.5, 1.0, 3.0)
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 3])
+    def test_arrays_hold_the_fold_bitwise(self, k, reference):
+        ds = simulate(self.CFG)
+        folds = split_folds(ds, 3, seed=5)
+        eta = fit_nuisances(ds, folds, self.SPECS, self.DELTAS, 3, exclude_fold=k)
+        train = np.ones(ds.n, dtype=bool) if k is None else folds.by_index != k
+        held = np.ones(ds.n, dtype=bool) if k is None else folds.by_index == k
+        pi = reference.propensity(ds, train, self.SPECS.pi)[0]
+        omega = reference.missingness(ds, train, self.SPECS.omega)[0]
+        m1, m0 = reference.continuation(ds, train, pi, self.SPECS.m, self.DELTAS, 3)
+        assert (eta.rows is None) == (k is None)
+        if k is not None:
+            assert np.array_equal(eta.rows, held) and held.sum() < ds.n
+        assert np.any(ds.R[held, 3] == 0)
+        for got, want in ((eta.pi, pi), (eta.omega, omega), (eta.m1, m1), (eta.m0, m0)):
+            assert got.shape == (held.sum(),) + want.shape[1:]
+            assert np.array_equal(got, want[held], equal_nan=True)
+        # diagnostics.json's n_train: the units outside the excluded fold
+        assert eta.summary()["n_train"] == int(np.count_nonzero(train))
 
 
 class TestContinuationOracle:

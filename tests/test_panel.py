@@ -8,6 +8,7 @@ from oddshift import (
     PanelDataError,
     ConfigError,
     DgpConfig,
+    FoldAssignment,
     PanelDataset,
     history_features,
     load_long_csv,
@@ -254,6 +255,19 @@ class TestFolds:
         assert np.array_equal(
             split_folds(ds10, 2, seed=9).by_index, split_folds(other, 2, seed=9).by_index
         )
+
+    @pytest.mark.parametrize(
+        "K,labels",
+        [
+            (3, [1, 2] * 100),  # fold 3 empty: its fold mean would be NaN
+            (2, [1, 2, 3] * 66 + [1, 2]),  # fold 3's rows would never be written
+            (1, [1] * 200),
+            (2, [0, 1, 2] * 66 + [1, 2]),
+        ],
+    )
+    def test_labels_must_be_one_to_K(self, K, labels):
+        with pytest.raises(ConfigError, match=f"needs K >= 2 and the labels 1..{K}"):
+            FoldAssignment(K=K, by_index=np.array(labels))
 
 
 class TestHistory:
