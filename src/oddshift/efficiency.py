@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ConfigError, EstimationError
 
@@ -49,10 +49,17 @@ _SCAN_LIMIT = 10**6
 
 
 def truncated_normal_variance(half_width: float, sd: float = 1.0) -> float:
-    """Variance of N(mu, sd^2) truncated symmetrically at mu +- half_width*sd."""
+    """Variance of N(mu, sd^2) truncated symmetrically at mu +- half_width*sd.
+
+    ``half_width`` must be finite and positive.
+    """
     a = float(half_width)
-    z = 2.0 * norm.cdf(a) - 1.0
-    return sd**2 * (1.0 - 2.0 * a * norm.pdf(a) / z)
+    if not (math.isfinite(a) and a > 0):
+        raise ConfigError(f"half_width must be finite and > 0, got {half_width!r}")
+    z = 2.0 * ndtr(a) - 1.0
+    # the normal density; a * a squares as numpy does, where a**2 can differ in the last bit
+    pdf = np.exp(-(a * a) / 2.0) / np.sqrt(2 * np.pi)
+    return sd**2 * (1.0 - 2.0 * a * pdf / z)
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,6 @@ class EifMatrix:
     values: np.ndarray  # (n, D)
     t: int
     grid: DeltaGrid
-    fold_by_row: np.ndarray  # (n,), 0 when no splitting was used
 
     @property
     def n(self) -> int:
@@ -233,10 +232,10 @@ def _sigma_hat(values: np.ndarray, psi_hat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean((values - psi_hat[None, :]) ** 2, axis=0))
 
 
-def _reduce(values: np.ndarray, fold_by_row: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+def _reduce(values: np.ndarray, folds: FoldAssignment) -> tuple[np.ndarray, np.ndarray]:
     """Average of fold means (columns are grid points)."""
     per_fold = np.stack(
-        [values[fold_by_row == k].mean(axis=0) for k in range(1, K + 1)]
+        [values[folds.by_index == k].mean(axis=0) for k in range(1, folds.K + 1)]
     )
     return per_fold.mean(axis=0), per_fold
 
@@ -274,10 +273,9 @@ def _fold_pass(
     diagnostics["fully_weighted_units"] = int(np.sum(ds.R[:, t] == 1))
     if folds is None:
         psi_hat = values.mean(axis=0)
-        per_fold, fold_by_row = psi_hat[None, :].copy(), np.zeros(ds.n, dtype=np.int64)
+        per_fold = psi_hat[None, :].copy()
     else:
-        psi_hat, per_fold = _reduce(values, folds.by_index, folds.K)
-        fold_by_row = folds.by_index.copy()
+        psi_hat, per_fold = _reduce(values, folds)
     estimate = EffectEstimate(
         psi_hat=psi_hat,
         sigma_hat=_sigma_hat(values, psi_hat),
@@ -288,7 +286,7 @@ def _fold_pass(
         per_fold=per_fold,
         diagnostics=diagnostics,
     )
-    return estimate, EifMatrix(values=values, t=t, grid=grid, fold_by_row=fold_by_row)
+    return estimate, EifMatrix(values=values, t=t, grid=grid)
 
 
 def estimate_cross_fit(

@@ -22,7 +22,7 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import ConfigError, EstimationError
 from .estimator import EffectEstimate, EifMatrix, _sigma_hat
@@ -52,7 +52,7 @@ def pointwise_interval(
     """Symmetric per-delta interval with half-width z_{1-alpha/2} sigma / sqrt(n)."""
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0,1)")
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     half = z * np.asarray(sigma_hat) / np.sqrt(n)
     psi_hat = np.asarray(psi_hat)
     return psi_hat - half, psi_hat + half
@@ -230,7 +230,7 @@ def uniform_band(
     c_raw = _bootstrap_quantile(
         np.concatenate(centered, axis=1), np.concatenate(sigmas), n, B, seed, 1.0 - alpha
     )
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     c_alpha = max(c_raw, z)  # the sup statistic dominates each pointwise |Z|
     lo, hi = pointwise_interval(psi.psi_hat, sigma, n, alpha)
     half = c_alpha * sigma / np.sqrt(n)

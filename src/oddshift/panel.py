@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -46,15 +47,6 @@ __all__ = [
     "load_long_csv",
     "write_long_csv",
 ]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _treatment(a: float):
-    """A binary treatment as the int it stands for; any other value as it is."""
-    return int(a) if a in (0, 1) else a
 
 
 def _monotonicity_mask(R: np.ndarray) -> np.ndarray:
@@ -372,25 +364,49 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     return ds
 
 
+def _quoted_ids(ids: Sequence[str]) -> list[str]:
+    """Each id as ``csv.writer`` writes it in a row of several fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for s in ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((s, ""))
+        out.append(buf.getvalue()[: -len(",\r\n")])
+    return out
+
+
 def write_long_csv(ds: PanelDataset, path, sidecar: bool = True) -> None:
-    """Write the canonical long CSV (observed rows only) plus a metadata sidecar."""
+    """Write the canonical long CSV (observed rows only) plus a metadata sidecar.
+
+    Values are written with 17 significant digits, a binary treatment as
+    0/1, a missing outcome as an empty field, lines end in CRLF, and ids
+    are quoted as ``csv.writer`` quotes them.
+    """
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id", "time"] + [f"x{j + 1}" for j in range(ds.d)] + ["a", "y", "r"]
-        )
-        # each subject's rows up to its first R_t != 1, subject by subject
-        rows, cols = np.nonzero(np.cumprod(ds.R[:, : ds.T] == 1, axis=1))
-        X, A, Y = (arr[rows, cols].tolist() for arr in (ds.X, ds.A, ds.Y))
-        for i, t, x, a, y in zip(rows.tolist(), cols.tolist(), X, A, Y):
-            writer.writerow(
-                [ds.ids[i], t + 1]
-                + [_fmt(v) for v in x]
-                + [_treatment(a), "" if y != y else _fmt(y), 1]
-            )
+    # each subject's rows up to its first R_t != 1, subject by subject
+    rows, cols = np.nonzero(np.cumprod(ds.R[:, : ds.T] == 1, axis=1))
+    ids = _quoted_ids(ds.ids)
+    # a binary treatment as the int it stands for, any other value as it is
+    A = ds.A[rows, cols]
+    a = A.astype(object)
+    binary = (A == 0) | (A == 1)
+    a[binary] = A[binary].astype(int)
+    y = ["%.17g" % v if v == v else "" for v in ds.Y[rows, cols].tolist()]
+    header = ["id", "time"] + [f"x{j + 1}" for j in range(ds.d)] + ["a", "y", "r"]
+    line = "%s,%d," + "%.17g," * ds.d + "%s,%s,1\r\n"
+    fields = zip(
+        [ids[i] for i in rows.tolist()],
+        (cols + 1).tolist(),
+        *ds.X[rows, cols].T.tolist(),
+        a.tolist(),
+        y,
+    )
+    data = (",".join(header) + "\r\n" + "".join([line % f for f in fields])).encode("utf-8")
+    path.write_bytes(data)
     if sidecar:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256(data).hexdigest()
         meta = {
             "n": ds.n,
             "n_periods": ds.T,

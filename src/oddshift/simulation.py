@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 from .efficiency import trial_moments, variance_ratio_bounds
 from .errors import ConfigError
@@ -246,12 +246,10 @@ def exact_effect_curve(cfg: DgpConfig, grid, t: int) -> np.ndarray:
 
 def _e_abs_shifted(v: np.ndarray, sigma2: float = 2.0) -> np.ndarray:
     """E|Z + v| for Z ~ N(0, sigma2), closed form."""
-    from scipy.stats import norm
-
     v = np.asarray(v, dtype=float)
     sd = math.sqrt(sigma2)
     return sd * math.sqrt(2.0 / math.pi) * np.exp(-(v**2) / (2.0 * sigma2)) + v * (
-        2.0 * norm.cdf(v / sd) - 1.0
+        2.0 * ndtr(v / sd) - 1.0
     )
 
 

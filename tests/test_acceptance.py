@@ -388,10 +388,7 @@ def _pair_from(values, grid):
         psi_hat=psi, sigma_hat=sigma, n=values.shape[0], t=1, kind="acc",
         grid=grid, per_fold=psi[None, :],
     )
-    eif = od.EifMatrix(
-        values=values, t=1, grid=grid,
-        fold_by_row=np.zeros(values.shape[0], dtype=np.int64),
-    )
+    eif = od.EifMatrix(values=values, t=1, grid=grid)
     return eif, est
 
 

@@ -34,6 +34,23 @@ def forbid_fit(monkeypatch):
     monkeypatch.setattr(cli, "estimate_cross_fit", no_fit)
 
 
+_RUN_HELP = """import runpy
+sys.argv = ["oddshift", "--help"]
+try:
+    runpy.run_module("oddshift", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass"""
+
+
+@pytest.mark.parametrize("code", ["import oddshift", _RUN_HELP], ids=["import", "help"])
+def test_cold_start_does_not_import_scipy_stats(code):
+    """``import oddshift`` and ``python -m oddshift --help`` load scipy.special only."""
+    probe = f"import sys\n{code}\nprint('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 class TestSimulateCommand:
     def test_outputs(self, panel_dir):
         assert (panel_dir / "panel.csv").exists()

@@ -187,8 +187,9 @@ class TestCrossFit:
 
     def test_fold_mean_reduction(self, oracle_run):
         cfg, ds, grid, specs, est, eif = oracle_run
+        folds = split_folds(ds, 2, 3)
         for k in (1, 2):
-            rows = eif.fold_by_row == k
+            rows = folds.by_index == k
             assert np.allclose(eif.values[rows].mean(axis=0), est.per_fold[k - 1])
         assert np.allclose(est.per_fold.mean(axis=0), est.psi_hat, atol=1e-12)
 
@@ -445,7 +446,6 @@ class TestBaselines:
         assert np.array_equal(est.psi_hat, ref.psi_hat)
         assert np.array_equal(est.sigma_hat, ref.sigma_hat)
         assert np.array_equal(eif.values, ref_eif.values)
-        assert np.array_equal(eif.fold_by_row, ref_eif.fold_by_row)
 
     def test_plugin_is_one_unsplit_fold(self):
         ds = simulate(DgpConfig(kind="dropout", n=300, T=3, u_l=1.0, seed=13))
@@ -455,8 +455,6 @@ class TestBaselines:
         plug, eif = estimate_plugin(ds, specs, DeltaGrid(values=(0.5, 2.0)), 3)
         assert np.array_equal(plug.per_fold, plug.psi_hat[None])
         assert np.array_equal(plug.psi_hat, eif.values.mean(axis=0))
-        assert eif.fold_by_row.dtype == np.int64
-        assert not np.any(eif.fold_by_row)
 
 
 class TestCompleteCase:

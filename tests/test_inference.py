@@ -30,7 +30,7 @@ def make_pair(values, grid=None):
         grid=grid,
         per_fold=psi[None, :],
     )
-    return EifMatrix(values=values, t=1, grid=grid, fold_by_row=np.zeros(n, dtype=np.int64)), est
+    return EifMatrix(values=values, t=1, grid=grid), est
 
 
 class TestVariance:
@@ -73,6 +73,22 @@ class TestPointwise:
     def test_alpha_domain(self):
         with pytest.raises(ConfigError):
             pointwise_interval(np.array([0.0]), np.array([1.0]), 10, 0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.95])
+    def test_z_bitwise_scipy_stats_norm(self, alpha):
+        lo, hi = pointwise_interval(np.array([0.0]), np.array([1.0]), 1, alpha)
+        z = norm.ppf(1.0 - alpha / 2.0)
+        assert hi[0] == z and lo[0] == -z
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.95])
+def test_band_floor_z_bitwise_scipy_stats_norm(alpha):
+    # two units: every replicate's sup is 0 or sqrt(2), below z_{1-alpha/2}
+    # at each level for this seed, so c_alpha is the floor z itself
+    band = uniform_band(*make_pair(np.array([[-1.0], [1.0]])), alpha=alpha, B=1000, seed=0)
+    z = float(norm.ppf(1.0 - alpha / 2.0))
+    assert band.c_alpha_raw < z
+    assert band.c_alpha == z
 
 
 @pytest.fixture(scope="module")

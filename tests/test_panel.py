@@ -1,5 +1,8 @@
+import csv
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +182,106 @@ class TestLoader:
         with pytest.raises(PanelDataError, match=re.escape(message)):
             load_long_csv(out)
         assert load_long_csv(out, n_periods=3).T == 3
+
+
+def reference_write_long_csv(ds, path, sidecar=True):
+    """The long-CSV writer as it was written with ``csv.writer``, one row at a time."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    def treatment(a):
+        return int(a) if a in (0, 1) else a
+
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["id", "time"] + [f"x{j + 1}" for j in range(ds.d)] + ["a", "y", "r"]
+        )
+        rows, cols = np.nonzero(np.cumprod(ds.R[:, : ds.T] == 1, axis=1))
+        X, A, Y = (arr[rows, cols].tolist() for arr in (ds.X, ds.A, ds.Y))
+        for i, t, x, a, y in zip(rows.tolist(), cols.tolist(), X, A, Y):
+            writer.writerow(
+                [ds.ids[i], t + 1]
+                + [fmt(v) for v in x]
+                + [treatment(a), "" if y != y else fmt(y), 1]
+            )
+    if sidecar:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        meta = {
+            "n": ds.n,
+            "n_periods": ds.T,
+            "d": ds.d,
+            "outcome_times": list(ds.outcome_times),
+            "sha256": digest,
+        }
+        with open(path.with_suffix(path.suffix + ".meta.json"), "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+@pytest.fixture(scope="module")
+def writer_panels():
+    dropout = simulate(DgpConfig(kind="dropout", n=300, T=6, u_l=1.0, seed=4))
+    tricky = ["a,b", 'say "hi"', "", "two\nlines", " padded ", "plain"]
+    n, T = len(tricky), 4
+    rng = np.random.default_rng(8)
+    R = np.ones((n, T + 1), dtype=int)
+    R[1, 3:] = 0
+    R[4, 1:] = 0
+    Y = np.full((n, T), nan)
+    Y[:, T - 1] = rng.normal(size=n)  # outcomes at T only: NaN before T
+    Y[1, 1] = 2.5
+    X = rng.normal(size=(n, T, 2)) * 10.0 ** rng.integers(-250, 250, size=(n, T, 2))
+    X[0, 0] = [-0.0, 5e-324]
+    X[2, 1] = [np.inf, -np.inf]
+    A = rng.integers(0, 2, size=(n, T)).astype(float)
+    A[0, 0] = -0.0
+    ids = PanelDataset.from_arrays(X=X, A=A, Y=Y, R=R, ids=tricky, validate=False)
+    A_odd = A.copy()
+    A_odd[3, 0], A_odd[3, 1], A_odd[5, 2] = 0.5, nan, 2.0
+    X[5, 0, 1] = nan
+    unchecked = PanelDataset.from_arrays(X=X, A=A_odd, Y=Y, R=R, ids=tricky, validate=False)
+    R1 = np.zeros((5, 4), dtype=int)
+    R1[:, 0] = 1
+    everyone_leaves = PanelDataset.from_arrays(
+        X=rng.normal(size=(5, 3)), A=np.ones((5, 3)), Y=np.full((5, 3), nan), R=R1
+    )
+    return {
+        "dropout": dropout,
+        "observational": simulate(DgpConfig(kind="observational", n=200, T=4, seed=5)),
+        "trial": simulate(DgpConfig(kind="trial", n=150, T=3, p=0.5, seed=6)),
+        "quoted_ids_and_nan_outcomes": ids,
+        "unvalidated_values": unchecked,
+        "everyone_leaves_at_t1": everyone_leaves,
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "dropout",
+        "observational",
+        "trial",
+        "quoted_ids_and_nan_outcomes",
+        "unvalidated_values",
+        "everyone_leaves_at_t1",
+    ],
+)
+def test_writer_bytes_match_csv_writer_reference(tmp_path, writer_panels, name):
+    ds = writer_panels[name]
+    if name == "trial":
+        assert ds.d == 0
+    if name == "everyone_leaves_at_t1":
+        assert ds.n == 5 and np.all(ds.R[:, 1:] == 0)
+    write_long_csv(ds, tmp_path / "new.csv")
+    reference_write_long_csv(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    new_meta = json.loads((tmp_path / "new.csv.meta.json").read_text(encoding="utf-8"))
+    ref_meta = json.loads((tmp_path / "ref.csv.meta.json").read_text(encoding="utf-8"))
+    assert new_meta["sha256"] == ref_meta["sha256"]
+    assert new_meta == ref_meta
 
 
 def one_subject(R, validate=True):

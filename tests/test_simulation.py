@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scipy.special import expit
+from scipy.stats import norm
 
 from oddshift import (
     ConfigError,
@@ -102,6 +103,22 @@ class TestTruePropensities:
             assert np.array_equal(pi, array_true_propensities(cfg, ds, t), equal_nan=True)
         if kind == "dropout":
             assert np.isnan(pi).any()
+
+
+def test_e_abs_shifted_bitwise_scipy_stats_norm():
+    v = np.concatenate(
+        [[0.0, -0.0, 40.0, -40.0, 1e-300, -1e-300], np.linspace(-40.0, 40.0, 4001),
+         np.random.default_rng(0).normal(0.0, 10.0, 4000)]
+    )
+    for sigma2 in (2.0, 0.7):
+        sd = math.sqrt(sigma2)
+        reference = sd * math.sqrt(2.0 / math.pi) * np.exp(-(v**2) / (2.0 * sigma2)) + v * (
+            2.0 * norm.cdf(v / sd) - 1.0
+        )
+        got = simulation._e_abs_shifted(v, sigma2)
+        assert np.array_equal(got, reference)
+        assert np.array_equal(np.signbit(got), np.signbit(reference))
+        assert simulation._e_abs_shifted(-0.0, sigma2) == reference[1]
 
 
 class TestExactTruth:
