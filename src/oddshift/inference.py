@@ -7,7 +7,10 @@ bootstrap: each replicate perturbs the centered influence values with
 i.i.d. Rademacher signs and records the supremum over the grid of the
 absolute standardized mean; c_alpha is the empirical 1-alpha quantile of
 these suprema, floored at z_{1-alpha/2} so the uniform band always
-contains the pointwise band.
+contains the pointwise band.  Replicate b's signs come from its own PCG64
+stream, keyed by (seed, b): sign i is the top bit of the i-th 32-bit half
+of the stream's raw words, low half first, which is bitwise what
+``numpy.random.Generator.integers(0, 2)`` draws from the same stream.
 
 The bootstrap runs in two passes.  The first stacks a block of
 replicates' signs and takes their suprema with one matrix product; the
@@ -93,10 +96,21 @@ _SIGN_BLOCK_BYTES = 1 << 20
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _signs(seed: int, b: int, n: int) -> np.ndarray:
-    """Replicate b's 0/1 draws, from a stream keyed by (seed, b)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-    return rng.integers(0, 2, size=n)
+def _sign_bits(seed: int, b: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Replicate b's n sign bits into boolean ``out``, from the PCG64 stream keyed by (seed, b).
+
+    Bit i is bit 31 of the i-th 32-bit half of the stream's raw 64-bit
+    words, low half first: bit 31 of word i//2 for even i, bit 63 for odd
+    i.  That is bitwise ``Generator.integers(0, 2, size=n) == 1`` on the
+    same stream: numpy draws it by Lemire's method on buffered 32-bit
+    halves, which keeps a half's top bit and never rejects at range 2.
+    The explicit little-endian views make the halves' order independent
+    of the host's byte order.
+    """
+    words = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,))).random_raw(
+        (n + 1) // 2
+    )
+    return np.less(np.asarray(words, dtype="<u8").view("<i4")[:n], 0, out=out)
 
 
 def _bootstrap_quantile(
@@ -107,6 +121,9 @@ def _bootstrap_quantile(
     Replicate b draws its signs xi from a stream keyed by (seed, b), so the
     collection is identical however replicates are scheduled or batched.
     Its statistic is max_j |sum_i xi_i s_ij| on the standardized values s.
+    Its signs are the top bits of the stream's raw 32-bit halves
+    (``_sign_bits``), bitwise what ``Generator.integers(0, 2, size=n)``
+    draws from it, without a Generator or an int64 array per replicate.
 
     Pass 1 stacks a block of replicates' signs and takes all their
     statistics with one gemm.  Its rounding differs from the per-replicate
@@ -122,12 +139,13 @@ def _bootstrap_quantile(
     scaled = centered / (np.sqrt(n) * sigma[None, :])  # sum_i xi_i * scaled -> stat
     rows = max(1, _SIGN_BLOCK_BYTES // (8 * n))
     block = np.empty((min(rows, B), n))
+    bits = np.empty(block.shape, dtype=bool)
     sups = np.empty(B)
     for lo in range(0, B, rows):
         signs = block[: min(rows, B - lo)]
         for r in range(signs.shape[0]):
-            signs[r] = _signs(seed, lo + r, n)
-        signs *= 2.0
+            _sign_bits(seed, lo + r, n, bits[r])
+        np.multiply(bits[: signs.shape[0]], 2.0, out=signs)
         signs -= 1.0
         sups[lo : lo + signs.shape[0]] = np.max(np.abs(signs @ scaled), axis=1)
 
@@ -138,7 +156,7 @@ def _bootstrap_quantile(
     low, high = np.partition(sups, (i, j))[[i, j]]
     window = (sups >= low - 2.0 * eps) & (sups <= high + 2.0 * eps)  # factor 2: safety
     for b in np.flatnonzero(window):
-        sups[b] = np.max(np.abs((_signs(seed, int(b), n) * 2.0 - 1.0) @ scaled))
+        sups[b] = np.max(np.abs((_sign_bits(seed, int(b), n, bits[0]) * 2.0 - 1.0) @ scaled))
     return float(np.quantile(sups, level))
 
 

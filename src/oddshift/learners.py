@@ -174,15 +174,18 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - mu) / sd, mu, sd
 
 
-def _knn_neighbours(d2: np.ndarray, k: int) -> np.ndarray:
+def _knn_neighbours(d2: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
     """Each row's k nearest columns of ``d2``, nearest first.
 
     Neighbours are the k smallest (distance, column) pairs, taken in that
     order, so the result is bitwise ``np.argsort(d2, axis=1,
     kind="stable")[:, :k]``: ties at the k-th distance go to the lowest
-    columns.  Selection is linear in the row length.
+    columns.  Selection is linear in the row length.  ``scratch`` is a
+    buffer of ``d2``'s shape that the selection overwrites.
     """
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    np.copyto(scratch, d2)
+    scratch.partition(k - 1, axis=1)
+    kth = scratch[:, k - 1 : k]
     chosen = d2 <= kth  # every strictly closer column plus every tie
     extra = np.count_nonzero(chosen, axis=1) - k
     over = np.flatnonzero(extra)
@@ -192,13 +195,18 @@ def _knn_neighbours(d2: np.ndarray, k: int) -> np.ndarray:
         keep = np.count_nonzero(tie, axis=1) - extra[over]
         rank = np.cumsum(tie, axis=1, dtype=np.int32)
         chosen[over] &= ~tie | (rank <= keep[:, None])
-    cols = np.nonzero(chosen)[1].reshape(-1, k)  # ascending column per row
+    # exactly k per row, in row-major order: the ascending columns of each row
+    cols = (np.flatnonzero(chosen) % d2.shape[1]).reshape(-1, k)
     order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
 
 
 def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> FittedModel:
-    """k nearest neighbours for the D target rows of ``Y`` (D, n); predicts (q, D)."""
+    """k nearest neighbours for the D target rows of ``Y`` (D, n); predicts (q, D).
+
+    Each predict call allocates its (block, n) distance and selection
+    buffers once and reuses them for every query block.
+    """
     n = X.shape[0]
     k_eff = min(k, n)
     Xs, mu, sd = _standardize(X)
@@ -210,10 +218,17 @@ def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> Fitted
             # featureless: every training point ties at distance zero
             return np.repeat(Y[:, :k_eff].mean(axis=1)[None, :], Q.shape[0], axis=0)
         out = np.empty((Q.shape[0], Y.shape[0]))
+        rows = min(_KNN_BLOCK, Q.shape[0])
+        dist, scratch = np.empty((rows, n)), np.empty((rows, n))
         for lo in range(0, Q.shape[0], _KNN_BLOCK):
             q = Q[lo : lo + _KNN_BLOCK]
-            d2 = np.sum(q**2, axis=1)[:, None] - 2.0 * q @ Xs.T + sq[None, :]
-            nbrs = _knn_neighbours(d2, k_eff)
+            d2 = dist[: q.shape[0]]
+            # |q|^2 - (2q).x + |x|^2, left to right: the distances' bits depend on
+            # this order, and on Xs.T staying a view (a copy may pick another gemm kernel)
+            np.matmul(2.0 * q, Xs.T, out=d2)
+            np.subtract(np.sum(q**2, axis=1)[:, None], d2, out=d2)
+            d2 += sq
+            nbrs = _knn_neighbours(d2, k_eff, scratch[: q.shape[0]])
             for j, y in enumerate(Y):  # one (q, k) gather and mean per target, as for 1-D
                 out[lo : lo + _KNN_BLOCK, j] = y[nbrs].mean(axis=1)
         return out

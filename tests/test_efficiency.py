@@ -1,7 +1,10 @@
 import itertools
 import math
+import sys
 import time
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -39,6 +42,32 @@ class TestTruncatedVariance:
             z = 2.0 * norm.cdf(a) - 1.0
             reference = sd**2 * (1.0 - 2.0 * a * norm.pdf(a) / z)
             assert truncated_normal_variance(a, sd) == reference, a
+
+    def test_small_half_widths_match_mpmath(self):
+        # exact variance 1 - 2a phi(a) / erf(a / sqrt 2), at enough digits to survive its cancellation
+        widths = np.concatenate(
+            [np.geomspace(1e-300, 1e-3, 1500, endpoint=False),
+             10.0 ** np.random.default_rng(1).uniform(-300.0, -3.0, 500),
+             [np.nextafter(1e-3, 0.0), 1.3e-154, 1e-5, 1e-7, 1e-8, 1e-17]]
+        )
+        for a in widths.tolist():
+            got = truncated_normal_variance(a)
+            with mpmath.workdps(int(-2 * math.log10(a)) + 40):
+                x = mpmath.mpf(a)
+                pdf = mpmath.exp(-x * x / 2) / mpmath.sqrt(2 * mpmath.pi)
+                exact = 1 - 2 * x * pdf / mpmath.erf(x / mpmath.sqrt(2))
+                error = abs(mpmath.mpf(got) - exact)
+            assert got >= 0.0, a
+            if exact >= sys.float_info.min:
+                assert error <= 1e-14 * exact, a
+            else:  # below the normal range a double resolves only multiples of 2**-1074
+                assert error <= 2.0**-1074, a
+
+    def test_smallest_half_width_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert truncated_normal_variance(5e-324) == 0.0
+            assert truncated_normal_variance(5e-324, 2.5) == 0.0
 
     @pytest.mark.parametrize("half_width", [0.0, math.inf, math.nan, -1.0])
     def test_rejects_unusable_half_width(self, half_width):

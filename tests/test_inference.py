@@ -248,17 +248,39 @@ class TestBlockedBootstrap:
 
     def test_refinement_recomputes_few_replicates(self, gaussian_pair, monkeypatch):
         eif, est = gaussian_pair
-        draws = inference._signs
+        draws = inference._sign_bits
         built = []
 
-        def counted(seed, b, n):
+        def counted(seed, b, n, out):
             built.append(b)
-            return draws(seed, b, n)
+            return draws(seed, b, n, out)
 
-        monkeypatch.setattr(inference, "_signs", counted)
+        monkeypatch.setattr(inference, "_sign_bits", counted)
         uniform_band(eif, est, alpha=0.05, B=1000, seed=4)
         assert sorted(set(built)) == list(range(1000))
         assert len(built) <= 1000 + 4
+
+
+class TestSignStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**62])
+    def test_signs_are_generator_integers_bitwise(self, seed):
+        # Generator.integers is the reference: a numpy that changes its draw fails here
+        for b in range(64):
+            for n in (1, 2, 3, 7, 2000, 2001, 20001):
+                stream = np.random.SeedSequence(entropy=seed, spawn_key=(b,))
+                expected = np.random.default_rng(stream).integers(0, 2, size=n) * 2.0 - 1.0
+                signs = inference._sign_bits(seed, b, n, np.empty(n, dtype=bool)) * 2.0 - 1.0
+                assert np.array_equal(signs.view(np.uint64), expected.view(np.uint64)), (b, n)
+
+    def test_band_builds_no_generator(self, gaussian_pair, monkeypatch):
+        def no_generator(*args, **kwargs):
+            pytest.fail("a numpy Generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(np.random, "Generator", no_generator)
+        band = uniform_band(*gaussian_pair, alpha=0.05, B=500, seed=9)
+        monkeypatch.undo()
+        assert band.c_alpha_raw == reference_c_alpha_raw([gaussian_pair], 0.05, 500, 9)
 
 
 class TestBandInputChecks:
@@ -269,7 +291,7 @@ class TestBandInputChecks:
         main = make_pair(rng.normal(size=(200, 3)), DeltaGrid(values=(0.5, 1.0, 2.0)))
         other = make_pair(rng.normal(size=(200, 2)), DeltaGrid(values=(1.0, 4.0)))
         (other if pooled else main)[0].values[7, 1] = bad
-        monkeypatch.setattr(inference, "_signs", lambda *a: pytest.fail("bootstrap started"))
+        monkeypatch.setattr(inference, "_sign_bits", lambda *a: pytest.fail("bootstrap started"))
         delta = "4.0" if pooled else "1.0"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -282,7 +304,7 @@ class TestBandInputChecks:
         main = make_pair(rng.normal(size=(200, 2)))
         other = make_pair(rng.normal(size=(200, 2)))
         (other if pooled else main)[0].values[:, 0] *= 1e300
-        monkeypatch.setattr(inference, "_signs", lambda *a: pytest.fail("bootstrap started"))
+        monkeypatch.setattr(inference, "_sign_bits", lambda *a: pytest.fail("bootstrap started"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EstimationError, match=r"overflow .* delta=\(1\.0,\)"):

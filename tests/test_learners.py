@@ -47,6 +47,60 @@ def multi_target(draw):
     return X, Xq, Y[:, rng.permutation(Y.shape[1])], draw(st.integers(1, n))
 
 
+@st.composite
+def knn_blocks(draw):
+    """Query counts around multiples of the kNN block, k possibly above n_train, D in {1, 3}."""
+    n = draw(st.integers(1, 60))
+    block = learners._KNN_BLOCK
+    nq = draw(
+        st.one_of(
+            st.integers(0, 40),
+            st.builds(lambda m, off: m * block + off, st.integers(1, 3), st.sampled_from([-1, 0, 1])),
+        )
+    )
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # tie-heavy integer features
+        X = rng.integers(0, 3, size=(n, p)).astype(float)
+        Xq = rng.integers(0, 3, size=(nq, p)).astype(float)
+    else:
+        X = rng.normal(size=(n, p))
+        Xq = rng.normal(size=(nq, p))
+    Y = rng.normal(size=(n, draw(st.sampled_from([1, 3]))))
+    return X, Xq, Y, draw(st.integers(1, n + 5))
+
+
+def unbuffered_knn_predict(X, Y, k, Xq):
+    """Reference kNN predict that the buffered one must match bit for bit.
+
+    Per query block: a fresh distance array, np.partition's copy, and the
+    columns from a 2-D nonzero.  Y is (n, D); returns (q, D).
+    """
+    k = min(k, X.shape[0])
+    Xs, mu, sd = _standardize(X)
+    sq = np.sum(Xs**2, axis=1)
+    Q = (Xq - mu) / sd
+    out = np.empty((Q.shape[0], Y.shape[1]))
+    for lo in range(0, Q.shape[0], learners._KNN_BLOCK):
+        q = Q[lo : lo + learners._KNN_BLOCK]
+        d2 = np.sum(q**2, axis=1)[:, None] - 2.0 * q @ Xs.T + sq[None, :]
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        chosen = d2 <= kth
+        extra = np.count_nonzero(chosen, axis=1) - k
+        over = np.flatnonzero(extra)
+        if over.size:
+            tie = d2[over] == kth[over]
+            keep = np.count_nonzero(tie, axis=1) - extra[over]
+            rank = np.cumsum(tie, axis=1, dtype=np.int32)
+            chosen[over] &= ~tie | (rank <= keep[:, None])
+        cols = np.nonzero(chosen)[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+        nbrs = np.take_along_axis(cols, order, axis=1)
+        for j in range(Y.shape[1]):
+            out[lo : lo + learners._KNN_BLOCK, j] = np.ascontiguousarray(Y[:, j])[nbrs].mean(axis=1)
+    return out
+
+
 def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
@@ -132,7 +186,8 @@ class TestKnn:
         # exact integer squared distances: ties are exact, not rounding luck
         X, Xq, y, k = case
         d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(_knn_neighbours(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+        nbrs = _knn_neighbours(d2, k, np.empty_like(d2))
+        assert np.array_equal(nbrs, np.argsort(d2, axis=1, kind="stable")[:, :k])
 
     @KNN_SETTINGS
     @given(tie_heavy_knn(max_query=learners._KNN_BLOCK))
@@ -144,6 +199,13 @@ class TestKnn:
         d2 = np.sum(Q**2, axis=1)[:, None] - 2.0 * Q @ Xs.T + np.sum(Xs**2, axis=1)[None, :]
         model = fit_learner(LearnerSpec.knn(k), X, y, "regression")
         assert np.array_equal(model.predict(Xq), argsort_knn(d2, y, k))
+
+    @KNN_SETTINGS
+    @given(knn_blocks())
+    def test_buffered_blocks_match_unbuffered_bitwise(self, case):
+        X, Xq, Y, k = case
+        model = fit_learner(LearnerSpec.knn(k), X, Y, "regression")
+        assert np.array_equal(bits(model.predict(Xq)), bits(unbuffered_knn_predict(X, Y, k, Xq)))
 
     def test_blocks_cover_every_query_row(self, monkeypatch):
         rng = np.random.default_rng(5)
