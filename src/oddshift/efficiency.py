@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -67,6 +68,15 @@ def truncated_normal_variance(half_width: float, sd: float = 1.0) -> float:
     return sd**2 * (1.0 - 2.0 * a * pdf / z)
 
 
+class _Moments(NamedTuple):
+    """Per-count moments of a ``MomentSpec``, from one call of each provider per row."""
+
+    mean: np.ndarray  # [k]: average E[Y^a] over the sequences a with k ones
+    second: np.ndarray  # [k]: average E[(Y^a)^2] over the same sequences
+    min_second: float  # least E[(Y^a)^2] over all sequences
+    offence: str | None  # the first sequence breaking the outcome bound b_u
+
+
 @dataclass(frozen=True)
 class MomentSpec:
     """Counterfactual outcome moments feeding the variance formulas.
@@ -74,7 +84,7 @@ class MomentSpec:
     Providers map a full treatment sequence (tuple of 0/1, length T) to
     E[Y^a] and E[(Y^a)^2].  When the moments depend on the sequence only
     through its number of ones, supply the count-based providers instead;
-    sums over the 2^T sequences then collapse to T+1 binomial terms.
+    they are then called once per count rather than once per sequence.
     """
 
     p: float
@@ -98,10 +108,6 @@ class MomentSpec:
         if not (seq_route or cnt_route):
             raise ConfigError("provide sequence or count moment providers")
 
-    @property
-    def count_based(self) -> bool:
-        return self.mean_by_count is not None and self.second_by_count is not None
-
     def mean(self, a_bar) -> float:
         if self.mean_of is not None:
             return float(self.mean_of(tuple(a_bar)))
@@ -112,13 +118,38 @@ class MomentSpec:
             return float(self.second_of(tuple(a_bar)))
         return float(self.second_by_count(int(sum(a_bar))))
 
+    @cached_property
+    def _moments(self) -> _Moments:
+        """The moment table: T+1 calls of the count providers, else all 2^T sequences."""
+        T, b_u = self.T, self.b_u
+        if self.mean_by_count is not None and self.second_by_count is not None:
+            keys, mean, second = range(T + 1), self.mean_by_count, self.second_by_count
+            counts, label = np.arange(T + 1), lambda k: [1] * k + [0] * (T - k)
+        elif T > _ENUM_LIMIT:
+            raise EstimationError(f"enumeration over 2^{T} sequences is infeasible; "
+                                  "supply count-based moments")
+        else:
+            keys, mean, second = itertools.product((0, 1), repeat=T), self.mean_of, self.second_of
+            counts = np.fromiter(map(int.bit_count, range(2**T)), np.intp, 2**T)
+            label = lambda i: tuple(map(int, f"{i:0{T}b}"))  # noqa: E731
+        rows = np.fromiter(((mean(a), second(a)) for a in keys), np.dtype((float, 2)), counts.size)
+        means, seconds = rows.T
+        # the first sequence in enumeration order outside the bound, its mean checked first
+        high = np.abs(means) > b_u + 1e-12
+        bad = np.flatnonzero(high | (seconds > b_u**2 + 1e-9))
+        offence = None
+        if bad.size:
+            i = int(bad[0])
+            offence = (f"mean provider exceeds the outcome bound b_u at a={label(i)}" if high[i]
+                       else f"second-moment provider exceeds b_u^2 at a={label(i)}")
+        sizes = np.bincount(counts)
+        return _Moments(np.bincount(counts, means) / sizes, np.bincount(counts, seconds) / sizes,
+                        float(seconds.min()), offence)
+
     def check_bounds(self) -> None:
         """Require |E[Y^a]| <= b_u and E[(Y^a)^2] <= b_u^2 for every sequence a."""
-        for a_bar in _representative_sequences(self):
-            if abs(self.mean(a_bar)) > self.b_u + 1e-12:
-                raise ConfigError(f"mean provider exceeds the outcome bound b_u at a={a_bar}")
-            if self.second(a_bar) > self.b_u**2 + 1e-9:
-                raise ConfigError(f"second-moment provider exceeds b_u^2 at a={a_bar}")
+        if self._moments.offence is not None:
+            raise ConfigError(self._moments.offence)
         if self.second((1,) * self.T) <= 0:
             raise ConfigError("always-treated outcome must be non-degenerate")
 
@@ -174,36 +205,30 @@ def path_weight(a_bar, delta: float, p: float) -> float:
     return out
 
 
-def _c_floor(spec: MomentSpec, variant: str) -> float:
-    if variant == "always_treated":
-        arm = (1,) * spec.T
-        ret = spec.p
-    else:
-        arm = (0,) * spec.T
-        ret = 1.0 - spec.p
-    ratio = ret**spec.T * spec.mean(arm) ** 2 / spec.second(arm)
-    return 1.0 / (1.0 - ratio)
+def _fixed_regime(spec: MomentSpec, variant: str) -> tuple[tuple, float]:
+    """The fixed arm's treatment sequence and per-period probability r."""
+    if variant in ("always_treated", "at"):
+        return (1,) * spec.T, spec.p
+    if variant in ("never_treated", "nt"):
+        return (0,) * spec.T, 1.0 - spec.p
+    raise ConfigError(f"unknown variant {variant!r}")
 
 
-def _check_enumerable(T: int) -> None:
-    if T > _ENUM_LIMIT:
-        raise EstimationError(
-            f"enumeration over 2^{T} sequences is infeasible; supply count-based moments"
-        )
+def _finite(variance: float, T: int) -> float:
+    if not math.isfinite(variance):
+        raise EstimationError(f"the exact variance at T={T} is beyond double precision")
+    return variance
 
 
-def _representative_sequences(spec: MomentSpec):
-    """One sequence per distinct moment pair: T+1 counts, or all 2^T sequences."""
-    T = spec.T
-    if spec.count_based:
-        return ([1] * k + [0] * (T - k) for k in range(T + 1))
-    _check_enumerable(T)
-    return itertools.product((0, 1), repeat=T)
+def _collapse(v: np.ndarray, a, b):
+    """Yield the binomial collapse steps v <- a v[1:] + b v[:-1] down to one row.
 
-
-def _min_second(spec: MomentSpec) -> float:
-    """Smallest counterfactual second moment E[(Y^a)^2] over all sequences."""
-    return min(spec.second(a_bar) for a_bar in _representative_sequences(spec))
+    With v indexed by a count k = 0..T along its first axis, the last step
+    is sum_k C(T, k) a^k b^(T-k) v[k], in O(T^2) work.
+    """
+    for _ in range(len(v) - 1):
+        v = a * v[1:] + b * v[:-1]
+        yield v
 
 
 def variance_ratio_bounds(
@@ -233,23 +258,18 @@ def variance_ratio_bounds(
     if variant not in ("always_treated", "never_treated"):
         raise ConfigError(f"unknown variant {variant!r}")
     spec.check_bounds()
-    floor = _c_floor(spec, variant)
+    arm, r = _fixed_regime(spec, variant)
+    T, mean, second = spec.T, spec.mean(arm), spec.second(arm)
+    floor = 1.0 / (1.0 - r**T * mean**2 / second)
     if c is None:
         c = floor * 1.001
     elif c < floor:
         raise ConfigError(f"c={c} below its floor {floor}")
-    if variant == "always_treated":
-        arm, r = (1,) * spec.T, spec.p
-    else:
-        arm, r = (0,) * spec.T, 1.0 - spec.p
     B = base_factor(spec.delta, spec.p, variant)
-    C_T = spec.b_u**2 / spec.second(arm)
-    zeta = 1.0 + c * spec.mean(arm) ** 2 / ((1.0 / r) ** spec.T * spec.second(arm))
-    lower = max(
-        0.0,
-        (_min_second(spec) * B**spec.T - spec.b_u**2 * r**spec.T) / spec.second(arm),
-    )
-    upper = C_T * zeta * B**spec.T
+    C_T = spec.b_u**2 / second
+    zeta = 1.0 + c * mean**2 / ((1.0 / r) ** T * second)
+    lower = max(0.0, (spec._moments.min_second * B**T - spec.b_u**2 * r**T) / second)
+    upper = C_T * zeta * B**T
     return float(lower), float(upper)
 
 
@@ -275,53 +295,34 @@ def crossover_horizon_bound(delta: float, p: float, second_moment_ratio: float) 
     raise EstimationError("scan did not terminate (cannot happen for delta > 1)")
 
 
-def _path_sum(spec: MomentSpec, f1: float, moment: Callable) -> float:
-    """Sum over sequences of prod_t (f1 if a_t = 1 else 1 - p) * moment(a)."""
-    p, T = spec.p, spec.T
-    total = 0.0
-    if spec.count_based:
-        for k in range(T + 1):
-            coef = math.comb(T, k) * f1**k * (1.0 - p) ** (T - k)
-            total += coef * moment([1] * k + [0] * (T - k))
-        return total
-    _check_enumerable(T)
-    for a_bar in itertools.product((0, 1), repeat=T):
-        coef = 1.0
-        for a in a_bar:
-            coef *= f1 if a == 1 else (1.0 - p)
-        total += coef * moment(a_bar)
-    return total
-
-
-def _inc_first_term(spec: MomentSpec) -> float:
-    """E[(prod_t ratio_t)^2 Y^2] by the sequential-integral expansion."""
-    p, delta = spec.p, spec.delta
-    denom = (delta * p + 1.0 - p) ** 2
-    return _path_sum(spec, delta**2 * p, spec.second) / denom**spec.T
-
-
-def _inc_mean(spec: MomentSpec) -> float:
-    """E[prod_t ratio_t * Y] = the shifted-intervention mean."""
-    p, delta = spec.p, spec.delta
-    return _path_sum(spec, delta * p, spec.mean) / (delta * p + 1.0 - p) ** spec.T
+def _fixed_variance(spec: MomentSpec, variant: str) -> float:
+    arm, r = _fixed_regime(spec, variant)
+    try:
+        variance = (1.0 / r) ** spec.T * spec.second(arm) - spec.mean(arm) ** 2
+    except OverflowError:
+        variance = math.inf
+    return _finite(variance, spec.T)
 
 
 def exact_variance(spec: MomentSpec, estimator: str) -> float:
     """Exact single-draw variance of one of the weighted estimators.
 
     ``estimator``: 'at' (always-treated weights), 'nt' (never-treated
-    weights), or 'inc' (odds-shifted weights).
+    weights), or 'inc' (odds-shifted weights).  A variance beyond double
+    precision raises ``EstimationError``.
     """
-    T = spec.T
-    if estimator == "at":
-        arm = (1,) * T
-        return (1.0 / spec.p) ** T * spec.second(arm) - spec.mean(arm) ** 2
-    if estimator == "nt":
-        arm = (0,) * T
-        return (1.0 / (1.0 - spec.p)) ** T * spec.second(arm) - spec.mean(arm) ** 2
-    if estimator == "inc":
-        return _inc_first_term(spec) - _inc_mean(spec) ** 2
-    raise ConfigError(f"unknown estimator {estimator!r}")
+    if estimator in ("at", "nt"):
+        return _fixed_variance(spec, estimator)
+    if estimator != "inc":
+        raise ConfigError(f"unknown estimator {estimator!r}")
+    p, delta, moments = spec.p, spec.delta, spec._moments
+    D = delta * p + 1.0 - p
+    # per-period factors of the (second moment, mean) columns for a treated / untreated period
+    a = np.array([delta**2 * p / D**2, delta * p / D])
+    b = np.array([(1.0 - p) / D**2, 1.0 - a[1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, ((second, mean),) = _collapse(np.array([moments.second, moments.mean]).T, a, b)
+        return _finite(float(second - mean**2), spec.T)
 
 
 def decomposition_check(p: float, delta: float, T: int, atoms: Callable) -> float:
@@ -432,13 +433,12 @@ def efficiency_curve(
     """
     rows = []
     crossing = None
-    est = "at" if variant == "always_treated" else "nt"
     c1_min = None
     delta = p = None
     for T in range(1, T_max + 1):
         spec = spec_for(T)
         delta, p = spec.delta, spec.p
-        var_det = exact_variance(spec, est)
+        var_det = _fixed_variance(spec, variant)
         var_inc = exact_variance(spec, "inc")
         lower, upper = variance_ratio_bounds(spec, variant=variant, c=c)
         ratio = var_inc / var_det if var_det > 0 else math.inf

@@ -345,22 +345,8 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     # R_{T+1}: the terminal outcome is observed iff the subject stayed
     # for its measurement.
     R[:, T] = (R[:, T - 1] == 1) & ~np.isnan(Y[:, T - 1])
-
-    # Report the first offending subject in file order; Y at t < T implies
-    # the subject was present at t+1.
-    ids = list(subjects)
-    mono = _monotonicity_mask(R)
-    gap = ~np.isnan(Y[:, : T - 1]) & (R[:, 1:T] != 1)
-    offending = np.flatnonzero(mono.any(axis=1) | gap.any(axis=1))
-    if offending.size:
-        k = offending[0]
-        if mono[k].any():
-            t = np.argmax(mono[k]) + 1
-            raise PanelDataError(f"subject {ids[k]!r}: non-monotone retention at t={t}")
-        t = np.argmax(gap[k]) + 1
-        raise PanelDataError(f"subject {ids[k]!r}: outcome at t={t} but no data at t={t + 1}")
     ds = PanelDataset.__new__(PanelDataset)
-    ds._store(X, A, Y, R, ids, validate=True)
+    ds._store(X, A, Y, R, list(subjects), validate=True)
     return ds
 
 

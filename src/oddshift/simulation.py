@@ -38,13 +38,14 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit, ndtr
 
-from .efficiency import trial_moments, variance_ratio_bounds
+from .efficiency import _collapse, trial_moments, variance_ratio_bounds
 from .errors import ConfigError
 from .estimator import (
     estimate_cross_fit,
     estimate_ipw,
     estimate_no_censoring,
     estimate_plugin,
+    ipw_weight_products,
 )
 from .intervention import DeltaGrid, incremental_propensity
 from .learners import LearnerSpec
@@ -350,12 +351,8 @@ def _trial_tables(t_star: int, q: np.ndarray) -> dict[int, np.ndarray]:
     k_s counts the treated periods through s and q holds the shifted
     propensity per delta; v_0[0] is the curve psi_t*.
     """
-    values = {}
     table = (10.0 + np.sqrt(np.arange(t_star + 1.0)))[:, None]
-    for s in range(t_star - 1, -1, -1):
-        table = q * table[1:] + (1.0 - q) * table[:-1]
-        values[s] = table
-    return values
+    return dict(zip(range(t_star - 1, -1, -1), _collapse(table, q, 1.0 - q)))
 
 
 def _true_pi(cfg: DgpConfig, s: int, F: np.ndarray) -> np.ndarray:
@@ -600,7 +597,7 @@ def relative_efficiency_mc(
                 w_det = np.prod(np.where(A == 1.0, 1.0 / pi, 0.0), axis=1)
             else:
                 w_det = np.prod(np.where(A == 0.0, 1.0 / (1.0 - pi), 0.0), axis=1)
-            w_inc = np.prod((delta * A + 1.0 - A) / (delta * pi + 1.0 - pi), axis=1)
+            w_inc = ipw_weight_products(A, ds.R[:, : t + 1], pi, np.ones_like(pi), delta)
             at_vals[r] = float(np.mean(w_det * y))
             inc_vals[r] = float(np.mean(w_inc * y))
         var_at = float(np.var(at_vals, ddof=1))

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -318,3 +319,25 @@ class TestEfficiencyCommand:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         info = json.loads((tmp_path / "efficiency.json").read_text())
         assert info["scan_T"] >= info["crossing_T"]
+
+    def test_long_horizon_finite(self, tmp_path):
+        # the term-by-term binomial sums overflowed here from T = 282
+        res = run(
+            ["efficiency", "--delta", "5", "--p", "0.5", "--tmax", "300",
+             "--seed", "0", "--out", str(tmp_path)]
+        )
+        assert res.returncode == 0, res.stderr
+        rows = [line.split(",") for line in
+                (tmp_path / "efficiency.csv").read_text().strip().splitlines()[1:]]
+        assert len(rows) == 300
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:4])
+
+    def test_horizon_beyond_double_precision_exits_3(self, tmp_path):
+        # at delta = 2, p = 0.5 the always-treated variance 2^T E[Y^2] leaves double range first
+        res = run(["efficiency", "--tmax", "1100", "--seed", "0", "--out", str(tmp_path)])
+        assert res.returncode == 3, res.stderr
+        err = json.loads(res.stderr)
+        assert err == {
+            "error": "EstimationError",
+            "message": "the exact variance at T=1014 is beyond double precision",
+        }

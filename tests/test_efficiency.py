@@ -12,18 +12,21 @@ from scipy.stats import norm
 
 from oddshift import (
     ConfigError,
+    DgpConfig,
     EstimationError,
     MomentSpec,
     base_factor,
     crossover_horizon_bound,
     decomposition_check,
     efficiency_curve,
+    exact_effect_curve,
     exact_variance,
     path_weight,
     trial_moments,
     truncated_normal_variance,
     variance_ratio_bounds,
 )
+from oddshift import efficiency
 
 
 class TestTruncatedVariance:
@@ -307,3 +310,172 @@ class TestCurve:
         rows = list(report.as_csv_rows())
         assert len(rows) == 4
         assert rows[0][4] == "always_treated"
+
+
+def reference_path_sum(spec, f1, moment):
+    """Sum over sequences of prod_t (f1 if a_t = 1 else 1 - p) * moment(a), term by term.
+
+    The comb-and-pow count sum of the first implementation, kept as the
+    reference for the binomial collapse; it overflows from T = 282 at
+    delta = 5, p = 0.5.
+    """
+    p, T = spec.p, spec.T
+    total = 0.0
+    for k in range(T + 1):
+        coef = math.comb(T, k) * f1**k * (1.0 - p) ** (T - k)
+        total += coef * moment([1] * k + [0] * (T - k))
+    return total
+
+
+def reference_row(spec, variant):
+    """var_deterministic, var_incremental, lower and upper as first implemented."""
+    p, delta, T = spec.p, spec.delta, spec.T
+    arm, r = ((1,) * T, p) if variant == "always_treated" else ((0,) * T, 1.0 - p)
+    denom = delta * p + 1.0 - p
+    first = reference_path_sum(spec, delta**2 * p, spec.second) / (denom**2) ** T
+    mean = reference_path_sum(spec, delta * p, spec.mean) / denom**T
+    floor = 1.0 / (1.0 - r**T * spec.mean(arm) ** 2 / spec.second(arm))
+    c = floor * 1.001
+    B = base_factor(delta, p, variant)
+    C_T = spec.b_u**2 / spec.second(arm)
+    zeta = 1.0 + c * spec.mean(arm) ** 2 / ((1.0 / r) ** T * spec.second(arm))
+    min_second = min(spec.second([1] * k + [0] * (T - k)) for k in range(T + 1))
+    return {
+        "var_deterministic": (1.0 / r) ** T * spec.second(arm) - spec.mean(arm) ** 2,
+        "var_incremental": first - mean**2,
+        "lower": max(0.0, (min_second * B**T - spec.b_u**2 * r**T) / spec.second(arm)),
+        "upper": C_T * zeta * B**T,
+    }
+
+
+def reference_bound_message(spec):
+    """The first b_u violation in enumeration order, mean before second moment."""
+    T = spec.T
+    if spec.mean_by_count is not None:
+        seqs = ([1] * k + [0] * (T - k) for k in range(T + 1))
+    else:
+        seqs = itertools.product((0, 1), repeat=T)
+    for a_bar in seqs:
+        if abs(spec.mean(a_bar)) > spec.b_u + 1e-12:
+            return f"mean provider exceeds the outcome bound b_u at a={a_bar}"
+        if spec.second(a_bar) > spec.b_u**2 + 1e-9:
+            return f"second-moment provider exceeds b_u^2 at a={a_bar}"
+    return None
+
+
+class TestBinomialCollapse:
+    @pytest.mark.parametrize(
+        "delta,p,variant,T_max",
+        [(d, p, "always_treated", 100) for d in (0.5, 2.0, 5.0) for p in (0.3, 0.5, 0.7)]
+        + [(2.0, 0.5, "never_treated", 60)],
+    )
+    def test_matches_term_by_term_sums(self, delta, p, variant, T_max):
+        report = efficiency_curve(lambda T: trial_moments(T, p, delta), T_max, variant)
+        for row in report.rows:
+            want = reference_row(trial_moments(row["T"], p, delta), variant)
+            for key in ("var_deterministic", "lower", "upper"):
+                assert row[key] == want[key], (row["T"], key)
+            assert row["var_incremental"] == pytest.approx(want["var_incremental"], rel=1e-12)
+
+    def test_trial_mean_equals_exact_truth_bitwise(self):
+        # the shifted mean inside the 'inc' variance is the trial generator's psi_T(delta)
+        for p, delta, T in itertools.product((0.3, 0.5, 0.7), (0.2, 2.0, 5.0), (1, 2, 5, 12, 40)):
+            spec = trial_moments(T, p, delta)
+            D = delta * p + 1.0 - p
+            q = delta * p / D
+            *_, mean = efficiency._collapse(spec._moments.mean, q, 1.0 - q)
+            *_, second = efficiency._collapse(spec._moments.second, delta**2 * p / D**2,
+                                              (1.0 - p) / D**2)
+            truth = exact_effect_curve(DgpConfig(kind="trial", n=1, T=T, p=p), [delta], T)
+            assert mean[0] == truth[0], (p, delta, T)
+            assert exact_variance(spec, "inc") == float(second[0] - truth[0] ** 2), (p, delta, T)
+
+    def test_count_providers_called_once_per_count(self):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return 1.0 + k
+
+        spec = MomentSpec(
+            p=0.4, delta=2.0, T=30, b_u=40.0, mean_by_count=counted,
+            second_by_count=lambda k: (1.0 + k) ** 2 + 1.0,
+        )
+        exact_variance(spec, "inc")
+        variance_ratio_bounds(spec)
+        variance_ratio_bounds(spec, "never_treated")
+        # one table per spec, plus one read of each fixed arm's mean
+        assert sorted(calls) == sorted(list(range(31)) + [30, 0])
+
+    @pytest.mark.parametrize("estimator", ["at", "nt"])
+    def test_fixed_arm_of_long_sequence_spec(self, estimator):
+        # the fixed arm is one sequence, read through the providers without enumeration
+        spec = MomentSpec(
+            p=0.5, delta=2.0, T=25, b_u=1.0, mean_of=lambda a: 0.0, second_of=lambda a: 0.5,
+        )
+        assert exact_variance(spec, estimator) == 16777216.0
+
+    def test_exact_variance_does_not_check_outcome_bound(self):
+        T = 3
+        spec = MomentSpec(
+            p=0.5, delta=2.0, T=T, b_u=6.0,
+            mean_by_count=lambda k: 5.0 if k == T else 50.0,
+            second_by_count=lambda k: (5.0 if k == T else 50.0) ** 2,
+        )
+        assert exact_variance(spec, "at") == 175.0
+        assert exact_variance(spec, "nt") == 17500.0
+        assert exact_variance(spec, "inc") == pytest.approx(346.63923182441704, rel=1e-12)
+        with pytest.raises(ConfigError, match="exceeds the outcome bound"):
+            variance_ratio_bounds(spec)
+
+    @pytest.mark.parametrize(
+        "mean_of,second_of",
+        [
+            # (0, 1, 0) breaks the second moment before (0, 1, 1) breaks the mean
+            (lambda a: 2.0 if a == (0, 1, 1) else 0.5, lambda a: 2.0 if a == (0, 1, 0) else 0.5),
+            # one sequence breaking both reports its mean
+            (lambda a: 2.0 if a == (1, 0, 0) else 0.5, lambda a: 5.0 if a == (1, 0, 0) else 0.5),
+            (lambda a: 0.5, lambda a: 2.0 if sum(a) == 2 else 0.5),
+        ],
+    )
+    def test_bound_offender_order_sequences(self, mean_of, second_of):
+        spec = MomentSpec(p=0.5, delta=2.0, T=3, b_u=1.0, mean_of=mean_of, second_of=second_of)
+        message = reference_bound_message(spec)
+        with pytest.raises(ConfigError) as info:
+            spec.check_bounds()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "mean_k,second_k",
+        [
+            (lambda k: 2.0 if k == 2 else 0.5, lambda k: 2.0 if k == 1 else 0.5),
+            (lambda k: 2.0 if k == 1 else 0.5, lambda k: 5.0 if k == 1 else 0.5),
+        ],
+    )
+    def test_bound_offender_order_counts(self, mean_k, second_k):
+        spec = MomentSpec(
+            p=0.5, delta=2.0, T=3, b_u=1.0, mean_by_count=mean_k, second_by_count=second_k
+        )
+        with pytest.raises(ConfigError) as info:
+            variance_ratio_bounds(spec)
+        assert str(info.value) == reference_bound_message(spec)
+
+    def test_long_horizon_curve_finite(self):
+        report = efficiency_curve(lambda T: trial_moments(T, 0.5, 5.0), 400)
+        assert len(report.rows) == 400
+        for row in report.rows:
+            values = [row[k] for k in ("var_deterministic", "var_incremental", "ratio", "lower",
+                                       "upper")]
+            assert all(math.isfinite(v) for v in values), row["T"]
+            assert row["lower"] <= row["ratio"] <= row["upper"], row["T"]
+
+    @pytest.mark.parametrize(
+        "T,p,delta,estimator",
+        [(1100, 0.5, 5.0, "at"), (1100, 0.5, 5.0, "nt"), (1000, 0.7, 0.1, "inc"),
+         (2000, 0.5, 5.0, "inc")],
+    )
+    def test_variance_beyond_double_precision_is_typed(self, T, p, delta, estimator):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match=f"at T={T} is beyond double precision"):
+                exact_variance(trial_moments(T, p, delta), estimator)

@@ -80,6 +80,25 @@ class TestLoader:
         with pytest.raises(PanelDataError, match="non-monotone"):
             load_long_csv(full_csv(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "id,time,x1,a,y,r\ns1,1,0.5,1,,1\ns1,2,,,,0\ns1,3,0.6,0,1.0,1\n",
+                "subject 's1': non-monotone retention at t=3",
+            ),
+            (
+                # s2 has an outcome at t=1 but no row at t=2, so it left before it
+                "id,time,x1,a,y,r\ns1,1,0.5,1,2.0,1\ns1,2,0.6,0,3.0,1\ns2,1,0.7,0,1.0,1\n",
+                "subject 's2': outcome recorded at t=1 but subject had left",
+            ),
+        ],
+    )
+    def test_retention_messages(self, tmp_path, text, message):
+        with pytest.raises(PanelDataError) as info:
+            load_long_csv(full_csv(tmp_path, text))
+        assert str(info.value) == message
+
     def test_duplicate_id_time(self, tmp_path):
         text = "id,time,x1,a,y,r\ns1,1,0.5,1,,1\ns1,1,0.5,1,,1\n"
         with pytest.raises(PanelDataError, match="duplicate"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from oddshift import (
     write_long_csv,
 )
 from oddshift import simulation
+from oddshift.estimator import ipw_weight_products
 from oddshift.learners import LearnerSpec
 from oddshift.nuisance import NuisanceSpecs
 from oddshift.simulation import _ContinuationOracle, _prop_logit
@@ -282,6 +284,18 @@ class TestRelativeEfficiency:
             warnings.simplefilter("ignore")
             recs = relative_efficiency_mc(cfg, 5.0, [18], reps=20, seed=9)
         assert recs[0]["ratio"] is None
+
+    @pytest.mark.parametrize("kind", ["trial", "observational"])
+    def test_shifted_weights_are_the_ipw_kernel_bitwise(self, kind):
+        # the per-period product the Monte Carlo used before it called the shared kernel
+        for t, delta in itertools.product((1, 2, 5, 12, 20), (0.2, 2.0, 5.0)):
+            cfg = DgpConfig(kind=kind, n=200, T=t, p=0.5, seed=t)
+            ds = simulate(cfg)
+            pi = true_propensities(cfg, ds, t)
+            A = ds.A[:, :t]
+            product = np.prod((delta * A + 1.0 - A) / (delta * pi + 1.0 - pi), axis=1)
+            kernel = ipw_weight_products(A, ds.R[:, : t + 1], pi, np.ones_like(pi), delta)
+            assert np.array_equal(product, kernel), (t, delta)
 
     def test_rejects_dropout_generator(self):
         with pytest.raises(ConfigError):
