@@ -25,10 +25,46 @@ from .inference import check_band_options, uniform_band
 from .intervention import DeltaGrid
 from .learners import LearnerSpec
 from .nuisance import NuisanceSpecs
-from .panel import load_long_csv, validate_monotonicity, write_long_csv
+from .panel import load_long_csv, write_long_csv
 from .simulation import DgpConfig, run_benchmark, simulate
 
 __all__ = ["main"]
+
+
+# Every option of every subcommand: config key -> (type, default, help).  The flag is the
+# key with "--" before it and "-" for "_"; flag text and config values both go through
+# ``_convert``.  A type of None passes the value on as given; a default of None means
+# none, or one the subcommand sets.
+_OPTIONS = {
+    "config": (str, None, "JSON config file; flags override its keys"),
+    "seed": (int, None, "required RNG seed"),
+    "out": (str, ".", "output directory"),
+    "input": (str, None, "long-format panel CSV"),
+    "kind": (str, "dropout", "generator: dropout, trial or observational"),
+    "n": (int, 1000, "number of subjects"),
+    "t": (int, 10, "periods; estimate's horizon defaults to the panel's last period"),
+    "ul": (float, 1.0, "frailty lower endpoint"),
+    "p": (float, 0.5, "trial treatment probability"),
+    "K": (int, 2, "number of folds"),
+    "alpha": (float, 0.05, "band level"),
+    "B": (int, 10_000, "bootstrap replicates"),
+    "S": (int, 50, "number of replications"),
+    "threads": (int, 1, "worker threads; results do not depend on them"),
+    "grid": (None, None, "explicit JSON list of delta values"),
+    "grid_size": (int, None, "log-spaced delta values (estimate 25, bench 9)"),
+    "grid_lo": (float, 0.1, "smallest log-spaced delta"),
+    "grid_hi": (float, 5.0, "largest log-spaced delta"),
+    "pi_learner": (str, "logistic_irls", "treatment propensity learner"),
+    "omega_learner": (str, "logistic_irls", "retention propensity learner"),
+    "m_learner": (str, "ridge:1e-6", "continuation-value learner"),
+    "delta": (float, 2.0, "odds multiplier"),
+    "tmax": (int, 12, "largest horizon"),
+    "variant": (str, "always_treated", "fixed regime: always_treated or never_treated"),
+    "c": (float, None, "bound constant; default 1.001x its floor"),
+}
+_DGP = ("kind", "n", "t", "ul", "p")  # DgpConfig's fields, in order
+_LEARNERS = ("pi_learner", "omega_learner", "m_learner")  # NuisanceSpecs' fields, in order
+_GRID = ("grid_size", "grid_lo", "grid_hi")
 
 
 def _fmt(x) -> str:
@@ -48,9 +84,30 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _convert(key: str, val):
+    """``val`` as option ``key``'s type; flags arrive as text, config values as JSON.
+
+    An int option takes no bool and no non-integral number, a float option
+    no bool, and a str option text only.  None (not given) passes through.
+    """
+    kind = _OPTIONS[key][0]
+    if val is None or kind is None or (kind is str and isinstance(val, str)):
+        return val
+    integral = not isinstance(val, float) or val.is_integer()
+    if kind is not str and not isinstance(val, bool) and (kind is float or integral):
+        try:
+            return kind(val)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{key} must be {kind.__name__}, got {val!r}")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
-    """The config file's keys, overridden by the flags given; only the subcommand's options."""
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "config")}
+    """The config file's keys, overridden by the flags given, each converted by ``_convert``.
+
+    Only the subcommand's options are accepted.
+    """
+    names = ("seed", "out", *_COMMANDS[args.command][2])
     cfg = {}
     if args.config:
         path = Path(args.config)
@@ -61,22 +118,24 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        unknown = set(cfg) - set(flags)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+        unknown = set(cfg) - set(names)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg.update((k, v) for k, v in flags.items() if v is not None)
+    cfg.update((k, getattr(args, k)) for k in names if getattr(args, k) is not None)
+    cfg = {k: _convert(k, v) for k, v in cfg.items()}
     if cfg.get("seed") is None:
         raise ConfigError("a seed is required (no wall-clock default)")
     return cfg
 
 
-def _value(cfg: dict, key: str, default, kind=int):
-    """``cfg[key]`` (``default`` when absent) converted by ``kind``."""
-    val = cfg.get(key, default)
-    try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be {kind.__name__}, got {val!r}") from None
+def _get(cfg: dict, key: str, default=None):
+    """The value given for ``key``; if none, ``default``, or else the table's default."""
+    val = cfg.get(key)
+    if val is not None:
+        return val
+    return _OPTIONS[key][1] if default is None else default
 
 
 def _grid_from(cfg: dict, size: int) -> DeltaGrid:
@@ -89,68 +148,50 @@ def _grid_from(cfg: dict, size: int) -> DeltaGrid:
             raise ConfigError(f"grid must be a JSON list of numbers, got {vals!r}") from None
         return DeltaGrid(values=values)
     return DeltaGrid.log_spaced(
-        _value(cfg, "grid_lo", 0.1, float),
-        _value(cfg, "grid_hi", 5.0, float),
-        _value(cfg, "grid_size", size),
+        _get(cfg, "grid_lo"), _get(cfg, "grid_hi"), _get(cfg, "grid_size", size)
     )
 
 
 def _dgp_from(cfg: dict) -> DgpConfig:
-    return DgpConfig(
-        kind=cfg.get("kind", "dropout"),
-        n=_value(cfg, "n", 1000),
-        T=_value(cfg, "t", 10),
-        u_l=_value(cfg, "ul", 1.0, float),
-        p=_value(cfg, "p", 0.5, float),
-        seed=_value(cfg, "seed", None),
-    )
+    return DgpConfig(*(_get(cfg, k) for k in _DGP), seed=cfg["seed"])
 
 
 def _specs_from(cfg: dict) -> NuisanceSpecs:
-    return NuisanceSpecs(
-        pi=LearnerSpec.from_config(cfg.get("pi_learner", "logistic_irls")),
-        omega=LearnerSpec.from_config(cfg.get("omega_learner", "logistic_irls")),
-        m=LearnerSpec.from_config(cfg.get("m_learner", "ridge:1e-6")),
-    )
+    return NuisanceSpecs(*(LearnerSpec.from_config(_get(cfg, k)) for k in _LEARNERS))
 
 
 def _outdir(cfg: dict) -> Path:
-    out = Path(cfg.get("out", "."))
+    out = Path(_get(cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _cmd_validate(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_validate(cfg: dict) -> int:
     if not cfg.get("input"):
         raise ConfigError("validate needs --input")
     ds = load_long_csv(cfg["input"])
-    report = validate_monotonicity(ds)
     payload = {
         "n": ds.n,
         "n_periods": ds.T,
         "d": ds.d,
         "outcome_times": list(ds.outcome_times),
-        "violations": [{"id": sid, "t": t} for sid, t in report],
+        "violations": [],  # load_long_csv rejects a panel with any
     }
     print(json.dumps(payload, sort_keys=True))
-    return 0 if not report else 2
+    return 0
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_estimate(cfg: dict) -> int:
     if not cfg.get("input"):
         raise ConfigError("estimate needs --input")
     ds = load_long_csv(cfg["input"])
-    t = _value(cfg, "t", ds.T)
-    K = _value(cfg, "K", 2)
-    alpha = _value(cfg, "alpha", 0.05, float)
-    B = _value(cfg, "B", 10_000)
-    seed = _value(cfg, "seed", None)
+    alpha = _get(cfg, "alpha")
+    B = _get(cfg, "B")
+    seed = cfg["seed"]
     grid = _grid_from(cfg, 25)
     specs = _specs_from(cfg)
     check_band_options(alpha, B)
-    est, eif = estimate_cross_fit(ds, K, seed, specs, grid, t)
+    est, eif = estimate_cross_fit(ds, _get(cfg, "K"), seed, specs, grid, _get(cfg, "t", ds.T))
     band = uniform_band(eif, est, alpha=alpha, B=B, seed=seed)
     out = _outdir(cfg)
     _write_csv(
@@ -170,7 +211,7 @@ def _cmd_estimate(args) -> int:
     _write_json(
         out / "diagnostics.json",
         {
-            "config": {k: cfg.get(k) for k in sorted(cfg)},
+            "config": cfg,
             "kind": est.kind,
             "n": est.n,
             "t": est.t,
@@ -187,8 +228,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_simulate(cfg: dict) -> int:
     dgp = _dgp_from(cfg)
     ds = simulate(dgp)
     out = _outdir(cfg)
@@ -206,22 +246,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_bench(cfg: dict) -> int:
     dgp = _dgp_from(cfg)
     grid = _grid_from(cfg, 9)
     result = run_benchmark(
         dgp,
-        S=_value(cfg, "S", 50),
+        S=_get(cfg, "S"),
         grid=grid,
         specs=_specs_from(cfg),
         seed=dgp.seed,
-        K=_value(cfg, "K", 2),
-        threads=_value(cfg, "threads", 1),
+        K=_get(cfg, "K"),
+        threads=_get(cfg, "threads"),
     )
     out = _outdir(cfg)
     summary = result.summary()
-    summary["config"] = {k: cfg.get(k) for k in sorted(cfg)}
+    summary["config"] = cfg
     _write_json(out / "benchmark.json", summary)
     rows = []
     for kind, arr in result.estimates.items():
@@ -239,15 +278,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_efficiency(args) -> int:
-    cfg = _merge_config(args)
-    delta = _value(cfg, "delta", 2.0, float)
-    p = _value(cfg, "p", 0.5, float)
-    tmax = _value(cfg, "tmax", 12)
-    variant = cfg.get("variant", "always_treated")
-    c = _value(cfg, "c", None, float) if cfg.get("c") is not None else None
+def _cmd_efficiency(cfg: dict) -> int:
+    p, delta = _get(cfg, "p"), _get(cfg, "delta")
     report = efficiency_curve(
-        lambda T: trial_moments(T, p, delta), tmax, variant=variant, c=c
+        lambda T: trial_moments(T, p, delta),
+        _get(cfg, "tmax"),
+        variant=_get(cfg, "variant"),
+        c=_get(cfg, "c"),
     )
     out = _outdir(cfg)
     _write_csv(
@@ -258,7 +295,7 @@ def _cmd_efficiency(args) -> int:
     _write_json(
         out / "efficiency.json",
         {
-            "config": {k: cfg.get(k) for k in sorted(cfg)},
+            "config": cfg,
             "variant": report.variant,
             "delta": report.delta,
             "p": report.p,
@@ -270,82 +307,47 @@ def _cmd_efficiency(args) -> int:
     return 0
 
 
+# subcommand -> (handler, help, its options besides config, seed and out)
+_COMMANDS = {
+    "estimate": (_cmd_estimate, "effect curve with bands from a panel CSV",
+                 ("input", "K", "t", "alpha", "B", "grid", *_GRID, *_LEARNERS)),
+    "simulate": (_cmd_simulate, "draw a synthetic panel CSV", _DGP),
+    "bench": (_cmd_bench, "estimator benchmark against the exact truth",
+              (*_DGP, "S", "K", "threads", *_GRID, *_LEARNERS)),
+    "efficiency": (_cmd_efficiency, "analytic variance-ratio bounds and exact curve",
+                   ("delta", "p", "tmax", "variant", "c")),
+    "validate": (_cmd_validate, "check a panel CSV against the schema", ("input",)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ConfigError``, so they leave ``main`` as one JSON line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddshift",
         description="Odds-multiplier effect curves for panels with dropout",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override its keys")
-        sp.add_argument("--seed", type=int, help="required RNG seed")
-        sp.add_argument("--out", help="output directory (default: current)")
-
-    sp = sub.add_parser("estimate", help="effect curve with bands from a panel CSV")
-    add_common(sp)
-    sp.add_argument("--input", help="long-format panel CSV")
-    sp.add_argument("--K", type=int, help="number of folds (default 2)")
-    sp.add_argument("--t", type=int, help="horizon (default: last period)")
-    sp.add_argument("--alpha", type=float, help="band level (default 0.05)")
-    sp.add_argument("--B", type=int, help="bootstrap replicates (default 10000)")
-    sp.add_argument("--grid", help="explicit JSON list of delta values")
-    sp.add_argument("--grid-size", dest="grid_size", type=int)
-    sp.add_argument("--grid-lo", dest="grid_lo", type=float)
-    sp.add_argument("--grid-hi", dest="grid_hi", type=float)
-    sp.add_argument("--pi-learner", dest="pi_learner")
-    sp.add_argument("--omega-learner", dest="omega_learner")
-    sp.add_argument("--m-learner", dest="m_learner")
-    sp.set_defaults(fn=_cmd_estimate)
-
-    sp = sub.add_parser("simulate", help="draw a synthetic panel CSV")
-    add_common(sp)
-    sp.add_argument("--kind", choices=["dropout", "trial", "observational"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--t", type=int, help="number of periods")
-    sp.add_argument("--ul", type=float, help="frailty lower endpoint")
-    sp.add_argument("--p", type=float, help="trial treatment probability")
-    sp.set_defaults(fn=_cmd_simulate)
-
-    sp = sub.add_parser("bench", help="estimator benchmark against the exact truth")
-    add_common(sp)
-    sp.add_argument("--kind", choices=["dropout", "trial", "observational"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--t", type=int)
-    sp.add_argument("--ul", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--S", type=int, help="number of replications")
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--grid-size", dest="grid_size", type=int)
-    sp.add_argument("--grid-lo", dest="grid_lo", type=float)
-    sp.add_argument("--grid-hi", dest="grid_hi", type=float)
-    sp.add_argument("--pi-learner", dest="pi_learner")
-    sp.add_argument("--omega-learner", dest="omega_learner")
-    sp.add_argument("--m-learner", dest="m_learner")
-    sp.set_defaults(fn=_cmd_bench)
-
-    sp = sub.add_parser("efficiency", help="analytic variance-ratio bounds and exact curve")
-    add_common(sp)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--tmax", type=int)
-    sp.add_argument("--variant", choices=["always_treated", "never_treated"])
-    sp.add_argument("--c", type=float, help="bound constant; default 1.001x its floor")
-    sp.set_defaults(fn=_cmd_efficiency)
-
-    sp = sub.add_parser("validate", help="check a panel CSV against the schema")
-    add_common(sp)
-    sp.add_argument("--input", help="long-format panel CSV")
-    sp.set_defaults(fn=_cmd_validate)
+    for command, (fn, help_, names) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_)
+        for name in ("config", "seed", "out", *names):
+            _, default, text = _OPTIONS[name]
+            if default is not None:
+                text += f" (default: {default!r})"
+            sp.add_argument("--" + name.replace("_", "-"), help=text)
+        sp.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args = _build_parser().parse_args(argv)
+        return args.fn(_merge_config(args))
     except (ConfigError, PanelDataError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

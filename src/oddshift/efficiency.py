@@ -267,7 +267,10 @@ def variance_ratio_bounds(
         raise ConfigError(f"c={c} below its floor {floor}")
     B = base_factor(spec.delta, spec.p, variant)
     C_T = spec.b_u**2 / second
-    zeta = 1.0 + c * mean**2 / ((1.0 / r) ** T * second)
+    try:
+        zeta = 1.0 + c * mean**2 / ((1.0 / r) ** T * second)
+    except OverflowError:  # (1/r)^T past double range: a term of at most c/(1/r)^T
+        zeta = 1.0
     lower = max(0.0, (spec._moments.min_second * B**T - spec.b_u**2 * r**T) / second)
     upper = C_T * zeta * B**T
     return float(lower), float(upper)

@@ -72,7 +72,10 @@ class LearnerSpec:
 
     @classmethod
     def from_config(cls, obj) -> "LearnerSpec":
-        """Parse 'logistic_irls' | 'knn:15' | 'ridge:0.001' | 'zero'."""
+        """Parse 'knn[:k]' | 'ridge[:lam]' | 'logistic' | 'logistic_irls' | 'zero'.
+
+        Only knn (k, default 5) and ridge (lam, default 0) take an argument.
+        """
         if isinstance(obj, LearnerSpec):
             return obj
         if not isinstance(obj, str):
@@ -85,11 +88,11 @@ class LearnerSpec:
                 return cls.ridge(float(arg)) if arg else cls.ridge(0.0)
         except ValueError:
             raise ConfigError(f"bad learner argument in {obj!r}") from None
-        if name in ("logistic_irls", "logistic"):
-            return cls.logistic()
-        if name == "zero":
-            return cls.zero()
-        raise ConfigError(f"unknown learner {obj!r}")
+        if name not in ("logistic_irls", "logistic", "zero"):
+            raise ConfigError(f"unknown learner {obj!r}")
+        if arg:
+            raise ConfigError(f"learner {name!r} takes no argument, got {obj!r}")
+        return cls.zero() if name == "zero" else cls.logistic()
 
 
 @dataclass
@@ -174,19 +177,22 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - mu) / sd, mu, sd
 
 
-def _knn_neighbours(d2: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
+def _knn_neighbours(
+    d2: np.ndarray, k: int, scratch: np.ndarray, chosen: np.ndarray
+) -> np.ndarray:
     """Each row's k nearest columns of ``d2``, nearest first.
 
     Neighbours are the k smallest (distance, column) pairs, taken in that
     order, so the result is bitwise ``np.argsort(d2, axis=1,
     kind="stable")[:, :k]``: ties at the k-th distance go to the lowest
-    columns.  Selection is linear in the row length.  ``scratch`` is a
-    buffer of ``d2``'s shape that the selection overwrites.
+    columns.  Selection is linear in the row length.  ``scratch`` (float)
+    and ``chosen`` (bool) are buffers of ``d2``'s shape that the selection
+    overwrites.
     """
     np.copyto(scratch, d2)
     scratch.partition(k - 1, axis=1)
     kth = scratch[:, k - 1 : k]
-    chosen = d2 <= kth  # every strictly closer column plus every tie
+    np.less_equal(d2, kth, out=chosen)  # every strictly closer column plus every tie
     extra = np.count_nonzero(chosen, axis=1) - k
     over = np.flatnonzero(extra)
     if over.size:
@@ -196,7 +202,8 @@ def _knn_neighbours(d2: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
         rank = np.cumsum(tie, axis=1, dtype=np.int32)
         chosen[over] &= ~tie | (rank <= keep[:, None])
     # exactly k per row, in row-major order: the ascending columns of each row
-    cols = (np.flatnonzero(chosen) % d2.shape[1]).reshape(-1, k)
+    cols = np.flatnonzero(chosen).reshape(-1, k)
+    cols -= np.arange(0, chosen.size, chosen.shape[1])[:, None]
     order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
 
@@ -220,6 +227,7 @@ def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> Fitted
         out = np.empty((Q.shape[0], Y.shape[0]))
         rows = min(_KNN_BLOCK, Q.shape[0])
         dist, scratch = np.empty((rows, n)), np.empty((rows, n))
+        chosen = np.empty((rows, n), dtype=bool)
         for lo in range(0, Q.shape[0], _KNN_BLOCK):
             q = Q[lo : lo + _KNN_BLOCK]
             d2 = dist[: q.shape[0]]
@@ -228,7 +236,7 @@ def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> Fitted
             np.matmul(2.0 * q, Xs.T, out=d2)
             np.subtract(np.sum(q**2, axis=1)[:, None], d2, out=d2)
             d2 += sq
-            nbrs = _knn_neighbours(d2, k_eff, scratch[: q.shape[0]])
+            nbrs = _knn_neighbours(d2, k_eff, scratch[: q.shape[0]], chosen[: q.shape[0]])
             for j, y in enumerate(Y):  # one (q, k) gather and mean per target, as for 1-D
                 out[lo : lo + _KNN_BLOCK, j] = y[nbrs].mean(axis=1)
         return out

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -97,6 +98,20 @@ class TestValidateCommand:
         err = json.loads(res.stderr)
         assert err["error"] == "PanelDataError"
         assert err["message"].startswith("line 2: ")
+
+    def test_non_monotone_panel_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "id,time,x1,a,y,r\ns1,1,0.5,1,1.0,1\ns1,2,,,,0\ns1,3,0.5,1,1.0,1\n", encoding="utf-8"
+        )
+        res = run(["validate", "--input", str(bad), "--seed", "0"])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err == {
+            "error": "PanelDataError",
+            "message": "subject 's1': non-monotone retention at t=3",
+        }
 
 
 class TestEstimateCommand:
@@ -244,6 +259,29 @@ class TestEstimateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": "grid values must be finite"}
 
+    def test_flag_values_recorded_with_their_types(self, panel_dir, tmp_path):
+        out = tmp_path / "est"
+        code = cli.main(
+            ["estimate", "--input", str(panel_dir / "panel.csv"), "--seed", "5", "--K", "2",
+             "--t", "3", "--alpha", "0.1", "--B", "200", "--grid-size", "3", "--grid-lo", "0.5",
+             "--grid-hi", "2", "--m-learner", "ridge:0.25", "--out", str(out)]
+        )
+        assert code == 0
+        config = json.loads((out / "diagnostics.json").read_text())["config"]
+        assert {k: (v, type(v)) for k, v in config.items()} == {
+            "input": (str(panel_dir / "panel.csv"), str),
+            "seed": (5, int),
+            "K": (2, int),
+            "t": (3, int),
+            "alpha": (0.1, float),
+            "B": (200, int),
+            "grid_size": (3, int),
+            "grid_lo": (0.5, float),
+            "grid_hi": (2.0, float),
+            "m_learner": ("ridge:0.25", str),
+            "out": (str(out), str),
+        }
+
     def test_horizon_beyond_panel_names_it(self, panel_dir, tmp_path):
         res = run(
             ["estimate", "--input", str(panel_dir / "panel.csv"), "--seed", "1",
@@ -288,6 +326,86 @@ def test_unknown_config_key_rejected_by_every_subcommand(tmp_path, capsys, comma
         assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": f"unknown config keys: [{key!r}]"}
+
+
+# (argv, keys of a config file that also sets seed and out, or None for no config file,
+# message); estimate also gets --input
+BAD_INPUTS = [
+    (["estimate", "--K", "abc"], None, "K must be int, got 'abc'"),
+    (["estimate", "--K", "2.5"], None, "K must be int, got '2.5'"),
+    (["estimate", "--bogus", "1"], None, "unrecognized arguments: --bogus 1"),
+    (["estimate"], {"K": 2.7}, "K must be int, got 2.7"),
+    (["estimate"], {"B": 200.9}, "B must be int, got 200.9"),
+    (["estimate"], {"seed": 1.9}, "seed must be int, got 1.9"),
+    (["estimate"], {"grid_size": 5.5}, "grid_size must be int, got 5.5"),
+    (["estimate"], {"alpha": True}, "alpha must be float, got True"),
+    (["estimate"], {"out": 5}, "out must be str, got 5"),
+    (["simulate"], {"t": True}, "t must be int, got True"),
+    (["simulate"], {"n": 50.5}, "n must be int, got 50.5"),
+    (["simulate", "--kind", "foo"], {}, "unknown DGP kind 'foo'"),
+    (["efficiency", "--variant", "foo"], {}, "unknown variant 'foo'"),
+    ([], None, "the following arguments are required: command"),
+    (["estimate", "--pi-learner", "logistic:7"], {},
+     "learner 'logistic' takes no argument, got 'logistic:7'"),
+    (["estimate", "--m-learner", "zero:3"], {}, "learner 'zero' takes no argument, got 'zero:3'"),
+]
+
+
+@pytest.mark.parametrize("in_process", [False, True], ids=["subprocess", "in_process"])
+@pytest.mark.parametrize(
+    "argv,config,message",
+    BAD_INPUTS,
+    ids=[" ".join(argv[1:]) or json.dumps(config) if argv else "no subcommand"
+         for argv, config, _ in BAD_INPUTS],
+)
+def test_bad_input_exits_2_with_one_json_line(
+    panel_dir, tmp_path, forbid_fit, capsys, argv, config, message, in_process
+):
+    if argv[:1] == ["estimate"]:
+        argv = argv + ["--input", str(panel_dir / "panel.csv")]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "out": str(tmp_path), **config}))
+        argv = argv + ["--config", str(cfg_path)]
+    if in_process:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+    else:
+        res = run(argv)
+        code, out, err = res.returncode, res.stdout, res.stderr
+    assert code == 2
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ConfigError", "message": message}
+    ]
+
+
+@pytest.mark.parametrize("text,kind", [("[1]", "list"), ("5", "int"), ('"seed"', "str")])
+def test_config_must_be_an_object(tmp_path, capsys, text, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg_path), "--seed", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": f"config must be a JSON object, got {kind}"}
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("estimate", ["input", "K", "t", "alpha", "B", "grid", "grid-size", "grid-lo",
+                      "grid-hi", "pi-learner", "omega-learner", "m-learner"]),
+        ("simulate", ["kind", "n", "t", "ul", "p"]),
+        ("bench", ["kind", "n", "t", "ul", "p", "S", "K", "threads", "grid-size", "grid-lo",
+                   "grid-hi", "pi-learner", "omega-learner", "m-learner"]),
+        ("efficiency", ["delta", "p", "tmax", "variant", "c"]),
+        ("validate", ["input"]),
+    ],
+)
+def test_help_lists_each_option_once(command, options):
+    res = run([command, "--help"])
+    assert res.returncode == 0, res.stderr
+    listed = re.findall(r"^  (--[\w-]+)", res.stdout, flags=re.M)
+    assert listed == ["--" + name for name in ["config", "seed", "out", *options]]
 
 
 class TestBenchCommand:

@@ -158,6 +158,18 @@ class TestBounds:
             ratio = exact_variance(spec, "inc") / exact_variance(spec, est)
             assert lower <= ratio <= upper, (delta, T)
 
+    def test_long_horizon_bounds(self):
+        # (1/r)^T leaves double range at T=1024 (r=0.5); zeta is 1 there to double precision
+        assert variance_ratio_bounds(trial_moments(1000, 0.5, 5.0)) == (
+            2.724824719137131e-143, 5.145384077785235e-142
+        )
+        assert variance_ratio_bounds(trial_moments(1023, 0.5, 5.0)) == (
+            1.5040357924197167e-146, 2.887404069259883e-145
+        )
+        for T in (1024, 1100):
+            lower, upper = variance_ratio_bounds(trial_moments(T, 0.5, 5.0))
+            assert math.isfinite(lower) and math.isfinite(upper) and lower <= upper
+
     def test_sequence_spec_beyond_enumeration_limit(self):
         spec = two_point_spec(0.5, 2.0, 21, hi=1.0, lo=-1.0)
         with pytest.raises(EstimationError, match="infeasible"):

@@ -186,7 +186,7 @@ class TestKnn:
         # exact integer squared distances: ties are exact, not rounding luck
         X, Xq, y, k = case
         d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        nbrs = _knn_neighbours(d2, k, np.empty_like(d2))
+        nbrs = _knn_neighbours(d2, k, np.empty_like(d2), np.empty(d2.shape, bool))
         assert np.array_equal(nbrs, np.argsort(d2, axis=1, kind="stable")[:, :k])
 
     @KNN_SETTINGS
@@ -258,6 +258,27 @@ class TestOracleAndZero:
     def test_zero_predictor(self):
         model = fit_learner(LearnerSpec.zero(), np.ones((4, 2)), np.ones(4), "regression")
         assert np.all(model.predict(np.ones((7, 2))) == 0.0)
+
+    @pytest.mark.parametrize(
+        "text,spec",
+        [
+            ("knn", LearnerSpec.knn(5)),
+            ("knn:15", LearnerSpec.knn(15)),
+            ("ridge", LearnerSpec.ridge(0.0)),
+            ("ridge:0.25", LearnerSpec.ridge(0.25)),
+            ("logistic", LearnerSpec.logistic()),
+            ("logistic_irls", LearnerSpec.logistic()),
+            ("zero", LearnerSpec.zero()),
+        ],
+    )
+    def test_spec_strings_that_parse(self, text, spec):
+        assert LearnerSpec.from_config(text) == spec
+
+    @pytest.mark.parametrize("text", ["logistic:7", "logistic_irls:1", "zero:3"])
+    def test_argument_to_a_learner_that_takes_none(self, text):
+        name = text.partition(":")[0]
+        with pytest.raises(ConfigError, match=f"learner '{name}' takes no argument"):
+            LearnerSpec.from_config(text)
 
     def test_spec_parsing(self):
         assert LearnerSpec.from_config("knn:15").k == 15
