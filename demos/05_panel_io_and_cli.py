@@ -28,7 +28,6 @@ with tempfile.TemporaryDirectory(prefix="oddshift_demo_") as tmp:
     again = od.load_long_csv(csv_path)
     same = all(np.array_equal(getattr(again, k), getattr(ds, k), equal_nan=True) for k in "XAYR")
     print("round trip preserves every record:", same and again.ids == ds.ids)
-    print("monotonicity report (empty = valid):", od.validate_monotonicity(again))
 
     print("\nthe same operations via the CLI:")
     for args in (

@@ -52,7 +52,6 @@ from .panel import (
     history_features,
     load_long_csv,
     split_folds,
-    validate_monotonicity,
     write_long_csv,
 )
 from .simulation import (

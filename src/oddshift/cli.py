@@ -5,7 +5,8 @@ Five subcommands: ``estimate``, ``simulate``, ``bench``, ``efficiency``,
 command-line flags taking precedence; a seed is always required, so every
 command is a pure function of its inputs and reruns are byte-identical.
 Numbers are written with 17 significant digits so downstream diffs are
-exact.  Exit codes: 0 ok, 2 input or configuration error, 3 runtime
+exact.  Exit codes: 0 ok, 2 input or configuration error (a config,
+input or output path the operating system refuses too), 3 runtime
 estimation error; failures print a one-line JSON error to stderr.
 """
 
@@ -113,11 +114,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
         unknown = set(cfg) - set(names)
@@ -162,7 +165,10 @@ def _specs_from(cfg: dict) -> NuisanceSpecs:
 
 def _outdir(cfg: dict) -> Path:
     out = Path(_get(cfg, "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -191,9 +197,9 @@ def _cmd_estimate(cfg: dict) -> int:
     grid = _grid_from(cfg, 25)
     specs = _specs_from(cfg)
     check_band_options(alpha, B)
+    out = _outdir(cfg)
     est, eif = estimate_cross_fit(ds, _get(cfg, "K"), seed, specs, grid, _get(cfg, "t", ds.T))
     band = uniform_band(eif, est, alpha=alpha, B=B, seed=seed)
-    out = _outdir(cfg)
     _write_csv(
         out / "effect_curve.csv",
         ["delta", "psi_hat", "sigma_hat", "n"],
@@ -249,6 +255,7 @@ def _cmd_simulate(cfg: dict) -> int:
 def _cmd_bench(cfg: dict) -> int:
     dgp = _dgp_from(cfg)
     grid = _grid_from(cfg, 9)
+    out = _outdir(cfg)
     result = run_benchmark(
         dgp,
         S=_get(cfg, "S"),
@@ -258,7 +265,6 @@ def _cmd_bench(cfg: dict) -> int:
         K=_get(cfg, "K"),
         threads=_get(cfg, "threads"),
     )
-    out = _outdir(cfg)
     summary = result.summary()
     summary["config"] = cfg
     _write_json(out / "benchmark.json", summary)

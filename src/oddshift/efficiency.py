@@ -49,8 +49,8 @@ _ENUM_LIMIT = 20
 _SCAN_LIMIT = 10**6
 
 
-def truncated_normal_variance(half_width: float, sd: float = 1.0) -> float:
-    """Variance of N(mu, sd^2) truncated symmetrically at mu +- half_width*sd.
+def truncated_normal_variance(half_width: float) -> float:
+    """Variance of N(mu, 1) truncated symmetrically at mu +- half_width.
 
     ``half_width`` must be finite and positive.  Below 1e-3 the closed form
     cancels, so its Taylor series a^2/3 - 2a^4/45 + 2a^6/945 is used; the
@@ -61,11 +61,11 @@ def truncated_normal_variance(half_width: float, sd: float = 1.0) -> float:
         raise ConfigError(f"half_width must be finite and > 0, got {half_width!r}")
     if a < 1e-3:
         a2 = a * a
-        return sd**2 * (a2 / 3.0 - 2.0 * a2 * a2 / 45.0 + 2.0 * a2 * a2 * a2 / 945.0)
+        return a2 / 3.0 - 2.0 * a2 * a2 / 45.0 + 2.0 * a2 * a2 * a2 / 945.0
     z = 2.0 * ndtr(a) - 1.0
     # the normal density; a * a squares as numpy does, where a**2 can differ in the last bit
     pdf = np.exp(-(a * a) / 2.0) / np.sqrt(2 * np.pi)
-    return sd**2 * (1.0 - 2.0 * a * pdf / z)
+    return 1.0 - 2.0 * a * pdf / z
 
 
 class _Moments(NamedTuple):

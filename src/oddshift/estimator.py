@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .intervention import DeltaGrid
+from .intervention import DeltaGrid, _check_delta
 from .learners import LearnerSpec
 from .nuisance import NuisanceSet, NuisanceSpecs, fit_nuisances
 from .panel import FoldAssignment, PanelDataset, split_folds
@@ -79,6 +79,7 @@ def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
     the scalar result bitwise.  ``terms`` (shaped like m1) receives each
     stage's correction term on units retained at that stage.
     """
+    _check_delta(delta)
     scalar = np.ndim(delta) == 0
     deltas = np.atleast_1d(np.asarray(delta, dtype=float))
     if scalar:
@@ -270,7 +271,6 @@ def _fold_pass(
         tag = "" if k is None else f"fold {k}: "
         diagnostics["warnings"].extend(tag + w for w in eta.warnings)
         eta = None  # free this fold's arrays before the next fold is fit
-    diagnostics["fully_weighted_units"] = int(np.sum(ds.R[:, t] == 1))
     if folds is None:
         psi_hat = values.mean(axis=0)
         per_fold = psi_hat[None, :].copy()

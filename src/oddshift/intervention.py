@@ -13,7 +13,6 @@ ratio inline for its weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,9 @@ __all__ = [
 
 
 def _check_delta(delta) -> None:
-    if np.any(np.asarray(delta) <= 0):
-        raise ConfigError("delta must be positive")
+    d = np.asarray(delta, dtype=float)
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ConfigError("delta must be finite and positive")
 
 
 def _check_prob(pi) -> None:
@@ -89,13 +89,6 @@ class DeltaGrid:
 
     def __iter__(self):
         return iter(self.values)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.values))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeltaGrid":
-        return cls(values=tuple(json.loads(text)))
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, num: int) -> "DeltaGrid":

@@ -76,8 +76,6 @@ class LearnerSpec:
 
         Only knn (k, default 5) and ridge (lam, default 0) take an argument.
         """
-        if isinstance(obj, LearnerSpec):
-            return obj
         if not isinstance(obj, str):
             raise ConfigError(f"cannot parse learner spec {obj!r}")
         name, _, arg = obj.partition(":")

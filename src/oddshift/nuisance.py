@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, EstimationError
+from .intervention import _check_delta
 from .learners import OMEGA_FLOOR, FittedModel, LearnerSpec, fit_learner
 from .panel import FoldAssignment, PanelDataset, history_features
 
@@ -193,10 +194,13 @@ def fit_pseudo_outcome_sequence(
     ``pi_pred`` must hold propensity predictions from the same training
     pool for every retained unit; they weight the two arms when the
     recursion collapses A_t.  m1 and m0 hold fold ``exclude_fold``'s
-    units (every unit without one), one column per delta.
+    units (every unit without one), one column per delta.  Each delta
+    must be finite and positive, and the horizon must have a recorded
+    outcome; both are checked before any fit.
     """
-    _check_horizon(ds, t_star)
     deltas = tuple(deltas)
+    _check_delta(deltas)
+    _check_horizon(ds, t_star)
     grid = np.asarray(deltas, dtype=float)
     m_spec = spec(deltas) if callable(spec) else spec
     train, held = _split(ds, folds, exclude_fold)
@@ -277,8 +281,10 @@ def fit_nuisances(
     """Fit all three nuisance sequences for one fold over a delta grid.
 
     The arrays hold fold ``exclude_fold``'s units (every unit without one).
-    A horizon without a recorded outcome is rejected before any fit.
+    A delta that is not finite and positive, or a horizon without a
+    recorded outcome, is rejected before any fit.
     """
+    _check_delta(deltas)
     _check_horizon(ds, t_star)
     held = _split(ds, folds, exclude_fold)[1]
     pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold, t_star)

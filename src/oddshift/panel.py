@@ -41,7 +41,6 @@ from .errors import ConfigError, PanelDataError
 __all__ = [
     "PanelDataset",
     "FoldAssignment",
-    "validate_monotonicity",
     "split_folds",
     "history_features",
     "load_long_csv",
@@ -49,23 +48,53 @@ __all__ = [
 ]
 
 
-def _monotonicity_mask(R: np.ndarray) -> np.ndarray:
-    """(n, T+1) mask of non-monotone times: t = 1 if R_1 != 1, and R_t = 1 after R_{t-1} = 0."""
-    bad = np.zeros(R.shape, dtype=bool)
-    bad[:, 0] = R[:, 0] != 1
-    bad[:, 1:] = (R[:, 1:] == 1) & (R[:, :-1] == 0)
-    return bad
-
-
 # Invariant messages in their within-cell reporting order; index 0 is the
 # monotonicity line, the only kind reported for a non-monotone subject.
 _PROBLEMS = (
     "non-monotone retention at t={}",
     "covariate/treatment presence disagrees with R at t={}",
+    "non-finite covariate at t={}",
     "non-binary treatment at t={}",
     "outcome recorded at t={} but subject had left",
+    "non-finite outcome at t={}",
     "missing outcome at recorded time t={}",
 )
+
+
+def _invariant_problems(X, A, Y, R, ids) -> list[str]:
+    """Human-readable descriptions of every invariant violation of the arrays.
+
+    Messages run subject by subject, then by time, then in the order of
+    ``_PROBLEMS``; a non-monotone subject reports only its monotonicity
+    lines.  A value is present when it is not NaN, and a present
+    covariate or outcome must be finite; covariates and the treatment
+    must be complete where R_t = 1.  Neither can be present where
+    R_t != 1: ``from_arrays`` blanks those cells and ``load_long_csv``
+    rejects them, so only retained cells are checked.
+    """
+    n, T = A.shape
+    alive = R[:, :T] == 1
+    stays = R[:, 1:] == 1
+    has_a = ~np.isnan(A)
+    has_y = ~np.isnan(Y)
+    # t = 1 if R_1 != 1, and R_t = 1 after R_{t-1} = 0
+    mono = np.zeros(R.shape, dtype=bool)
+    mono[:, 0] = R[:, 0] != 1
+    mono[:, 1:] = (R[:, 1:] == 1) & (R[:, :-1] == 0)
+    cells = np.zeros((n, T + 1, len(_PROBLEMS)), dtype=bool)
+    cells[:, :, 0] = mono
+    cells[:, :-1, 1] = alive & (np.isnan(X).any(axis=2) | ~has_a)
+    cells[:, :-1, 2] = np.isinf(X).any(axis=2)
+    cells[:, :-1, 3] = has_a & (A != 0) & (A != 1)
+    cells[:, :-1, 4] = has_y & ~stays
+    cells[:, :-1, 5] = np.isinf(Y)
+    cells[:, :-1, 6] = has_y.any(axis=0) & stays & ~has_y
+    cells[mono.any(axis=1), :, 1:] = False
+    # nonzero walks the mask in (subject, time, kind) order
+    return [
+        f"subject {ids[i]!r}: " + _PROBLEMS[k].format(t + 1)
+        for i, t, k in zip(*(idx.tolist() for idx in np.nonzero(cells)))
+    ]
 
 
 class PanelDataset:
@@ -75,10 +104,10 @@ class PanelDataset:
     dropout hold NaN (never a usable sentinel).  ``R`` has one extra
     column so that R[:, t] is the retention indicator R_{t+1} gating Y_t.
     The arrays are the only copy of the data.  Build a panel with
-    ``from_arrays`` or ``load_long_csv``.
+    ``from_arrays`` or ``load_long_csv``; both validate it.
     """
 
-    def _store(self, X, A, Y, R, ids, validate: bool) -> None:
+    def _store(self, X, A, Y, R, ids) -> None:
         """Adopt the arrays (without copying) as the panel, freeze them, validate."""
         self.n, self.T = A.shape
         if self.n == 0:
@@ -95,39 +124,9 @@ class PanelDataset:
         self.outcome_times = tuple(
             int(t) + 1 for t in np.flatnonzero(~np.isnan(Y).all(axis=0))
         )
-        if validate:
-            problems = self.check_invariants()
-            if problems:
-                raise PanelDataError("; ".join(problems[:8]))
-
-    def check_invariants(self) -> list[str]:
-        """Return human-readable descriptions of every invariant violation.
-
-        Messages run subject by subject, then by time, then in the order of
-        ``_PROBLEMS``; a non-monotone subject reports only its monotonicity
-        lines.  A value is present when it is not NaN; covariates and the
-        treatment must be complete where R_t = 1.  Neither can be present
-        where R_t != 1: ``from_arrays`` blanks those cells and
-        ``load_long_csv`` rejects them, so only retained cells are checked.
-        """
-        alive = self.R[:, : self.T] == 1
-        stays = self.R[:, 1:] == 1
-        x_nan = np.isnan(self.X)
-        has_a = ~np.isnan(self.A)
-        has_y = ~np.isnan(self.Y)
-        mono = _monotonicity_mask(self.R)
-        cells = np.zeros((self.n, self.T + 1, len(_PROBLEMS)), dtype=bool)
-        cells[:, :, 0] = mono
-        cells[:, :-1, 1] = alive & (x_nan.any(axis=2) | ~has_a)
-        cells[:, :-1, 2] = has_a & (self.A != 0) & (self.A != 1)
-        cells[:, :-1, 3] = has_y & ~stays
-        cells[:, :-1, 4] = has_y.any(axis=0) & stays & ~has_y
-        cells[mono.any(axis=1), :, 1:] = False
-        # nonzero walks the mask in (subject, time, kind) order
-        return [
-            f"subject {self.ids[i]!r}: " + _PROBLEMS[k].format(t + 1)
-            for i, t, k in zip(*(idx.tolist() for idx in np.nonzero(cells)))
-        ]
+        problems = _invariant_problems(X, A, Y, R, self.ids)
+        if problems:
+            raise PanelDataError("; ".join(problems[:8]))
 
     @classmethod
     def from_arrays(
@@ -137,7 +136,6 @@ class PanelDataset:
         Y: np.ndarray,
         R: np.ndarray,
         ids: Sequence[str] | None = None,
-        validate: bool = True,
     ) -> "PanelDataset":
         """Build a dataset from dense arrays (NaN marks unavailable cells).
 
@@ -163,17 +161,8 @@ class PanelDataset:
         X[gone] = np.nan
         A[gone] = np.nan
         ds = cls.__new__(cls)
-        ds._store(X, A, Y, R, ids, validate)
+        ds._store(X, A, Y, R, ids)
         return ds
-
-
-def validate_monotonicity(ds: PanelDataset) -> list[tuple[str, int]]:
-    """Report (subject_id, time) pairs where retention is non-monotone.
-
-    Valid datasets return an empty list.
-    """
-    i, t = np.nonzero(_monotonicity_mask(ds.R))
-    return [(ds.ids[a], b + 1) for a, b in zip(i.tolist(), t.tolist())]
 
 
 @dataclass(frozen=True)
@@ -252,18 +241,27 @@ def _parse_finite(raw: str, what: str, line_no: int) -> float:
     return value
 
 
+def _open(path: Path, **kwargs):
+    """``open`` for reading, an operating-system error raised as ``PanelDataError``."""
+    try:
+        return open(path, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise PanelDataError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     """Read a long-format panel CSV (see module docstring for the schema).
 
     ``n_periods`` overrides the horizon T; otherwise the metadata sidecar
     ``<path>.meta.json`` is consulted, falling back to the largest time
     present in the file; T must be an integer >= 1.  A sidecar whose ``n``,
-    ``d`` or ``sha256`` does not match the file is rejected.
+    ``d`` or ``sha256`` does not match the file is rejected, and so is a
+    file or sidecar the operating system refuses to open.
     """
     path = Path(path)
     if not path.exists():
         raise PanelDataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -314,7 +312,7 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     if T is None:
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
-            with open(meta_path, encoding="utf-8") as fh:
+            with _open(meta_path) as fh:
                 meta = json.load(fh)
             # a sidecar left over from another file would set a wrong horizon
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -346,7 +344,7 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     # for its measurement.
     R[:, T] = (R[:, T - 1] == 1) & ~np.isnan(Y[:, T - 1])
     ds = PanelDataset.__new__(PanelDataset)
-    ds._store(X, A, Y, R, list(subjects), validate=True)
+    ds._store(X, A, Y, R, list(subjects))
     return ds
 
 
@@ -363,43 +361,37 @@ def _quoted_ids(ids: Sequence[str]) -> list[str]:
     return out
 
 
-def write_long_csv(ds: PanelDataset, path, sidecar: bool = True) -> None:
+def write_long_csv(ds: PanelDataset, path) -> None:
     """Write the canonical long CSV (observed rows only) plus a metadata sidecar.
 
-    Values are written with 17 significant digits, a binary treatment as
-    0/1, a missing outcome as an empty field, lines end in CRLF, and ids
-    are quoted as ``csv.writer`` quotes them.
+    Values are written with 17 significant digits, the treatment as 0/1,
+    a missing outcome as an empty field, lines end in CRLF, and ids are
+    quoted as ``csv.writer`` quotes them.
     """
     path = Path(path)
     # each subject's rows up to its first R_t != 1, subject by subject
     rows, cols = np.nonzero(np.cumprod(ds.R[:, : ds.T] == 1, axis=1))
     ids = _quoted_ids(ds.ids)
-    # a binary treatment as the int it stands for, any other value as it is
-    A = ds.A[rows, cols]
-    a = A.astype(object)
-    binary = (A == 0) | (A == 1)
-    a[binary] = A[binary].astype(int)
     y = ["%.17g" % v if v == v else "" for v in ds.Y[rows, cols].tolist()]
     header = ["id", "time"] + [f"x{j + 1}" for j in range(ds.d)] + ["a", "y", "r"]
-    line = "%s,%d," + "%.17g," * ds.d + "%s,%s,1\r\n"
+    # %d writes the validated 0/1 treatment (and -0.0) as 0 or 1
+    line = "%s,%d," + "%.17g," * ds.d + "%d,%s,1\r\n"
     fields = zip(
         [ids[i] for i in rows.tolist()],
         (cols + 1).tolist(),
         *ds.X[rows, cols].T.tolist(),
-        a.tolist(),
+        ds.A[rows, cols].tolist(),
         y,
     )
     data = (",".join(header) + "\r\n" + "".join([line % f for f in fields])).encode("utf-8")
     path.write_bytes(data)
-    if sidecar:
-        digest = hashlib.sha256(data).hexdigest()
-        meta = {
-            "n": ds.n,
-            "n_periods": ds.T,
-            "d": ds.d,
-            "outcome_times": list(ds.outcome_times),
-            "sha256": digest,
-        }
-        with open(path.with_suffix(path.suffix + ".meta.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    meta = {
+        "n": ds.n,
+        "n_periods": ds.T,
+        "d": ds.d,
+        "outcome_times": list(ds.outcome_times),
+        "sha256": hashlib.sha256(data).hexdigest(),
+    }
+    with open(path.with_suffix(path.suffix + ".meta.json"), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")

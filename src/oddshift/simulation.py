@@ -134,7 +134,7 @@ def simulate(cfg: DgpConfig) -> PanelDataset:
         Y[:, T - 1] = y
         R = np.ones((n, T + 1), dtype=np.int8)
         X = np.empty((n, T, 0))
-        return PanelDataset.from_arrays(X, A, Y, R, validate=True)
+        return PanelDataset.from_arrays(X, A, Y, R)
 
     with_dropout = cfg.kind == "dropout"
     C0 = rng.uniform(cfg.u_l, 5.0, n) if with_dropout else None
@@ -167,7 +167,12 @@ def simulate(cfg: DgpConfig) -> PanelDataset:
     Y = np.full((n, T), np.nan)
     Y[:, T - 1] = np.where(R[:, T] == 1, y, np.nan)
     # from_arrays blanks X and A after dropout
-    return PanelDataset.from_arrays(X, A, Y, R, validate=True)
+    return PanelDataset.from_arrays(X, A, Y, R)
+
+
+def _check_horizon(cfg: DgpConfig, t: int) -> None:
+    if not 1 <= t <= cfg.T:
+        raise ConfigError(f"horizon t={t} must lie in 1..{cfg.T}")
 
 
 def true_effect_curve(
@@ -184,8 +189,7 @@ def true_effect_curve(
     mean is averaged (its additive noise integrates out exactly).
     Returns (psi, standard error) per grid value.
     """
-    if t > cfg.T:
-        raise ConfigError("horizon exceeds the configured number of periods")
+    _check_horizon(cfg, t)
     deltas = list(grid.values if isinstance(grid, DeltaGrid) else grid)
     psi = np.empty(len(deltas))
     se = np.empty(len(deltas))
@@ -222,8 +226,7 @@ def exact_effect_curve(cfg: DgpConfig, grid, t: int) -> np.ndarray:
     the mean shifted propensities as transitions.  Trial: the continuation
     table collapsed to stage 0, sum_k Binom(t, q)(k) * (10 + sqrt(k)).
     """
-    if not 1 <= t <= cfg.T:
-        raise ConfigError(f"horizon t={t} must lie in 1..{cfg.T}")
+    _check_horizon(cfg, t)
     deltas = np.asarray(grid.values if isinstance(grid, DeltaGrid) else grid, dtype=float)
     if cfg.kind == "trial":
         return _trial_tables(t, incremental_propensity(cfg.p, deltas))[0][0]
@@ -430,13 +433,11 @@ def normalized_rmse(
     estimates: np.ndarray,
     truths: np.ndarray,
     psi_bar: float,
-    sqrt: bool = False,
 ) -> float:
     """Grid-averaged mean squared error normalized by the mean true level.
 
     estimates is (S, D): one row per replication.  The value is
-    (1/D) sum_d (1/S) sum_s ((est - truth)/psi_bar)^2; ``sqrt`` applies a
-    square root for a conventional RMSE reading.
+    (1/D) sum_d (1/S) sum_s ((est - truth)/psi_bar)^2.
     """
     estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
     truths = np.asarray(truths, dtype=float)
@@ -444,8 +445,7 @@ def normalized_rmse(
         raise ConfigError("estimates and truths disagree on grid size")
     if psi_bar == 0:
         raise ConfigError("psi_bar must be nonzero")
-    val = float(np.mean(((estimates - truths[None, :]) / psi_bar) ** 2))
-    return math.sqrt(val) if sqrt else val
+    return float(np.mean(((estimates - truths[None, :]) / psi_bar) ** 2))
 
 
 @dataclass
@@ -484,8 +484,9 @@ def _derived_seed(seed: int, *key: int) -> int:
 
 
 def _benchmark_one(args):
-    cfg, grid_values, specs, t, K, rep_seed, fold_seed = args
+    cfg, grid_values, specs, K, rep_seed, fold_seed = args
     grid = DeltaGrid(values=tuple(grid_values))
+    t = cfg.T
     ds = simulate(replace(cfg, seed=rep_seed))
     out = {}
     est, _ = estimate_cross_fit(ds, K, fold_seed, specs, grid, t)
@@ -507,12 +508,11 @@ def run_benchmark(
     grid,
     specs: NuisanceSpecs,
     seed: int,
-    t: int | None = None,
     K: int = 2,
     truth_draws: int = 200_000,
     threads: int = 1,
 ) -> BenchmarkResult:
-    """Repeat the generator S times and score each estimator against the truth.
+    """Repeat the generator S times and score each estimator at the horizon T against the truth.
 
     Estimators: the cross-fit estimator, the plug-in and IPW baselines,
     and the no-censoring baseline (dropouts discarded, retention weights
@@ -528,11 +528,10 @@ def run_benchmark(
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ConfigError(f"threads > 1 needs picklable specs: {exc}") from None
     grid = grid if isinstance(grid, DeltaGrid) else DeltaGrid(tuple(grid))
-    t = cfg.T if t is None else t
-    truths = exact_effect_curve(cfg, grid, t)
+    truths = exact_effect_curve(cfg, grid, cfg.T)
     psi_bar = float(truths.mean())
     jobs = [
-        (cfg, grid.values, specs, t, K, _derived_seed(seed, r, 1), _derived_seed(seed, r, 2))
+        (cfg, grid.values, specs, K, _derived_seed(seed, r, 1), _derived_seed(seed, r, 2))
         for r in range(1, S + 1)
     ]
     if threads > 1:
@@ -568,9 +567,8 @@ def relative_efficiency_mc(
     horizons,
     reps: int,
     seed: int,
-    variant: str = "always_treated",
 ) -> list[dict]:
-    """Variance of the shifted weight estimator relative to the fixed-regime one.
+    """Variance of the shifted weight estimator relative to the always-treated one.
 
     For each horizon t, ``reps`` fresh panels are drawn; on each the two
     single-pass weighted means (known propensities, no estimation) are
@@ -582,8 +580,6 @@ def relative_efficiency_mc(
     """
     if cfg.kind not in ("trial", "observational"):
         raise ConfigError("relative efficiency runs on the trial or observational generator")
-    if variant not in ("always_treated", "never_treated"):
-        raise ConfigError(f"unknown variant {variant!r}")
     records = []
     for t in horizons:
         at_vals = np.empty(reps)
@@ -593,10 +589,7 @@ def relative_efficiency_mc(
             pi = true_propensities(cfg, ds, t)
             A = ds.A[:, :t]
             y = ds.Y[:, t - 1]
-            if variant == "always_treated":
-                w_det = np.prod(np.where(A == 1.0, 1.0 / pi, 0.0), axis=1)
-            else:
-                w_det = np.prod(np.where(A == 0.0, 1.0 / (1.0 - pi), 0.0), axis=1)
+            w_det = np.prod(np.where(A == 1.0, 1.0 / pi, 0.0), axis=1)
             w_inc = ipw_weight_products(A, ds.R[:, : t + 1], pi, np.ones_like(pi), delta)
             at_vals[r] = float(np.mean(w_det * y))
             inc_vals[r] = float(np.mean(w_inc * y))
@@ -612,7 +605,7 @@ def relative_efficiency_mc(
             rec["ratio"] = var_inc / var_at
         if cfg.kind == "trial":
             spec = trial_moments(int(t), cfg.p, delta)
-            lower, upper = variance_ratio_bounds(spec, variant=variant)
+            lower, upper = variance_ratio_bounds(spec)
             rec["lower_bound"] = lower
             rec["upper_bound"] = upper
         records.append(rec)

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -28,12 +30,13 @@ def panel_dir(tmp_path_factory):
 
 @pytest.fixture
 def forbid_fit(monkeypatch):
-    """Make any call of ``estimate_cross_fit`` from the CLI fail the test."""
+    """Make any call of ``estimate_cross_fit`` or ``run_benchmark`` from the CLI fail the test."""
 
     def no_fit(*args, **kwargs):
-        raise AssertionError("estimate_cross_fit called")
+        raise AssertionError("estimate_cross_fit or run_benchmark called")
 
     monkeypatch.setattr(cli, "estimate_cross_fit", no_fit)
+    monkeypatch.setattr(cli, "run_benchmark", no_fit)
 
 
 _RUN_HELP = """import runpy
@@ -377,6 +380,59 @@ def test_bad_input_exits_2_with_one_json_line(
     assert out == ""
     assert [json.loads(line) for line in err.splitlines()] == [
         {"error": "ConfigError", "message": message}
+    ]
+
+
+@pytest.mark.parametrize("in_process", [False, True], ids=["subprocess", "in_process"])
+@pytest.mark.parametrize(
+    "case", ["config_is_a_directory", "input_is_a_directory", "sidecar_is_a_directory",
+             "simulate_out_is_a_file", "estimate_out_is_a_file", "bench_out_below_a_file"]
+)
+def test_refused_path_exits_2_with_one_json_line(
+    panel_dir, tmp_path, forbid_fit, capsys, case, in_process
+):
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory\n", encoding="utf-8")
+    csv_path = tmp_path / "panel.csv"
+    csv_path.write_bytes((panel_dir / "panel.csv").read_bytes())
+    is_dir, exists = os.strerror(errno.EISDIR), os.strerror(errno.EEXIST)
+    argv, error, message = {
+        "config_is_a_directory": (
+            ["simulate", "--config", str(a_dir), "--seed", "1"],
+            "ConfigError", f"cannot read config file {a_dir}: {is_dir}"),
+        "input_is_a_directory": (
+            ["validate", "--input", str(a_dir), "--seed", "1"],
+            "PanelDataError", f"cannot read {a_dir}: {is_dir}"),
+        "sidecar_is_a_directory": (
+            ["validate", "--input", str(csv_path), "--seed", "1"],
+            "PanelDataError", f"cannot read {csv_path}.meta.json: {is_dir}"),
+        "simulate_out_is_a_file": (
+            ["simulate", "--n", "10", "--t", "2", "--seed", "1", "--out", str(a_file)],
+            "ConfigError", f"cannot create output directory {a_file}: {exists}"),
+        "estimate_out_is_a_file": (
+            ["estimate", "--input", str(panel_dir / "panel.csv"), "--seed", "1",
+             "--out", str(a_file)],
+            "ConfigError", f"cannot create output directory {a_file}: {exists}"),
+        "bench_out_below_a_file": (
+            ["bench", "--n", "40", "--t", "2", "--S", "1", "--seed", "1",
+             "--out", str(a_file / "sub")],
+            "ConfigError",
+            f"cannot create output directory {a_file / 'sub'}: {os.strerror(errno.ENOTDIR)}"),
+    }[case]
+    if case == "sidecar_is_a_directory":
+        (tmp_path / "panel.csv.meta.json").mkdir()
+    if in_process:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+    else:
+        res = run(argv)
+        code, out, err = res.returncode, res.stdout, res.stderr
+    assert code == 2
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": error, "message": message}
     ]
 
 

@@ -36,15 +36,14 @@ class TestTruncatedVariance:
         assert truncated_normal_variance(2.0) == pytest.approx(second, abs=1e-10)
         assert truncated_normal_variance(2.0) == pytest.approx(0.7737413, abs=1e-6)
 
-    @pytest.mark.parametrize("sd", [1.0, 2.5])
-    def test_bitwise_scipy_stats_norm(self, sd):
+    def test_bitwise_scipy_stats_norm(self):
         widths = np.concatenate(
             [np.linspace(1e-3, 12.0, 2001), np.random.default_rng(0).uniform(0.0, 40.0, 2000)]
         )
         for a in widths.tolist() + [0.5, 1.0, 2.0, 38.0, 40.0]:
             z = 2.0 * norm.cdf(a) - 1.0
-            reference = sd**2 * (1.0 - 2.0 * a * norm.pdf(a) / z)
-            assert truncated_normal_variance(a, sd) == reference, a
+            reference = 1.0 - 2.0 * a * norm.pdf(a) / z
+            assert truncated_normal_variance(a) == reference, a
 
     def test_small_half_widths_match_mpmath(self):
         # exact variance 1 - 2a phi(a) / erf(a / sqrt 2), at enough digits to survive its cancellation
@@ -70,7 +69,6 @@ class TestTruncatedVariance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert truncated_normal_variance(5e-324) == 0.0
-            assert truncated_normal_variance(5e-324, 2.5) == 0.0
 
     @pytest.mark.parametrize("half_width", [0.0, math.inf, math.nan, -1.0])
     def test_rejects_unusable_half_width(self, half_width):

@@ -609,6 +609,19 @@ class TestStageKernel:
             assert np.array_equal(W[:, j], want)
             assert np.array_equal(ipw_weight_products(A, R, pi, omega, delta), want)
 
+    @pytest.mark.parametrize("delta", [-0.5, -1.0, 0.0, np.nan, np.inf, np.array([0.5, np.nan])])
+    def test_delta_not_finite_and_positive_rejected_at_every_entry_point(self, delta):
+        rng, A, R, y, pi, omega = random_panel(6, 40, 3)
+        m = rng.normal(size=(40, 3) + np.shape(delta))
+        calls = (
+            lambda: ipw_weight_products(A, R, pi, omega, delta),
+            lambda: eif_from_arrays(A, R, y, pi, omega, m, m, delta),
+            lambda: eif_correction_terms(A, R, pi, omega, m, m, delta),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="delta must be finite and positive"):
+                call()
+
     @KERNEL_SETTINGS
     @given(data=st.data(), n=st.integers(1, 20), t=st.integers(1, 6))
     def test_delta_one_without_dropout_returns_the_outcome(self, data, n, t):

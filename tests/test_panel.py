@@ -17,7 +17,6 @@ from oddshift import (
     load_long_csv,
     simulate,
     split_folds,
-    validate_monotonicity,
     write_long_csv,
 )
 
@@ -172,9 +171,9 @@ class TestLoader:
         out = tmp_path / "p.csv"
         write_long_csv(simulate(DgpConfig(kind="dropout", n=50, T=3, u_l=1.0, seed=1)), out)
         # a longer panel written over the file, its old sidecar left in place
-        write_long_csv(
-            simulate(DgpConfig(kind="dropout", n=50, T=6, u_l=1.0, seed=2)), out, sidecar=False
-        )
+        sidecar = (tmp_path / "p.csv.meta.json").read_bytes()
+        write_long_csv(simulate(DgpConfig(kind="dropout", n=50, T=6, u_l=1.0, seed=2)), out)
+        (tmp_path / "p.csv.meta.json").write_bytes(sidecar)
         with pytest.raises(PanelDataError, match=re.escape("p.csv.meta.json: stale sidecar")):
             load_long_csv(out)
         assert load_long_csv(out, n_periods=6).T == 6
@@ -203,7 +202,7 @@ class TestLoader:
         assert load_long_csv(out, n_periods=3).T == 3
 
 
-def reference_write_long_csv(ds, path, sidecar=True):
+def reference_write_long_csv(ds, path):
     """The long-CSV writer as it was written with ``csv.writer``, one row at a time."""
 
     def fmt(x):
@@ -226,18 +225,17 @@ def reference_write_long_csv(ds, path, sidecar=True):
                 + [fmt(v) for v in x]
                 + [treatment(a), "" if y != y else fmt(y), 1]
             )
-    if sidecar:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        meta = {
-            "n": ds.n,
-            "n_periods": ds.T,
-            "d": ds.d,
-            "outcome_times": list(ds.outcome_times),
-            "sha256": digest,
-        }
-        with open(path.with_suffix(path.suffix + ".meta.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    meta = {
+        "n": ds.n,
+        "n_periods": ds.T,
+        "d": ds.d,
+        "outcome_times": list(ds.outcome_times),
+        "sha256": digest,
+    }
+    with open(path.with_suffix(path.suffix + ".meta.json"), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -249,19 +247,16 @@ def writer_panels():
     R = np.ones((n, T + 1), dtype=int)
     R[1, 3:] = 0
     R[4, 1:] = 0
+    # outcomes at t=2 and T for every subject still there to give one
     Y = np.full((n, T), nan)
-    Y[:, T - 1] = rng.normal(size=n)  # outcomes at T only: NaN before T
-    Y[1, 1] = 2.5
+    Y[:, [1, T - 1]] = rng.normal(size=(n, 2))
+    Y[R[:, 1:] != 1] = nan
     X = rng.normal(size=(n, T, 2)) * 10.0 ** rng.integers(-250, 250, size=(n, T, 2))
     X[0, 0] = [-0.0, 5e-324]
-    X[2, 1] = [np.inf, -np.inf]
+    X[2, 1] = [np.finfo(float).max, -np.finfo(float).max]
     A = rng.integers(0, 2, size=(n, T)).astype(float)
     A[0, 0] = -0.0
-    ids = PanelDataset.from_arrays(X=X, A=A, Y=Y, R=R, ids=tricky, validate=False)
-    A_odd = A.copy()
-    A_odd[3, 0], A_odd[3, 1], A_odd[5, 2] = 0.5, nan, 2.0
-    X[5, 0, 1] = nan
-    unchecked = PanelDataset.from_arrays(X=X, A=A_odd, Y=Y, R=R, ids=tricky, validate=False)
+    ids = PanelDataset.from_arrays(X=X, A=A, Y=Y, R=R, ids=tricky)
     R1 = np.zeros((5, 4), dtype=int)
     R1[:, 0] = 1
     everyone_leaves = PanelDataset.from_arrays(
@@ -272,7 +267,6 @@ def writer_panels():
         "observational": simulate(DgpConfig(kind="observational", n=200, T=4, seed=5)),
         "trial": simulate(DgpConfig(kind="trial", n=150, T=3, p=0.5, seed=6)),
         "quoted_ids_and_nan_outcomes": ids,
-        "unvalidated_values": unchecked,
         "everyone_leaves_at_t1": everyone_leaves,
     }
 
@@ -284,7 +278,6 @@ def writer_panels():
         "observational",
         "trial",
         "quoted_ids_and_nan_outcomes",
-        "unvalidated_values",
         "everyone_leaves_at_t1",
     ],
 )
@@ -303,12 +296,11 @@ def test_writer_bytes_match_csv_writer_reference(tmp_path, writer_panels, name):
     assert new_meta == ref_meta
 
 
-def one_subject(R, validate=True):
+def one_subject(R):
     """A one-covariate panel of one subject with retention R and no outcomes."""
     T = len(R) - 1
     return PanelDataset.from_arrays(
-        np.zeros((1, T)), np.zeros((1, T)), np.full((1, T), nan), [R],
-        ids=["a"], validate=validate,
+        np.zeros((1, T)), np.zeros((1, T)), np.full((1, T), nan), [R], ids=["a"]
     )
 
 
@@ -317,16 +309,38 @@ class TestValidation:
         ds = PanelDataset.from_arrays(
             X=[[0.0, 1.0]], A=[[1, 0]], Y=[[nan, 2.0]], R=[[1, 1, 1]], ids=["a"]
         )
-        assert validate_monotonicity(ds) == []
+        assert np.all(ds.R == 1)
 
     def test_legal_dropout_empty_report(self):
-        assert validate_monotonicity(one_subject((1, 1, 0, 0))) == []
+        assert one_subject((1, 1, 0, 0)).R.tolist() == [[1, 1, 0, 0]]
 
     def test_violation_reported_at_reentry(self):
-        ds = one_subject((1, 0, 1, 0), validate=False)
-        assert validate_monotonicity(ds) == [("a", 3)]
-        ds = one_subject((0, 1, 1), validate=False)
-        assert validate_monotonicity(ds) == [("a", 1), ("a", 2)]
+        with pytest.raises(PanelDataError) as info:
+            one_subject((1, 0, 1, 0))
+        assert str(info.value) == "subject 'a': non-monotone retention at t=3"
+        with pytest.raises(PanelDataError) as info:
+            one_subject((0, 1, 1))
+        assert str(info.value) == (
+            "subject 'a': non-monotone retention at t=1; "
+            "subject 'a': non-monotone retention at t=2"
+        )
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("array, cell, message", [
+        ("X", (1, 0, 1), "subject 's2': non-finite covariate at t=1"),
+        ("Y", (0, 1), "subject 's1': non-finite outcome at t=2"),
+    ], ids=["covariate", "outcome"])
+    def test_non_finite_value_rejected_as_the_loader_does(self, array, cell, value, message):
+        arrays = {
+            "X": np.array([[[0.5, 1.0], [1.5, 2.0]], [[2.5, 3.0], [3.5, 4.0]]]),
+            "A": np.array([[1.0, 0.0], [0.0, 1.0]]),
+            "Y": np.array([[nan, 4.0], [nan, 5.0]]),
+            "R": np.ones((2, 3), dtype=np.int8),
+        }
+        arrays[array][cell] = value
+        with pytest.raises(PanelDataError) as info:
+            PanelDataset.from_arrays(**arrays)
+        assert str(info.value) == message
 
 
 class TestFolds:

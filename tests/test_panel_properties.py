@@ -1,11 +1,13 @@
 """Property tests of the array-backed panel: vectorised validation and CSV round trips.
 
 ``reference_invariants`` is a per-cell loop over each subject's cells held
-as tuples; the vectorised ``PanelDataset.check_invariants`` must report the
-same messages in the same order.
+as tuples; the vectorised check every panel constructor runs
+(``panel._invariant_problems``) must report the same messages in the same
+order.
 """
 
 import hashlib
+import math
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oddshift import PanelDataError, PanelDataset, load_long_csv, write_long_csv
+from oddshift.panel import _invariant_problems
 
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -64,6 +67,8 @@ def reference_invariants(subjects):
                     f"subject {tr.subject_id!r}: covariate/treatment presence "
                     f"disagrees with R at t={t + 1}"
                 )
+            if has_x and any(math.isinf(v) for v in tr.covariates[t]):
+                problems.append(f"subject {tr.subject_id!r}: non-finite covariate at t={t + 1}")
             if has_a and tr.treatments[t] not in (0, 1):
                 problems.append(
                     f"subject {tr.subject_id!r}: non-binary treatment at t={t + 1}"
@@ -75,6 +80,8 @@ def reference_invariants(subjects):
                     f"subject {tr.subject_id!r}: outcome recorded at t={t + 1} "
                     "but subject had left"
                 )
+            if has_y and math.isinf(tr.outcomes[t]):
+                problems.append(f"subject {tr.subject_id!r}: non-finite outcome at t={t + 1}")
             if (t + 1) in outcome_times and y_ok and not has_y:
                 problems.append(
                     f"subject {tr.subject_id!r}: missing outcome at recorded "
@@ -127,8 +134,10 @@ def damaged_cells(draw):
     X[R[:, :T] != 1] = np.nan
     R = R.copy()
     kinds = st.sampled_from(
-        ["retention", "x", "a_missing", "a_value", "y_add", "y_drop", "recorded_after_leaving"]
+        ["retention", "x", "x_inf", "a_missing", "a_value", "y_add", "y_inf", "y_drop",
+         "recorded_after_leaving"]
     )
+    infinite = st.sampled_from([np.inf, -np.inf])
     for kind in draw(st.lists(kinds, max_size=6)):
         i = draw(st.integers(0, n - 1))
         t = draw(st.integers(0, T - 1))
@@ -142,12 +151,17 @@ def damaged_cells(draw):
             R[i, s] = 1 - R[i, s]
         elif kind == "x":
             X[i, t] = np.nan if not np.isnan(X[i, t, 0]) else draw(finite)
+        elif kind == "x_inf":
+            if not np.isnan(X[i, t, 0]):  # covariates stay complete or absent
+                X[i, t, draw(st.integers(0, d - 1))] = draw(infinite)
         elif kind == "a_missing":
             A[i, t] = np.nan if not np.isnan(A[i, t]) else 1.0
         elif kind == "a_value":
             A[i, t] = draw(st.sampled_from([0.5, 2.0, -1.0]))
         elif kind == "y_add":
             Y[i, t] = draw(finite)
+        elif kind == "y_inf":
+            Y[i, t] = draw(infinite)
         else:
             Y[i, t] = np.nan
     if np.isnan(X[0, 0, 0]):
@@ -174,19 +188,25 @@ class TestVectorisedInvariants:
     @given(damaged_cells())
     def test_both_constructors_match_cell_loop(self, panel):
         X, A, Y, R, ids = panel
-        ds = PanelDataset.from_arrays(X, A, Y, R, ids=ids, validate=False)
         expected = reference_invariants(as_cells(X, A, Y, R, ids))
-        assert ds.check_invariants() == expected
+        # the arrays as from_arrays stores them, X and A blanked where R_t != 1
+        gone = R[:, : A.shape[1]] != 1
+        blank_X, blank_A = X.copy(), A.copy()
+        blank_X[gone] = np.nan
+        blank_A[gone] = np.nan
+        assert _invariant_problems(blank_X, blank_A, Y, R, ids) == expected
         if expected:
             with pytest.raises(PanelDataError) as err:
                 PanelDataset.from_arrays(X, A, Y, R, ids=ids)
             assert str(err.value) == "; ".join(expected[:8])
+        else:
+            assert PanelDataset.from_arrays(X, A, Y, R, ids=ids).ids == tuple(ids)
 
     @SETTINGS
     @given(valid_panels())
     def test_valid_panels_pass_and_views_round_trip(self, panel):
         ds = PanelDataset.from_arrays(*panel)
-        assert ds.check_invariants() == []
+        assert _invariant_problems(ds.X, ds.A, ds.Y, ds.R, ds.ids) == []
 
 
 class TestCsvRoundTrip:

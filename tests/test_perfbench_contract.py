@@ -1,20 +1,27 @@
-"""The traced benchmark run wraps package functions by name: each must still be there.
+"""The benchmark calls package functions by name and shape: each must still take the call.
 
 ``perfbench/spans.py`` replaces functions where they are looked up at call
 time and skips a name that no longer exists, so a renamed function would
 silently read zero in its per-layer metric.  This test installs the tracer
 and asserts that every (owner, attribute) pair it wraps was wrapped, and
-that the parameters and fields its counters read keep their names.
+that the parameters and fields its counters read keep their names.  It
+also reads every call into the package that ``perfbench/workloads.py``
+makes and checks that the callee still accepts its positional count and
+keyword names, so a removed parameter fails here and not in a benchmark
+run.
 """
 
+import ast
 import dataclasses
+import importlib
 import inspect
 import sys
 from pathlib import Path
 
 from oddshift import cli, efficiency, estimator, inference, learners, nuisance, panel, simulation
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 from spans import Tracer  # noqa: E402
 
@@ -71,3 +78,49 @@ def test_counter_inputs_keep_their_names():
     assert "eta" in inspect.signature(estimator.eif_values_for).parameters
     assert "excluded_fold" in {f.name for f in dataclasses.fields(nuisance.NuisanceSet)}
     assert "pred" in {f.name for f in dataclasses.fields(nuisance.SequenceFit)}
+
+
+def _package_calls(path: Path):
+    """(dotted callee, callee, positional count or None if starred, keyword names) per call.
+
+    Only calls rooted at a name the file imports from ``oddshift`` are kept.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "oddshift":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.insert(0, func.attr)
+            func = func.value
+        if not (isinstance(func, ast.Name) and func.id in names):
+            continue
+        callee = names[func.id]
+        for attr in parts:
+            callee = getattr(callee, attr)  # a removed name fails here
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        yield (".".join([func.id, *parts]), callee, None if starred else len(node.args),
+               [k.arg for k in node.keywords if k.arg is not None])
+
+
+def test_workload_calls_fit_the_package_signatures():
+    seen = set()
+    for name, callee, n_args, keywords in _package_calls(PERFBENCH / "workloads.py"):
+        sig = inspect.signature(callee)
+        if n_args is None:  # a starred argument: check the keywords alone
+            sig.bind_partial(**dict.fromkeys(keywords))
+        else:
+            sig.bind(*[None] * n_args, **dict.fromkeys(keywords))
+        seen.add(name)
+    assert {
+        "simulation.run_benchmark", "simulation.true_effect_curve",
+        "simulation.relative_efficiency_mc", "simulation.simulate", "simulation.DgpConfig",
+        "simulation.oracle_specs", "inference.uniform_band", "panel.write_long_csv",
+        "estimator.estimate_cross_fit", "efficiency.efficiency_curve", "cli.main",
+    } <= seen

@@ -20,7 +20,6 @@ from oddshift import (
     simulate,
     true_effect_curve,
     true_propensities,
-    validate_monotonicity,
     write_long_csv,
 )
 from oddshift import simulation
@@ -55,7 +54,7 @@ class TestGenerators:
     @pytest.mark.parametrize("kind", ["dropout", "trial", "observational"])
     def test_monotone_retention(self, kind):
         ds = simulate(DgpConfig(kind=kind, n=400, T=4, u_l=1.0, seed=2))
-        assert validate_monotonicity(ds) == []
+        assert np.all(ds.R[:, 0] == 1) and np.all(np.diff(ds.R, axis=1) <= 0)
 
     def test_trial_treated_fraction(self):
         ds = simulate(DgpConfig(kind="trial", n=5000, T=3, p=0.5, seed=3))
@@ -72,8 +71,8 @@ class TestGenerators:
 
     def test_seed_reproducibility(self, tmp_path):
         cfg = DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=5)
-        write_long_csv(simulate(cfg), tmp_path / "a.csv", sidecar=False)
-        write_long_csv(simulate(cfg), tmp_path / "b.csv", sidecar=False)
+        write_long_csv(simulate(cfg), tmp_path / "a.csv")
+        write_long_csv(simulate(cfg), tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_seeds_differ(self):
@@ -182,6 +181,15 @@ class TestExactTruth:
 
 
 class TestTruth:
+    @pytest.mark.parametrize("kind", ["trial", "dropout"])
+    @pytest.mark.parametrize("t", [0, -1, 4])
+    def test_horizon_outside_the_periods_rejected_as_by_the_exact_truth(self, kind, t):
+        cfg = DgpConfig(kind=kind, n=10, T=3, p=0.5, seed=0)
+        for truth in (true_effect_curve, exact_effect_curve):
+            with pytest.raises(ConfigError) as info:
+                truth(cfg, [1.0, 2.0], t)
+            assert str(info.value) == f"horizon t={t} must lie in 1..3"
+
     def test_large_delta_forces_treatment(self):
         cfg = DgpConfig(kind="trial", n=10, T=4, p=0.5, seed=0)
         psi, se = true_effect_curve(cfg, [1e6], 4, draws=100_000, seed=1)
@@ -216,10 +224,6 @@ class TestNormalizedRmse:
         base = normalized_rmse(est, truth, truth.mean())
         scaled = normalized_rmse(3.0 * est, 3.0 * truth, 3.0 * truth.mean())
         assert scaled == pytest.approx(base, rel=1e-12)
-
-    def test_sqrt_toggle(self):
-        val = normalized_rmse(np.array([[1.1]]), np.array([1.0]), 1.0, sqrt=True)
-        assert val == pytest.approx(0.1)
 
     def test_domain(self):
         with pytest.raises(ConfigError):
