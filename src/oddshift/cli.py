@@ -121,6 +121,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
         unknown = set(cfg) - set(names)

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, EstimationError
+from .intervention import _check_delta
 
 __all__ = [
     "MomentSpec",
@@ -99,8 +100,7 @@ class MomentSpec:
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ConfigError("p must lie in (0,1)")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        _check_delta(self.delta)
         if self.T < 1:
             raise ConfigError("T must be >= 1")
         seq_route = self.mean_of is not None and self.second_of is not None
@@ -176,6 +176,7 @@ def trial_moments(T: int, p: float, delta: float) -> MomentSpec:
 
 def base_factor(delta: float, p: float, variant: str = "always_treated") -> float:
     """Per-period factor governing the geometric variance-ratio trend."""
+    _check_delta(delta)
     denom = (delta * p + 1.0 - p) ** 2
     if variant == "always_treated":
         return (delta**2 * p**2 + p * (1.0 - p)) / denom
@@ -194,8 +195,7 @@ def path_weight(a_bar, delta: float, p: float) -> float:
     """
     if not 0 < p < 1:
         raise ConfigError("p must lie in (0,1)")
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
+    _check_delta(delta)
     denom = (delta * p + 1.0 - p) ** 2
     f1 = p * delta**2 * p / denom
     f0 = (1.0 - p) ** 2 / denom

@@ -184,8 +184,7 @@ def eif_single_period(a, y, r, pi, omega, mu1, mu0, delta) -> float:
         raise ConfigError("pi must lie in (0,1)")
     if not 0 < omega <= 1:
         raise ConfigError("omega must lie in (0,1]")
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
+    _check_delta(delta)
     resid1 = (y - mu1) if (a == 1 and r == 1) else 0.0
     resid0 = (y - mu0) if (a == 0 and r == 1) else 0.0
     phi1 = resid1 / (pi * omega) + mu1

@@ -241,12 +241,18 @@ def _parse_finite(raw: str, what: str, line_no: int) -> float:
     return value
 
 
-def _open(path: Path, **kwargs):
-    """``open`` for reading, an operating-system error raised as ``PanelDataError``."""
+def _read(path: Path) -> str:
+    """The file's UTF-8 text, newlines untranslated.
+
+    An operating-system error, or a byte that is not UTF-8, is raised as
+    ``PanelDataError``.
+    """
     try:
-        return open(path, encoding="utf-8", **kwargs)
+        return path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise PanelDataError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise PanelDataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
@@ -256,12 +262,13 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     ``<path>.meta.json`` is consulted, falling back to the largest time
     present in the file; T must be an integer >= 1.  A sidecar whose ``n``,
     ``d`` or ``sha256`` does not match the file is rejected, and so is a
-    file or sidecar the operating system refuses to open.
+    file or sidecar the operating system refuses to open, that is not UTF-8
+    text, or a sidecar that is not a JSON object.
     """
     path = Path(path)
     if not path.exists():
         raise PanelDataError(f"no such file: {path}")
-    with _open(path, newline="") as fh:
+    with io.StringIO(_read(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -312,8 +319,12 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     if T is None:
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
-            with _open(meta_path) as fh:
-                meta = json.load(fh)
+            try:
+                meta = json.loads(_read(meta_path))
+            except json.JSONDecodeError as exc:
+                raise PanelDataError(f"{meta_path}: not valid JSON: {exc}") from None
+            if not isinstance(meta, dict):
+                raise PanelDataError(f"{meta_path}: sidecar must be a JSON object")
             # a sidecar left over from another file would set a wrong horizon
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             for key, value in (("n", len(subjects)), ("d", d), ("sha256", digest)):

@@ -30,13 +30,14 @@ forms for the absolute-value term.
 from __future__ import annotations
 
 import math
+import numbers
 import pickle
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import expit, ndtr
+from scipy.special import expit, logit, ndtr
 
 from .efficiency import _collapse, trial_moments, variance_ratio_bounds
 from .errors import ConfigError
@@ -47,7 +48,7 @@ from .estimator import (
     estimate_plugin,
     ipw_weight_products,
 )
-from .intervention import DeltaGrid, incremental_propensity
+from .intervention import DeltaGrid, _check_delta, incremental_propensity
 from .learners import LearnerSpec
 from .nuisance import NuisanceSpecs, fit_nuisances
 from .panel import PanelDataset, history_features
@@ -176,43 +177,41 @@ def _check_horizon(cfg: DgpConfig, t: int) -> None:
 
 
 def true_effect_curve(
-    cfg: DgpConfig,
-    grid,
-    t: int,
-    draws: int = 200_000,
-    seed: int = 0,
+    cfg: DgpConfig, grid, t: int, draws: int = 200_000, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth curve by intervention-draw Monte Carlo, the check on ``exact_effect_curve``.
 
-    Treatments are drawn from the shifted propensities, covariates evolve
-    as in the generator, there is no dropout, and the structural outcome
-    mean is averaged (its additive noise integrates out exactly).
-    Returns (psi, standard error) per grid value.
+    Covariates evolve as in the generator, there is no dropout, and the
+    structural outcome mean is averaged (its additive noise integrates out
+    exactly).  Each period draws one standard logistic L = logit U for every
+    delta and treats where L < log(delta) + logit(pi), with probability
+    delta*pi / (delta*pi + 1 - pi): the odds shift itself.  Returns (psi,
+    standard error) per grid value; each error is its own delta's, the
+    errors are correlated across deltas, and no value depends on the others.
     """
     _check_horizon(cfg, t)
-    deltas = list(grid.values if isinstance(grid, DeltaGrid) else grid)
-    psi = np.empty(len(deltas))
-    se = np.empty(len(deltas))
-    for j, delta in enumerate(deltas):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-        if cfg.kind == "trial":
-            q = incremental_propensity(cfg.p, delta)
-            k = rng.binomial(t, q, size=draws)
-            vals = 10.0 + np.sqrt(k)
-        else:
-            a_prev1 = np.zeros(draws)
-            a_prev2 = np.zeros(draws)
-            u_prev = np.zeros(draws)
-            u_cur = np.zeros(draws)
-            for s in range(1, t + 1):
-                u_prev, u_cur = u_cur, math.sqrt(2.0) * rng.standard_normal(draws)
-                pi = expit(_prop_logit(u_cur, a_prev1, a_prev2, s))
-                q = incremental_propensity(pi, delta)
-                a = (rng.random(draws) < q).astype(float)
-                a_prev2, a_prev1 = a_prev1, a
-            vals = _outcome_mean(a_prev1, a_prev2, u_cur, u_prev)
-        psi[j] = vals.mean()
-        se[j] = vals.std(ddof=1) / math.sqrt(draws)
+    if isinstance(draws, bool) or not isinstance(draws, numbers.Integral) or draws < 2:
+        raise ConfigError(f"draws must be an integer >= 2, got {draws!r}")
+    deltas = np.asarray(grid.values if isinstance(grid, DeltaGrid) else grid, dtype=float)
+    _check_delta(deltas)
+    trial, rng = cfg.kind == "trial", np.random.default_rng(seed)
+    lag1, lag2 = np.zeros((2, deltas.size, draws), dtype=bool)  # A_{s-1}, A_{s-2} per delta
+    count = np.zeros((deltas.size, draws), dtype=np.min_scalar_type(t))  # the trial's k
+    u_prev = u_cur = np.zeros(draws)
+    for s in range(1, t + 1):
+        if not trial:
+            u_prev, u_cur = u_cur, math.sqrt(2.0) * rng.standard_normal(draws)
+        unif = rng.random(draws)
+        logistic = np.log(unif) - np.log1p(-unif)
+        for j, log_delta in enumerate(np.log(deltas).tolist()):
+            lin = logit(cfg.p) if trial else _prop_logit(u_cur, lag1[j], lag2[j], s)
+            np.less(logistic, log_delta + lin, out=lag2[j])  # A_s, once A_{s-2} is read
+        lag1, lag2 = lag2, lag1
+        count += lag1
+    psi, se = np.empty((2, deltas.size))
+    for j, (k, a1, a2) in enumerate(zip(count, lag1, lag2)):
+        vals = 10.0 + np.sqrt(k, dtype=float) if trial else _outcome_mean(a1, a2, u_cur, u_prev)
+        psi[j], se[j] = vals.mean(), vals.std(ddof=1) / math.sqrt(draws)
     return psi, se
 
 

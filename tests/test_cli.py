@@ -347,6 +347,7 @@ BAD_INPUTS = [
     (["simulate"], {"n": 50.5}, "n must be int, got 50.5"),
     (["simulate", "--kind", "foo"], {}, "unknown DGP kind 'foo'"),
     (["efficiency", "--variant", "foo"], {}, "unknown variant 'foo'"),
+    (["efficiency", "--delta", "nan"], {}, "delta must be finite and positive"),
     ([], None, "the following arguments are required: command"),
     (["estimate", "--pi-learner", "logistic:7"], {},
      "learner 'logistic' takes no argument, got 'logistic:7'"),
@@ -386,7 +387,9 @@ def test_bad_input_exits_2_with_one_json_line(
 @pytest.mark.parametrize("in_process", [False, True], ids=["subprocess", "in_process"])
 @pytest.mark.parametrize(
     "case", ["config_is_a_directory", "input_is_a_directory", "sidecar_is_a_directory",
-             "simulate_out_is_a_file", "estimate_out_is_a_file", "bench_out_below_a_file"]
+             "simulate_out_is_a_file", "estimate_out_is_a_file", "bench_out_below_a_file",
+             "sidecar_not_json", "sidecar_not_an_object", "sidecar_not_utf8", "csv_not_utf8",
+             "config_not_utf8"]
 )
 def test_refused_path_exits_2_with_one_json_line(
     panel_dir, tmp_path, forbid_fit, capsys, case, in_process
@@ -398,6 +401,8 @@ def test_refused_path_exits_2_with_one_json_line(
     csv_path = tmp_path / "panel.csv"
     csv_path.write_bytes((panel_dir / "panel.csv").read_bytes())
     is_dir, exists = os.strerror(errno.EISDIR), os.strerror(errno.EEXIST)
+    sidecar = tmp_path / "panel.csv.meta.json"
+    not_utf8 = "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"
     argv, error, message = {
         "config_is_a_directory": (
             ["simulate", "--config", str(a_dir), "--seed", "1"],
@@ -420,9 +425,32 @@ def test_refused_path_exits_2_with_one_json_line(
              "--out", str(a_file / "sub")],
             "ConfigError",
             f"cannot create output directory {a_file / 'sub'}: {os.strerror(errno.ENOTDIR)}"),
+        "sidecar_not_json": (
+            ["validate", "--input", str(csv_path), "--seed", "1"],
+            "PanelDataError", f"{sidecar}: not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        "sidecar_not_an_object": (
+            ["validate", "--input", str(csv_path), "--seed", "1"],
+            "PanelDataError", f"{sidecar}: sidecar must be a JSON object"),
+        "sidecar_not_utf8": (
+            ["validate", "--input", str(csv_path), "--seed", "1"],
+            "PanelDataError", f"{sidecar}: not UTF-8 text: {not_utf8}"),
+        "csv_not_utf8": (
+            ["validate", "--input", str(csv_path), "--seed", "1"],
+            "PanelDataError", f"{csv_path}: not UTF-8 text: {not_utf8}"),
+        "config_not_utf8": (
+            ["simulate", "--config", str(a_file), "--seed", "1"],
+            "ConfigError", f"config file {a_file} is not UTF-8 text: {not_utf8}"),
     }[case]
     if case == "sidecar_is_a_directory":
-        (tmp_path / "panel.csv.meta.json").mkdir()
+        sidecar.mkdir()
+    if case.startswith("sidecar_not_"):
+        sidecar.write_bytes({"json": b"{not json", "an_object": b"[1]",
+                             "utf8": b'{"n\xff": 1}'}[case[len("sidecar_not_"):]])
+    if case == "csv_not_utf8":
+        csv_path.write_bytes(b"id,\xfftime,a,y,r\r\n")
+    if case == "config_not_utf8":
+        a_file.write_bytes(b'{"n\xff": 1}')
     if in_process:
         code = cli.main(argv)
         out, err = capsys.readouterr()

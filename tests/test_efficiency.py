@@ -112,6 +112,19 @@ class TestBaseFactor:
                 assert base_factor(delta, p) < 1.0
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+def test_delta_not_finite_and_positive_rejected(delta):
+    calls = (
+        lambda: MomentSpec(p=0.5, delta=delta, T=2, b_u=1.0,
+                           mean_by_count=float, second_by_count=float),
+        lambda: path_weight((1, 0), delta, 0.5),
+        lambda: base_factor(delta, 0.5),
+    )
+    for call in calls:
+        with pytest.raises(ConfigError, match="delta must be finite and positive"):
+            call()
+
+
 class TestBounds:
     def test_delta_one_zero_lower(self):
         spec = trial_moments(3, 0.5, 1.0)

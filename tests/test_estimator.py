@@ -617,6 +617,7 @@ class TestStageKernel:
             lambda: ipw_weight_products(A, R, pi, omega, delta),
             lambda: eif_from_arrays(A, R, y, pi, omega, m, m, delta),
             lambda: eif_correction_terms(A, R, pi, omega, m, m, delta),
+            lambda: eif_single_period(1, 3.0, 1, 0.5, 1.0, 2.0, 0.0, delta),
         )
         for call in calls:
             with pytest.raises(ConfigError, match="delta must be finite and positive"):

@@ -209,6 +209,66 @@ class TestTruth:
         psi, _ = true_effect_curve(cfg, grid, 3, draws=150_000, seed=3)
         assert np.all(np.diff(psi) > 0)
 
+    @pytest.mark.parametrize("draws", [1, 0, -5, 2.5, 100.0, True, "100"])
+    def test_draws_below_two_or_not_an_integer_rejected_before_any_draw(self, monkeypatch, draws):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        cfg = DgpConfig(kind="dropout", n=10, T=3)
+        with pytest.raises(ConfigError) as info:
+            true_effect_curve(cfg, [1.0], 3, draws=draws)
+        assert str(info.value) == f"draws must be an integer >= 2, got {draws!r}"
+
+    @pytest.mark.parametrize("kind", ["dropout", "observational", "trial"])
+    def test_value_does_not_depend_on_the_rest_of_the_grid(self, kind):
+        cfg = DgpConfig(kind=kind, n=10, T=4, p=0.3)
+        grid = [0.1, 0.5, 1.0, 2.0, 5.0]
+        psi, se = true_effect_curve(cfg, grid, 4, draws=5000, seed=6)
+        for j, delta in enumerate(grid):
+            alone = true_effect_curve(cfg, [delta], 4, draws=5000, seed=6)
+            assert (alone[0][0], alone[1][0]) == (psi[j], se[j])
+        for order in ([4, 3, 2, 1, 0], [3, 0, 3, 3]):  # reversed, with duplicates
+            got = true_effect_curve(cfg, [grid[j] for j in order], 4, draws=5000, seed=6)
+            assert np.array_equal(got[0], psi[order]) and np.array_equal(got[1], se[order])
+
+    def test_trial_curve_non_decreasing_on_a_dense_grid(self):
+        cfg = DgpConfig(kind="trial", n=10, T=3, p=0.5)
+        grid = DeltaGrid.log_spaced(0.8, 1.25, 50)
+        psi, _ = true_effect_curve(cfg, grid, 3, draws=20_000, seed=3)
+        assert np.all(np.diff(psi) >= 0)
+
+    @pytest.mark.parametrize("kind", ["dropout", "observational", "trial"])
+    @pytest.mark.parametrize("size", [1, 7, 25])
+    def test_one_generator_and_one_draw_per_period_whatever_the_grid_size(
+        self, monkeypatch, kind, size
+    ):
+        made, calls = [], []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    calls.append((name, args, kwargs))
+                    return getattr(self._rng, name)(*args, **kwargs)
+
+                return draw
+
+        def counting_rng(seed, real=np.random.default_rng):
+            made.append(seed)
+            return Counting(real(seed))
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        cfg = DgpConfig(kind=kind, n=10, T=5, p=0.3)
+        true_effect_curve(cfg, np.geomspace(0.1, 5.0, size), 5, draws=1000, seed=8)
+        assert made == [8]
+        per_period = [("random", (1000,), {})]
+        if kind != "trial":
+            per_period.insert(0, ("standard_normal", (1000,), {}))
+        assert calls == per_period * 5
+
 
 class TestNormalizedRmse:
     def test_zero_error(self):
