@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .efficiency import efficiency_curve, trial_moments
-from .errors import ConfigError, EstimationError, PanelDataError
+from .errors import ConfigError, EstimationError, PanelDataError, check_seed
 from .estimator import estimate_cross_fit
 from .inference import check_band_options, uniform_band
 from .intervention import DeltaGrid
@@ -132,6 +132,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg = {k: _convert(k, v) for k, v in cfg.items()}
     if cfg.get("seed") is None:
         raise ConfigError("a seed is required (no wall-clock default)")
+    check_seed(cfg["seed"])
     return cfg
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule every seed obeys."""
+
+import numbers
 
 
 class PanelDataError(ValueError):
@@ -11,3 +13,10 @@ class ConfigError(ValueError):
 
 class EstimationError(RuntimeError):
     """Raised when an estimator cannot produce a value (empty cells, degenerate fits)."""
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; ConfigError unless it is a non-negative integer and not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)

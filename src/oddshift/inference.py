@@ -8,9 +8,11 @@ i.i.d. Rademacher signs and records the supremum over the grid of the
 absolute standardized mean; c_alpha is the empirical 1-alpha quantile of
 these suprema, floored at z_{1-alpha/2} so the uniform band always
 contains the pointwise band.  Replicate b's signs come from its own PCG64
-stream, keyed by (seed, b): sign i is the top bit of the i-th 32-bit half
-of the stream's raw words, low half first, which is bitwise what
-``numpy.random.Generator.integers(0, 2)`` draws from the same stream.
+stream, that of ``SeedSequence(seed, spawn_key=(b,))``, whose key is
+derived with every other replicate's in one vectorised pass: sign i is the
+top bit of the i-th 32-bit half of the stream's raw words, low half first,
+which is bitwise what ``numpy.random.Generator.integers(0, 2)`` draws from
+the same stream.
 
 The bootstrap runs in two passes.  The first stacks a block of
 replicates' signs and takes their suprema with one matrix product; the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, check_seed
 from .estimator import EffectEstimate, EifMatrix, _sigma_hat
 
 __all__ = [
@@ -62,13 +64,15 @@ def pointwise_interval(
 
 
 def check_band_options(alpha: float, B: int) -> None:
-    """Reject a band level outside (0,1), or a B that is not an integer of at least 100."""
+    """Reject a band level outside (0,1), or a B that is not an integer in [100, 2^32]."""
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0,1)")
     if not isinstance(B, (int, np.integer)):
         raise ConfigError(f"the bootstrap replicate count B must be an integer, got {B!r}")
     if B < 100:
         raise ConfigError("need at least 100 bootstrap replicates")
+    if B > 2**32:
+        raise ConfigError("at most 2^32 bootstrap replicates, one spawn-key word each")
 
 
 @dataclass
@@ -92,25 +96,97 @@ class ConfidenceBand:
 # Bytes of +-1 signs that the first bootstrap pass stacks into one block,
 # so that a block of replicates costs one gemm over the standardized
 # values instead of one gemv per replicate.
-_SIGN_BLOCK_BYTES = 1 << 20
+_SIGN_BLOCK_BYTES = 1 << 21
 _UNIT_ROUNDOFF = 2.0**-53
 
+# numpy's SeedSequence hash constants, which ``_stream_keys`` applies to every
+# replicate's spawn key at once, and PCG64's 128-bit multiplier (``_pcg64_state``)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_SIGN_BIT, _ONE_BITS = np.uint64(1 << 63), np.float64(1.0).view(np.uint64)
 
-def _sign_bits(seed: int, b: int, n: int, out: np.ndarray) -> np.ndarray:
-    """Replicate b's n sign bits into boolean ``out``, from the PCG64 stream keyed by (seed, b).
 
-    Bit i is bit 31 of the i-th 32-bit half of the stream's raw 64-bit
-    words, low half first: bit 31 of word i//2 for even i, bit 63 for odd
-    i.  That is bitwise ``Generator.integers(0, 2, size=n) == 1`` on the
-    same stream: numpy draws it by Lemire's method on buffered 32-bit
-    halves, which keeps a half's top bit and never rejects at range 2.
+def _stream_keys(seed: int, B: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(b,)).generate_state(4, np.uint64)`` for each b < B, as rows.
+
+    SeedSequence hashes the seed's 32-bit words, zero-padded to its pool
+    of four, and then the spawn key's word b into the pool, and hashes the
+    pool out to these four words.  Only the last word hashed in depends on
+    b, so one pass over uint32 arrays of length B yields every replicate's
+    row.  B must be at most 2^32, so that b is a single spawn-key word.
+    """
+    seed = check_seed(seed)  # a negative seed has no 32-bit words
+    words = [seed >> 32 * k & _MASK32 for k in range(max(1, -(-seed.bit_length() // 32)))]
+    entropy = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(B, dtype=np.uint32))
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, mult = _INIT_B, _MULT_B  # generate_state: the same hash, its own constants
+    out = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    return np.stack([out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1)
+
+
+def _pcg64_state(key: np.ndarray) -> dict:
+    """The state of ``PCG64`` seeded by the four words ``key``: its two seeding steps, exactly.
+
+    The words are the initial state and the stream selector, each high
+    word first; the increment is the selector shifted up with its low bit
+    set, and the state takes one step, adds the initial state and steps
+    again.
+    """
+    s_hi, s_lo, q_hi, q_lo = key.tolist()
+    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+    state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _draw_signs(bitgen: np.random.PCG64, keys: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
+    """Replicate b's n multipliers, +-1.0, into float ``out`` from ``bitgen`` set to key b.
+
+    Multiplier i is +1 where bit 31 of the i-th 32-bit half of the stream's
+    raw 64-bit words is set, low half first, and -1 elsewhere.  That is
+    bitwise ``Generator.integers(0, 2, size=n) * 2.0 - 1.0`` on the same
+    stream: numpy draws it by Lemire's method on buffered 32-bit halves,
+    which keeps a half's top bit and never rejects at range 2.  The halves
+    are cast to float as signed ints, keeping that bit as the sign; two
+    in-place masks then keep the sign bit and swap it onto the bits of 1.0.
     The explicit little-endian views make the halves' order independent
     of the host's byte order.
     """
-    words = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,))).random_raw(
-        (n + 1) // 2
-    )
-    return np.less(np.asarray(words, dtype="<u8").view("<i4")[:n], 0, out=out)
+    bitgen.state = _pcg64_state(keys[b])
+    words = bitgen.random_raw((out.size + 1) // 2)
+    np.copyto(out, np.asarray(words, dtype="<u8").view("<i4")[: out.size], casting="unsafe")
+    bits = out.view(np.uint64)
+    bits &= _SIGN_BIT
+    bits ^= _SIGN_BIT | _ONE_BITS
+    return out
 
 
 def _bootstrap_quantile(
@@ -118,36 +194,41 @@ def _bootstrap_quantile(
 ) -> float:
     """The level-quantile of sup |standardized multiplier mean| over B replicates.
 
-    Replicate b draws its signs xi from a stream keyed by (seed, b), so the
-    collection is identical however replicates are scheduled or batched.
-    Its statistic is max_j |sum_i xi_i s_ij| on the standardized values s.
-    Its signs are the top bits of the stream's raw 32-bit halves
-    (``_sign_bits``), bitwise what ``Generator.integers(0, 2, size=n)``
-    draws from it, without a Generator or an int64 array per replicate.
+    Replicate b draws its signs xi from the PCG64 stream keyed by (seed, b),
+    so the collection is identical however replicates are scheduled or
+    batched.  Its statistic is max_j |sum_i xi_i s_ij| on the standardized
+    values s.  All B keys come from one pass (``_stream_keys``), and one
+    reused bit generator, set to each key in turn (``_pcg64_state``), draws
+    each replicate's signs (``_draw_signs``), bitwise what
+    ``Generator.integers(0, 2, size=n)`` draws from its stream, without a
+    SeedSequence, a Generator or an int64 array per replicate.
 
     Pass 1 stacks a block of replicates' signs and takes all their
-    statistics with one gemm.  Its rounding differs from the per-replicate
-    gemv ``xi @ s``, but both are sums of n exactly signed terms, so each
-    is within gamma_n * sum_i |s_ij| of the exact sum and, max |.| being
-    1-Lipschitz, an approximate statistic is within
-    eps = 2 gamma_n max_j sum_i |s_ij| of the gemv one.  Pass 2 recomputes
-    with the gemv every replicate within 2 eps of the two order statistics
-    that the linear quantile reads.  The patched statistics then count
-    like the gemv ones on an interval that holds both order statistics,
-    so the quantile is bitwise the one of the per-replicate gemv.
+    statistics with one gemm on a C-ordered copy of s.  Its rounding
+    differs from the per-replicate gemv ``xi @ s``, but both are sums of n
+    exactly signed terms, so each is within gamma_n * sum_i |s_ij| of the
+    exact sum and, max |.| being 1-Lipschitz, an approximate statistic is
+    within eps = 2 gamma_n max_j sum_i |s_ij| of the gemv one.  Pass 2
+    recomputes with the gemv, on s in its own layout, every replicate
+    within 2 eps of the two order statistics that the linear quantile
+    reads.  The patched statistics then count like the gemv ones on an
+    interval that holds both order statistics, so the quantile is bitwise
+    the one of the per-replicate gemv.
     """
-    scaled = centered / (np.sqrt(n) * sigma[None, :])  # sum_i xi_i * scaled -> stat
+    denom = np.sqrt(n) * sigma[None, :]  # sum_i xi_i * centered / denom -> stat
+    keys = _stream_keys(seed, B)
+    bitgen = np.random.PCG64(0)  # every draw first sets its replicate's key
     rows = max(1, _SIGN_BLOCK_BYTES // (8 * n))
     block = np.empty((min(rows, B), n))
-    bits = np.empty(block.shape, dtype=bool)
+    by_row = np.divide(centered, denom, order="C")  # the gemm runs fastest on row-major operands
     sups = np.empty(B)
     for lo in range(0, B, rows):
         signs = block[: min(rows, B - lo)]
         for r in range(signs.shape[0]):
-            _sign_bits(seed, lo + r, n, bits[r])
-        np.multiply(bits[: signs.shape[0]], 2.0, out=signs)
-        signs -= 1.0
-        sups[lo : lo + signs.shape[0]] = np.max(np.abs(signs @ scaled), axis=1)
+            _draw_signs(bitgen, keys, lo + r, signs[r])
+        sups[lo : lo + signs.shape[0]] = np.max(np.abs(signs @ by_row), axis=1)
+    del block, by_row  # freed before pass 2's copy, which keeps the layout of centered
+    scaled = centered / denom
 
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     eps = 2.0 * gamma * float(np.max(np.sum(np.abs(scaled), axis=0)))
@@ -155,8 +236,9 @@ def _bootstrap_quantile(
     j = min(i + 1, B - 1)
     low, high = np.partition(sups, (i, j))[[i, j]]
     window = (sups >= low - 2.0 * eps) & (sups <= high + 2.0 * eps)  # factor 2: safety
+    xi = np.empty(n)
     for b in np.flatnonzero(window):
-        sups[b] = np.max(np.abs((_sign_bits(seed, int(b), n, bits[0]) * 2.0 - 1.0) @ scaled))
+        sups[b] = np.max(np.abs(_draw_signs(bitgen, keys, int(b), xi) @ scaled))
     return float(np.quantile(sups, level))
 
 
@@ -221,6 +303,8 @@ def uniform_band(
     Non-finite influence values or estimates, in the main horizon or a
     pooled one, raise EstimationError naming the horizon and deltas, as do
     values that overflow when centered and standardized.
+    ``seed`` must be a non-negative integer and not a bool; anything else
+    raises ConfigError before any draw.
 
     The critical value comes from two passes over the B replicates: one
     matrix product per block of replicates locates the 1-alpha quantile,
@@ -229,6 +313,7 @@ def uniform_band(
     matrix-vector products and does not depend on the block size.
     """
     check_band_options(alpha, B)
+    seed = check_seed(seed)
     n = eif.n
     if n < 2:
         raise EstimationError("band needs at least two units")
@@ -245,9 +330,9 @@ def uniform_band(
     excluded = _warn_excluded(eif, usable)
     if not np.any(usable):
         raise EstimationError("all grid points have zero variance; no band")
-    c_raw = _bootstrap_quantile(
-        np.concatenate(centered, axis=1), np.concatenate(sigmas), n, B, seed, 1.0 - alpha
-    )
+    # one horizon's columns go in as they are: a copy would only raise the peak memory
+    joint = np.concatenate(centered, axis=1) if len(centered) > 1 else main
+    c_raw = _bootstrap_quantile(joint, np.concatenate(sigmas), n, B, seed, 1.0 - alpha)
     z = float(ndtri(1.0 - alpha / 2.0))
     c_alpha = max(c_raw, z)  # the sup statistic dominates each pointwise |Z|
     lo, hi = pointwise_interval(psi.psi_hat, sigma, n, alpha)

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PanelDataError
+from .errors import ConfigError, PanelDataError, check_seed
 
 __all__ = [
     "PanelDataset",
@@ -190,7 +190,7 @@ def split_folds(ds: PanelDataset, K: int, seed: int) -> FoldAssignment:
     n = ds.n
     if K < 2 or K > n:
         raise ConfigError(f"fold count K={K} must satisfy 2 <= K <= n={n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     order = rng.permutation(n)
     by_index = np.empty(n, dtype=np.int64)
     by_index[order] = np.arange(n) % K + 1

@@ -34,13 +34,14 @@ import numbers
 import pickle
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit, logit, ndtr
 
 from .efficiency import _collapse, trial_moments, variance_ratio_bounds
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .estimator import (
     estimate_cross_fit,
     estimate_ipw,
@@ -90,6 +91,7 @@ class DgpConfig:
             raise ConfigError("u_l must not exceed 5")
         if not 0 < self.p < 1:
             raise ConfigError("p must lie in (0,1)")
+        check_seed(self.seed)
 
     @property
     def d(self) -> int:
@@ -194,7 +196,7 @@ def true_effect_curve(
         raise ConfigError(f"draws must be an integer >= 2, got {draws!r}")
     deltas = np.asarray(grid.values if isinstance(grid, DeltaGrid) else grid, dtype=float)
     _check_delta(deltas)
-    trial, rng = cfg.kind == "trial", np.random.default_rng(seed)
+    trial, rng = cfg.kind == "trial", np.random.default_rng(check_seed(seed))
     lag1, lag2 = np.zeros((2, deltas.size, draws), dtype=bool)  # A_{s-1}, A_{s-2} per delta
     count = np.zeros((deltas.size, draws), dtype=np.min_scalar_type(t))  # the trial's k
     u_prev = u_cur = np.zeros(draws)
@@ -377,49 +379,52 @@ def true_propensities(cfg: DgpConfig, ds: PanelDataset, t: int) -> np.ndarray:
     return out
 
 
-def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
-    """Oracle learner specs exposing the generator's true nuisance functions."""
-    d = cfg.d
-    pi_specs = [
-        LearnerSpec.oracle(lambda F, s=s: _true_pi(cfg, s, F)) for s in range(1, t_star + 1)
+def _always_retained(F: np.ndarray) -> np.ndarray:
+    """Retention propensity one: the generators without dropout."""
+    return np.ones(F.shape[0])
+
+
+def _trial_continuation(values: dict, t_star: int, s: int, F: np.ndarray) -> np.ndarray:
+    """Trial m_s at feature rows (A_1..A_s): the table at k_s, the outcome mean at the horizon."""
+    k_prev = F[:, :-1].sum(axis=1) if s >= 2 else np.zeros(F.shape[0])
+    k = k_prev + F[:, -1]
+    if s == t_star:
+        return 10.0 + np.sqrt(k)
+    return values[s][k.astype(np.intp)]
+
+
+def _trial_m_specs(p: float, t_star: int, deltas: tuple) -> list[LearnerSpec]:
+    values = _trial_tables(t_star, incremental_propensity(p, np.asarray(deltas, dtype=float)))
+    return [
+        LearnerSpec.oracle(partial(_trial_continuation, values, t_star, s))
+        for s in range(1, t_star + 1)
     ]
 
+
+def _covariate_m_specs(t_star: int, deltas: tuple) -> list[LearnerSpec]:
+    oracle = _ContinuationOracle(t_star, deltas)
+    return [LearnerSpec.oracle(partial(oracle.predict, s)) for s in range(1, t_star + 1)]
+
+
+def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
+    """Oracle learner specs exposing the generator's true nuisance functions.
+
+    Every handle is a module-level function or a bound method, partially
+    applied, so the specs pickle and ``run_benchmark`` can ship them to
+    worker processes.
+    """
+    pi_specs = [LearnerSpec.oracle(partial(_true_pi, cfg, s)) for s in range(1, t_star + 1)]
     if cfg.kind == "dropout":
         ret = _RetentionOracle(cfg.u_l)
         omega_specs = [
-            LearnerSpec.oracle(lambda F, s=s: ret.predict(s, F, d))
-            for s in range(1, t_star + 1)
+            LearnerSpec.oracle(partial(ret.predict, s, d=cfg.d)) for s in range(1, t_star + 1)
         ]
     else:
-        omega_specs = [
-            LearnerSpec.oracle(lambda F: np.ones(F.shape[0]))
-            for _ in range(t_star)
-        ]
-
+        omega_specs = [LearnerSpec.oracle(_always_retained)] * t_star
     if cfg.kind == "trial":
-        def m_specs(deltas: tuple):
-            q = incremental_propensity(cfg.p, np.asarray(deltas, dtype=float))
-            values = _trial_tables(t_star, q)
-
-            def fn_for(s):
-                def fn(F, s=s):
-                    k_prev = F[:, :-1].sum(axis=1) if s >= 2 else np.zeros(F.shape[0])
-                    k = k_prev + F[:, -1]
-                    if s == t_star:
-                        return 10.0 + np.sqrt(k)
-                    return values[s][k.astype(np.intp)]
-
-                return fn
-
-            return [LearnerSpec.oracle(fn_for(s)) for s in range(1, t_star + 1)]
+        m_specs = partial(_trial_m_specs, cfg.p, t_star)
     else:
-        def m_specs(deltas: tuple):
-            oracle = _ContinuationOracle(t_star, deltas)
-            return [
-                LearnerSpec.oracle(lambda F, s=s: oracle.predict(s, F))
-                for s in range(1, t_star + 1)
-            ]
-
+        m_specs = partial(_covariate_m_specs, t_star)
     return NuisanceSpecs(pi=pi_specs, omega=omega_specs, m=m_specs)
 
 
@@ -479,7 +484,7 @@ class BenchmarkResult:
 
 
 def _derived_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1)[0])
+    return int(np.random.SeedSequence(check_seed(seed), spawn_key=tuple(key)).generate_state(1)[0])
 
 
 def _benchmark_one(args):

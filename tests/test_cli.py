@@ -340,6 +340,9 @@ BAD_INPUTS = [
     (["estimate"], {"K": 2.7}, "K must be int, got 2.7"),
     (["estimate"], {"B": 200.9}, "B must be int, got 200.9"),
     (["estimate"], {"seed": 1.9}, "seed must be int, got 1.9"),
+    (["estimate", "--seed", "-3"], None, "seed must be a non-negative integer, got -3"),
+    (["simulate", "--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
+    (["bench"], {"seed": -2}, "seed must be a non-negative integer, got -2"),
     (["estimate"], {"grid_size": 5.5}, "grid_size must be int, got 5.5"),
     (["estimate"], {"alpha": True}, "alpha must be float, got True"),
     (["estimate"], {"out": 5}, "out must be str, got 5"),

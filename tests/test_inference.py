@@ -248,28 +248,40 @@ class TestBlockedBootstrap:
 
     def test_refinement_recomputes_few_replicates(self, gaussian_pair, monkeypatch):
         eif, est = gaussian_pair
-        draws = inference._sign_bits
+        draws = inference._draw_signs
         built = []
 
-        def counted(seed, b, n, out):
+        def counted(bitgen, keys, b, out):
             built.append(b)
-            return draws(seed, b, n, out)
+            return draws(bitgen, keys, b, out)
 
-        monkeypatch.setattr(inference, "_sign_bits", counted)
+        monkeypatch.setattr(inference, "_draw_signs", counted)
         uniform_band(eif, est, alpha=0.05, B=1000, seed=4)
         assert sorted(set(built)) == list(range(1000))
         assert len(built) <= 1000 + 4
 
 
 class TestSignStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**62, 2**64 + 5, 2**130 + 11])
+    def test_stream_keys_are_seed_sequence_pcg64_bitwise(self, seed):
+        keys = inference._stream_keys(seed, 10_000)
+        assert keys.shape == (10_000, 4)
+        for b in [*range(300), *range(9990, 10_000)]:
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(b,))
+            assert np.array_equal(keys[b], stream.generate_state(4, np.uint64)), b
+            expected = np.random.PCG64(stream).state
+            assert inference._pcg64_state(keys[b]) == expected, b
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**62])
     def test_signs_are_generator_integers_bitwise(self, seed):
         # Generator.integers is the reference: a numpy that changes its draw fails here
+        keys = inference._stream_keys(seed, 64)
+        bitgen = np.random.PCG64(0)
         for b in range(64):
             for n in (1, 2, 3, 7, 2000, 2001, 20001):
                 stream = np.random.SeedSequence(entropy=seed, spawn_key=(b,))
                 expected = np.random.default_rng(stream).integers(0, 2, size=n) * 2.0 - 1.0
-                signs = inference._sign_bits(seed, b, n, np.empty(n, dtype=bool)) * 2.0 - 1.0
+                signs = inference._draw_signs(bitgen, keys, b, np.empty(n))
                 assert np.array_equal(signs.view(np.uint64), expected.view(np.uint64)), (b, n)
 
     def test_band_builds_no_generator(self, gaussian_pair, monkeypatch):
@@ -282,6 +294,16 @@ class TestSignStream:
         monkeypatch.undo()
         assert band.c_alpha_raw == reference_c_alpha_raw([gaussian_pair], 0.05, 500, 9)
 
+    def test_band_builds_no_seed_sequence(self, gaussian_pair, monkeypatch):
+        # every replicate's key comes from one pass, not from a SeedSequence of its own
+        def no_seed_sequence(*args, **kwargs):
+            pytest.fail("a numpy SeedSequence was built")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+        band = uniform_band(*gaussian_pair, alpha=0.05, B=1000, seed=12)
+        monkeypatch.undo()
+        assert band.c_alpha_raw == reference_c_alpha_raw([gaussian_pair], 0.05, 1000, 12)
+
 
 class TestBandInputChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -291,7 +313,7 @@ class TestBandInputChecks:
         main = make_pair(rng.normal(size=(200, 3)), DeltaGrid(values=(0.5, 1.0, 2.0)))
         other = make_pair(rng.normal(size=(200, 2)), DeltaGrid(values=(1.0, 4.0)))
         (other if pooled else main)[0].values[7, 1] = bad
-        monkeypatch.setattr(inference, "_sign_bits", lambda *a: pytest.fail("bootstrap started"))
+        monkeypatch.setattr(inference, "_draw_signs", lambda *a: pytest.fail("bootstrap started"))
         delta = "4.0" if pooled else "1.0"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -304,7 +326,7 @@ class TestBandInputChecks:
         main = make_pair(rng.normal(size=(200, 2)))
         other = make_pair(rng.normal(size=(200, 2)))
         (other if pooled else main)[0].values[:, 0] *= 1e300
-        monkeypatch.setattr(inference, "_sign_bits", lambda *a: pytest.fail("bootstrap started"))
+        monkeypatch.setattr(inference, "_draw_signs", lambda *a: pytest.fail("bootstrap started"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EstimationError, match=r"overflow .* delta=\(1\.0,\)"):
@@ -316,6 +338,23 @@ class TestBandInputChecks:
             inference.check_band_options(0.05, B)
         with pytest.raises(ConfigError, match="integer"):
             uniform_band(*gaussian_pair, B=B, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), True, False, 1.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, gaussian_pair, seed, monkeypatch):
+        monkeypatch.setattr(inference, "_draw_signs", lambda *a: pytest.fail("bootstrap started"))
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            uniform_band(*gaussian_pair, B=200, seed=seed)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            inference._stream_keys(seed, 100)
+
+    def test_numpy_integer_seed(self, gaussian_pair):
+        band = uniform_band(*gaussian_pair, B=300, seed=np.uint64(2**63 + 1))
+        assert band.c_alpha_raw == reference_c_alpha_raw([gaussian_pair], 0.05, 300, 2**63 + 1)
+
+    def test_replicate_count_fits_one_spawn_key_word(self):
+        inference.check_band_options(0.05, 2**32)
+        with pytest.raises(ConfigError, match="at most 2"):
+            inference.check_band_options(0.05, 2**32 + 1)
 
     def test_numpy_integer_replicate_count(self, gaussian_pair):
         inference.check_band_options(0.05, np.int64(500))

@@ -365,6 +365,11 @@ class TestFolds:
         sizes = sorted(int(np.sum(folds.by_index == k)) for k in (1, 2))
         assert sizes == [2, 3]
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_seed_must_be_a_non_negative_integer(self, ds10, seed):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            split_folds(ds10, 2, seed=seed)
+
     def test_deterministic(self, ds10):
         a = split_folds(ds10, 3, seed=7)
         b = split_folds(ds10, 3, seed=7)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def array_true_propensities(cfg, ds, t):
         )
         out[alive, s - 1] = expit(lin)[alive]
     return out
+
+
+@pytest.mark.parametrize("seed", [-1, True, 2.0])
+def test_seed_must_be_a_non_negative_integer(seed):
+    cfg = DgpConfig(kind="trial", n=20, T=2, seed=0)
+    grid = DeltaGrid(values=(1.0, 2.0))
+    specs = NuisanceSpecs(pi=LearnerSpec.zero(), omega=LearnerSpec.zero(), m=LearnerSpec.zero())
+    for call in (
+        lambda: DgpConfig(kind="trial", n=20, T=2, seed=seed),
+        lambda: true_effect_curve(cfg, grid, 2, draws=10, seed=seed),
+        lambda: run_benchmark(cfg, S=1, grid=grid, specs=specs, seed=seed),
+        lambda: relative_efficiency_mc(cfg, 2.0, [2], reps=2, seed=seed),
+    ):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            call()
 
 
 class TestGenerators:
@@ -316,11 +332,24 @@ class TestBenchmark:
         assert json.loads(json.dumps(res.summary()))["S"] == 1
 
     def test_unpicklable_specs_rejected_before_the_pool(self):
-        # the oracle nuisances are local closures, which a process pool cannot ship
+        # a lambda oracle is a local function, which a process pool cannot ship
         cfg = DgpConfig(kind="trial", n=100, T=2, p=0.5, seed=2)
         grid = DeltaGrid(values=(1.0, 2.0))
+        specs = replace(oracle_specs(cfg, 2), omega=LearnerSpec.oracle(lambda F: np.ones(len(F))))
         with pytest.raises(ConfigError, match="picklable"):
-            run_benchmark(cfg, S=2, grid=grid, specs=oracle_specs(cfg, 2), seed=3, threads=2)
+            run_benchmark(cfg, S=2, grid=grid, specs=specs, seed=3, threads=2)
+
+    @pytest.mark.parametrize("kind", ["dropout", "trial"])
+    def test_oracle_specs_run_in_the_pool(self, kind):
+        cfg = DgpConfig(kind=kind, n=150, T=3, seed=5)
+        grid = DeltaGrid(values=(0.5, 2.0))
+        runs = [
+            run_benchmark(cfg, S=2, grid=grid, specs=oracle_specs(cfg, 3), seed=8, threads=w)
+            for w in (1, 2)
+        ]
+        assert runs[0].rmse == runs[1].rmse
+        for k, serial in runs[0].estimates.items():
+            assert np.array_equal(serial, runs[1].estimates[k]), k
 
 
 class TestRelativeEfficiency:
