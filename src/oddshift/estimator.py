@@ -377,9 +377,9 @@ def complete_case_subset(ds: PanelDataset, t: int) -> PanelDataset:
     )
 
 
-def _ones(F: np.ndarray) -> np.ndarray:
-    """Retention propensity of the complete cases, who never drop out."""
-    return np.ones(F.shape[0])
+def _ones(ds: PanelDataset, s: int, units: np.ndarray, a) -> np.ndarray:
+    """Retention propensity one, an oracle handle: for panels without dropout."""
+    return np.ones(units.size)
 
 
 def estimate_no_censoring(

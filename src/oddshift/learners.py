@@ -3,8 +3,8 @@
 The estimator only needs a fit/predict contract, so the menu is small:
 logistic regression fit by iteratively reweighted least squares, k-nearest
 neighbours, closed-form ridge, a constant-zero predictor, and an oracle
-wrapper around a user-supplied function.  Probability predictions are
-clipped away from {0, 1} so inverse weights stay finite.
+spec for a known function of the panel, never fit.  Probability
+predictions are clipped away from {0, 1} so inverse weights stay finite.
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ class LearnerSpec:
 
     @classmethod
     def oracle(cls, fn: Callable) -> "LearnerSpec":
+        """A known nuisance function, called as ``fn(ds, s, units, a)``; never fit.
+
+        ``ds`` is the panel, ``s`` the 1-based stage and ``units`` an integer
+        index array of the units to predict.  ``a`` is the action at s: the
+        observed A_s for omega, the counterfactual 1.0 or 0.0 for m, and
+        unused (None) for pi.  It returns (q,), or (q, D) over a delta grid.
+        """
         return cls(kind="oracle", fn=fn)
 
     @classmethod
@@ -108,8 +115,12 @@ class FittedModel:
     columns: int | None = None  # D for a (rows, D) target, None for a 1-D one
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """(q,) predictions for a 1-D target, (q, D) for a (rows, D) one."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """(q,) predictions for a 1-D target, (q, D) for a (rows, D) one.
+
+        ``X`` is feature rows, or unit indices for an oracle or zero model.
+        """
+        if self.kind not in ("oracle", "zero"):
+            X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.predict_fn(X), dtype=float)
         if out.ndim == 1 and self.columns is not None:
             # zero and oracle ignore the target: one output serves every column
@@ -304,6 +315,8 @@ def fit_learner(
     """
     if task not in ("probability", "regression"):
         raise ConfigError(f"unknown task {task!r}")
+    if spec.kind == "oracle":
+        raise ConfigError("an oracle spec is not fit: the nuisance pipelines call it on the panel")
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
     columns = y.shape[1] if y.ndim == 2 else None
@@ -311,15 +324,14 @@ def fit_learner(
         y = y.ravel()
     elif columns < 1 or spec.kind == "logistic_irls":
         raise ConfigError("a (rows, D) target needs D >= 1 and a learner other than logistic_irls")
-    if spec.kind != "oracle":
-        if X.shape[0] != y.shape[0]:
-            raise ConfigError("features and targets disagree on row count")
-        if X.shape[0] < 1:
-            raise EstimationError("cannot fit on an empty training set")
-        if np.isnan(X).any() or np.isnan(y).any():
-            raise EstimationError("training data contain unavailable (NaN) cells")
+    if X.shape[0] != y.shape[0]:
+        raise ConfigError("features and targets disagree on row count")
+    if X.shape[0] < 1:
+        raise EstimationError("cannot fit on an empty training set")
+    if np.isnan(X).any() or np.isnan(y).any():
+        raise EstimationError("training data contain unavailable (NaN) cells")
     if task == "probability":
-        if spec.kind != "oracle" and not np.all((y == 0) | (y == 1)):
+        if not np.all((y == 0) | (y == 1)):
             raise ConfigError("probability task requires {0,1} targets")
         if clip is None:
             clip = (PI_CLIP, 1.0 - PI_CLIP)
@@ -334,19 +346,11 @@ def fit_learner(
         model = _fit_knn(X, Y, spec.k, clip)
     elif spec.kind == "ridge":
         model = _fit_ridge(X, Y, spec.lam, clip, columns)
-    elif spec.kind == "zero":
+    else:
         model = FittedModel(
             kind="zero",
-            predict_fn=lambda Xq: np.zeros(Xq.shape[0]),
+            predict_fn=lambda Xq: np.zeros(len(Xq)),
             n_train=X.shape[0],
-            clip=clip,
-        )
-    else:
-        # oracle: wrap the supplied handle, ignoring the training data
-        model = FittedModel(
-            kind="oracle",
-            predict_fn=spec.fn,
-            n_train=X.shape[0] if X.size else 0,
             clip=clip,
         )
     model.columns = columns

@@ -23,6 +23,8 @@ a=1/a=0 query copies once, then makes one fit: all D delta columns go to
 ``fit_learner`` as one (rows, D) target, whose columns are bitwise
 one-column fits, so every column gets exactly what a one-delta recursion
 would give it.
+Oracle and zero specs fit nothing and build no features: they read the
+panel, so only the learners that fit see the history layout.
 Predictions for units already censored at t are defined as zero; every
 influence-function term touching them carries a retention indicator.
 """
@@ -30,13 +32,13 @@ influence-function term touching them carries a retention indicator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, EstimationError
 from .intervention import _check_delta
-from .learners import OMEGA_FLOOR, FittedModel, LearnerSpec, fit_learner
+from .learners import OMEGA_FLOOR, PI_CLIP, FittedModel, LearnerSpec, fit_learner
 from .panel import FoldAssignment, PanelDataset, history_features
 
 __all__ = [
@@ -53,24 +55,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NuisanceSpecs:
-    """Learner choice per nuisance.
+    """One learner per nuisance, applied at every stage.
 
-    Each entry is a LearnerSpec applied at every time, or a sequence with
-    one spec per time 1..t*.  ``m`` may also be a callable grid ->
-    (spec | sequence): it receives the tuple of deltas once per recursion,
-    and its learners must predict one column per delta, in grid order.
+    ``m`` may also be a callable grid -> LearnerSpec: it receives the tuple
+    of deltas once per recursion, and its learner must predict one column
+    per delta, in grid order.  An oracle's handle serves every stage as
+    ``fn(ds, s, units, a)``, with ``a`` the observed A_s for omega, the
+    counterfactual 1.0 or 0.0 for m and None for pi (``LearnerSpec.oracle``).
     """
 
-    pi: LearnerSpec | Sequence[LearnerSpec]
-    omega: LearnerSpec | Sequence[LearnerSpec]
-    m: LearnerSpec | Sequence[LearnerSpec] | Callable
-
-
-def _spec_at(spec, s: int) -> LearnerSpec:
-    """Spec for 1-based time s."""
-    if isinstance(spec, LearnerSpec):
-        return spec
-    return spec[s - 1]
+    pi: LearnerSpec
+    omega: LearnerSpec
+    m: LearnerSpec | Callable
 
 
 def _check_horizon(ds: PanelDataset, t_star: int) -> None:
@@ -112,40 +108,55 @@ class PseudoOutcomeFit:
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_pool(spec, n_train: int, width: int, s: int, warnings: list[str], what: str) -> None:
-    """Fail below two training units; for a learner that fits, warn below max(10, width + 2)."""
+def _check_pool(n_train: int, width, s: int, warnings: list[str], what: str) -> None:
+    """Fail below two training units; warn below max(10, width + 2) unless nothing is fit (None)."""
     if n_train < 2:
         raise EstimationError(f"{n_train} training unit(s) for {what} at t={s}; need at least 2")
-    if spec.kind not in ("oracle", "zero") and n_train < max(10, width + 2):
+    if width is not None and n_train < max(10, width + 2):
         warnings.append(f"underdetermined {what} fit at t={s}: {n_train} units")
+
+
+def _panel_model(spec, ds, s, n_train: int, a, clip=None, columns=None) -> FittedModel:
+    """An oracle or zero spec at stage s as a model queried with unit indices; nothing is fit."""
+    fn = spec.fn if spec.kind == "oracle" else lambda ds, s, units, a: np.zeros(units.size)
+    return FittedModel(spec.kind, lambda units: fn(ds, s, units, a), n_train, clip=clip,
+                       columns=columns)
 
 
 def _fit_forward(
     ds, folds, spec, exclude_fold, t_star, target, with_action: bool, what: str,
-    clip=None, held_out_only: bool = False,
+    clip, held_out_only: bool = False,
 ) -> SequenceFit:
     """Fit target[:, t-1] ~ history_features(t) on retained training units, t = 1..t*.
 
     Predictions fill every retained unit, or with ``held_out_only`` the
     retained evaluated units, NaN elsewhere.  A fit that stops at the
-    iteration cap without converging adds a warning.
+    iteration cap without converging adds a warning.  An oracle or zero
+    spec reads the panel instead.
     """
     t_star = ds.T if t_star is None else t_star
     train, held = _split(ds, folds, exclude_fold)
     pred = np.full((ds.n, t_star), np.nan)
     models, warns = [], []
     for s in range(1, t_star + 1):
-        F, alive = history_features(ds, s, with_action=with_action)
+        alive = ds.R[:, s - 1] == 1
         pool = train & alive
-        spec_s = _spec_at(spec, s)
-        _check_pool(spec_s, int(pool.sum()), F.shape[1], s, warns, what)
-        model = fit_learner(spec_s, F[pool], target[pool, s - 1], "probability", clip=clip)
+        n_pool = int(pool.sum())
+        query = alive & held if held_out_only else alive
+        if spec.kind in ("oracle", "zero"):
+            _check_pool(n_pool, None, s, warns, what)
+            X = np.flatnonzero(query)  # the query is the units themselves
+            model = _panel_model(spec, ds, s, n_pool, ds.A[X, s - 1] if with_action else None, clip)
+        else:
+            F = history_features(ds, s, with_action=with_action)[0]
+            _check_pool(n_pool, F.shape[1], s, warns, what)
+            model = fit_learner(spec, F[pool], target[pool, s - 1], "probability", clip=clip)
+            X = F[query]
         if not model.converged:
             warns.append(
                 f"{what} fit at t={s} stopped at IRLS_MAX_ITER={model.iterations} without converging"
             )
-        query = alive & held if held_out_only else alive
-        pred[query, s - 1] = model.predict(F[query])
+        pred[query, s - 1] = model.predict(X)
         models.append(model)
     return SequenceFit(models=models, pred=pred, warnings=warns)
 
@@ -158,7 +169,8 @@ def fit_propensity_sequence(
     t_star: int | None = None,
 ) -> SequenceFit:
     """Fit A_t ~ H_t for t = 1..t* on retained training units; predict every retained unit."""
-    return _fit_forward(ds, folds, spec, exclude_fold, t_star, ds.A, False, "propensity")
+    return _fit_forward(ds, folds, spec, exclude_fold, t_star, ds.A, False, "propensity",
+                        (PI_CLIP, 1.0 - PI_CLIP))
 
 
 def fit_missingness_sequence(
@@ -188,9 +200,10 @@ def fit_pseudo_outcome_sequence(
 ) -> PseudoOutcomeFit:
     """Backward continuation-value recursion over a grid of odds multipliers.
 
-    ``spec`` is a LearnerSpec, a per-time sequence of them, or a callable
-    grid -> either, called once with the tuple of deltas.  Each stage
-    makes one fit on the (rows, D) target, one column per delta.
+    ``spec`` is a LearnerSpec, or a callable grid -> LearnerSpec called
+    once with the tuple of deltas.  Each stage makes one fit on the
+    (rows, D) target, one column per delta; an oracle or zero spec reads
+    the panel instead.
     ``pi_pred`` must hold propensity predictions from the same training
     pool for every retained unit; they weight the two arms when the
     recursion collapses A_t.  m1 and m0 hold fold ``exclude_fold``'s
@@ -211,20 +224,24 @@ def fit_pseudo_outcome_sequence(
     y = np.where(ds.R[:, t_star] == 1, ds.Y[:, t_star - 1], np.nan)
     target = np.repeat(y[:, None], grid.size, axis=1)
     for s in range(t_star, 0, -1):
-        F, alive = history_features(ds, s, with_action=True)
-        next_alive = ds.R[:, s] == 1  # R_{s+1} = 1
-        pool = train & next_alive
-        spec_s = _spec_at(m_spec, s)
-        _check_pool(spec_s, int(pool.sum()), F.shape[1], s, warns, "pseudo-outcome")
-        F1 = F[alive].copy()
-        F1[:, -1] = 1.0  # the action column
-        F0 = F1.copy()
-        F0[:, -1] = 0.0
-        model = fit_learner(spec_s, F[pool], target[pool], "regression")
+        alive = ds.R[:, s - 1] == 1
+        pool = train & (ds.R[:, s] == 1)  # R_{s+1} = 1
+        n_pool = int(pool.sum())
         m1s = np.zeros((ds.n, grid.size))
         m0s = np.zeros((ds.n, grid.size))
-        m1s[alive] = model.predict(F1)
-        m0s[alive] = model.predict(F0)
+        if m_spec.kind in ("oracle", "zero"):
+            _check_pool(n_pool, None, s, warns, "pseudo-outcome")
+            units = np.flatnonzero(alive)
+            for ms, a in ((m1s, 1.0), (m0s, 0.0)):
+                ms[alive] = _panel_model(m_spec, ds, s, n_pool, a, columns=grid.size).predict(units)
+        else:
+            F = history_features(ds, s, with_action=True)[0]
+            _check_pool(n_pool, F.shape[1], s, warns, "pseudo-outcome")
+            model = fit_learner(m_spec, F[pool], target[pool], "regression")
+            for ms, a in ((m1s, 1.0), (m0s, 0.0)):
+                Fa = F[alive]
+                Fa[:, -1] = a  # the action column
+                ms[alive] = model.predict(Fa)
         m1[:, s - 1] = m1s[held]
         m0[:, s - 1] = m0s[held]
         if s > 1:

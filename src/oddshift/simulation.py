@@ -43,6 +43,7 @@ from scipy.special import expit, logit, ndtr
 from .efficiency import _collapse, trial_moments, variance_ratio_bounds
 from .errors import ConfigError, check_seed
 from .estimator import (
+    _ones,
     estimate_cross_fit,
     estimate_ipw,
     estimate_no_censoring,
@@ -52,7 +53,7 @@ from .estimator import (
 from .intervention import DeltaGrid, _check_delta, incremental_propensity
 from .learners import LearnerSpec
 from .nuisance import NuisanceSpecs, fit_nuisances
-from .panel import PanelDataset, history_features
+from .panel import PanelDataset
 
 __all__ = [
     "DgpConfig",
@@ -92,10 +93,6 @@ class DgpConfig:
         if not 0 < self.p < 1:
             raise ConfigError("p must lie in (0,1)")
         check_seed(self.seed)
-
-    @property
-    def d(self) -> int:
-        return 0 if self.kind == "trial" else 2
 
 
 def _prop_logit(u: np.ndarray, a_prev1, a_prev2, t: int) -> np.ndarray:
@@ -304,16 +301,15 @@ class _ContinuationOracle:
             tables[s] = q * nxt[1][:, None] + (1.0 - q) * nxt[0][:, None]
         self._qbar, self._tables = qbar, tables
 
-    def predict(self, s: int, F: np.ndarray) -> np.ndarray:
-        """m_s at feature rows (history through s plus A_s): (q,) at the horizon, else (q, D)."""
-        t, d = self.t_star, 2
-        a = F[:, -1]
-        u_cur = F[:, (s - 1) * d : s * d].sum(axis=1)
-        a_prev = F[:, d * s + (s - 2)] if s >= 2 else np.zeros(F.shape[0])
+    def predict(self, ds: PanelDataset, s: int, units: np.ndarray, a) -> np.ndarray:
+        """m_s at the units with A_s = a: (q,) at the horizon, else (q, D)."""
+        t = self.t_star
+        u_cur = ds.X[units, s - 1].sum(axis=1)
+        a_prev = ds.A[units, s - 2] if s >= 2 else np.zeros(units.size)
         if s == t:
-            u_prev = F[:, (s - 2) * d : (s - 1) * d].sum(axis=1) if s >= 2 else 0.0
+            u_prev = ds.X[units, s - 2].sum(axis=1) if s >= 2 else 0.0
             return _outcome_mean(a, a_prev, u_cur, u_prev)
-        ab = a.astype(np.intp), a_prev.astype(np.intp)
+        ab = np.asarray(a).astype(np.intp), a_prev.astype(np.intp)
         if s == t - 1:
             return (10.0 + a + _e_abs_shifted(u_cur))[:, None] + self._qbar[t][ab]
         return self._tables[s][ab]
@@ -333,16 +329,13 @@ class _RetentionOracle:
         self._c = 0.5 * (x + 1.0) * (5.0 - u_l) + u_l
         self._w = w  # prior density constant cancels in the posterior mean
 
-    def predict(self, s: int, F: np.ndarray, d: int) -> np.ndarray:
-        """Retention at time s, quadrature once per distinct path a_1..a_s (at most 2^s)."""
-        past = F[:, d * s + np.arange(s - 1)] if s >= 2 else np.empty((F.shape[0], 0))
+    def predict(self, ds: PanelDataset, s: int, units: np.ndarray, a) -> np.ndarray:
+        """Retention at s given A_s = a, by quadrature once per distinct path a_1..a_s."""
         path, row_path = np.unique(
-            np.column_stack([past, F[:, -1]]), axis=0, return_inverse=True
+            np.column_stack([ds.A[units, : s - 1], a]), axis=0, return_inverse=True
         )
-        n = path.shape[0]
         ks = np.cumsum(path, axis=1)  # k_1..k_s
-        grid = self._c[None, None, :]  # (1, 1, nodes)
-        surv = expit(grid + ks[:, :-1, None]) if s >= 2 else np.ones((n, 1, 1))
+        surv = expit(self._c[None, None, :] + ks[:, :-1, None])  # (paths, s - 1, nodes)
         weights = self._w[None, :] * np.prod(surv, axis=1)
         cur = expit(self._c[None, :] + ks[:, -1:, ])
         by_path = np.sum(weights * cur, axis=1) / np.sum(weights, axis=1)
@@ -359,14 +352,13 @@ def _trial_tables(t_star: int, q: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(range(t_star - 1, -1, -1), _collapse(table, q, 1.0 - q)))
 
 
-def _true_pi(cfg: DgpConfig, s: int, F: np.ndarray) -> np.ndarray:
-    """Structural treatment propensity at time s for rows of history features H_s."""
+def _true_pi(cfg: DgpConfig, ds: PanelDataset, s: int, units: np.ndarray, a=None) -> np.ndarray:
+    """Structural treatment propensity at time s for the given units."""
     if cfg.kind == "trial":
-        return np.full(F.shape[0], cfg.p)
-    d = cfg.d
-    u = F[:, (s - 1) * d : s * d].sum(axis=1)
-    a1 = F[:, d * s + (s - 2)] if s >= 2 else 0.0
-    a2 = F[:, d * s + (s - 3)] if s >= 3 else 0.0
+        return np.full(units.size, cfg.p)
+    u = ds.X[units, s - 1].sum(axis=1)
+    a1 = ds.A[units, s - 2] if s >= 2 else 0.0
+    a2 = ds.A[units, s - 3] if s >= 3 else 0.0
     return expit(_prop_logit(u, a1, a2, s))
 
 
@@ -374,58 +366,40 @@ def true_propensities(cfg: DgpConfig, ds: PanelDataset, t: int) -> np.ndarray:
     """Structural treatment propensities for every unit and period 1..t, NaN after dropout."""
     out = np.full((ds.n, t), np.nan)
     for s in range(1, t + 1):
-        F, alive = history_features(ds, s)
-        out[alive, s - 1] = _true_pi(cfg, s, F[alive])
+        units = np.flatnonzero(ds.R[:, s - 1] == 1)
+        out[units, s - 1] = _true_pi(cfg, ds, s, units)
     return out
 
 
-def _always_retained(F: np.ndarray) -> np.ndarray:
-    """Retention propensity one: the generators without dropout."""
-    return np.ones(F.shape[0])
-
-
-def _trial_continuation(values: dict, t_star: int, s: int, F: np.ndarray) -> np.ndarray:
-    """Trial m_s at feature rows (A_1..A_s): the table at k_s, the outcome mean at the horizon."""
-    k_prev = F[:, :-1].sum(axis=1) if s >= 2 else np.zeros(F.shape[0])
-    k = k_prev + F[:, -1]
+def _trial_continuation(values: dict, t_star: int, ds, s: int, units, a) -> np.ndarray:
+    """Trial m_s at the units with A_s = a: the table at k_s, the outcome mean at the horizon."""
+    k = ds.A[units, : s - 1].sum(axis=1) + a
     if s == t_star:
         return 10.0 + np.sqrt(k)
     return values[s][k.astype(np.intp)]
 
 
-def _trial_m_specs(p: float, t_star: int, deltas: tuple) -> list[LearnerSpec]:
-    values = _trial_tables(t_star, incremental_propensity(p, np.asarray(deltas, dtype=float)))
-    return [
-        LearnerSpec.oracle(partial(_trial_continuation, values, t_star, s))
-        for s in range(1, t_star + 1)
-    ]
-
-
-def _covariate_m_specs(t_star: int, deltas: tuple) -> list[LearnerSpec]:
-    oracle = _ContinuationOracle(t_star, deltas)
-    return [LearnerSpec.oracle(partial(oracle.predict, s)) for s in range(1, t_star + 1)]
+def _continuation_spec(cfg: DgpConfig, t_star: int, deltas: tuple) -> LearnerSpec:
+    if cfg.kind == "trial":
+        q = incremental_propensity(cfg.p, np.asarray(deltas, dtype=float))
+        return LearnerSpec.oracle(partial(_trial_continuation, _trial_tables(t_star, q), t_star))
+    return LearnerSpec.oracle(_ContinuationOracle(t_star, deltas).predict)
 
 
 def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
     """Oracle learner specs exposing the generator's true nuisance functions.
 
+    One handle per nuisance serves every stage; m is a grid callable.
     Every handle is a module-level function or a bound method, partially
     applied, so the specs pickle and ``run_benchmark`` can ship them to
     worker processes.
     """
-    pi_specs = [LearnerSpec.oracle(partial(_true_pi, cfg, s)) for s in range(1, t_star + 1)]
-    if cfg.kind == "dropout":
-        ret = _RetentionOracle(cfg.u_l)
-        omega_specs = [
-            LearnerSpec.oracle(partial(ret.predict, s, d=cfg.d)) for s in range(1, t_star + 1)
-        ]
-    else:
-        omega_specs = [LearnerSpec.oracle(_always_retained)] * t_star
-    if cfg.kind == "trial":
-        m_specs = partial(_trial_m_specs, cfg.p, t_star)
-    else:
-        m_specs = partial(_covariate_m_specs, t_star)
-    return NuisanceSpecs(pi=pi_specs, omega=omega_specs, m=m_specs)
+    omega = _RetentionOracle(cfg.u_l).predict if cfg.kind == "dropout" else _ones
+    return NuisanceSpecs(
+        pi=LearnerSpec.oracle(partial(_true_pi, cfg)),
+        omega=LearnerSpec.oracle(omega),
+        m=partial(_continuation_spec, cfg, t_star),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each loop is written out on its own, without the package's shared
 fitters, and predicts every retained unit unless told otherwise.  A fit
 that the package limits to the excluded fold's units is checked bitwise
-against these full caches at that fold's units.  The ``reference``
-fixture hands them to tests.
+against these full caches at that fold's units.  The forward loops call
+an oracle spec on the panel arrays, ``fn(ds, s, units, a)``, clipped as
+its nuisance is.  The ``reference`` fixture hands them to tests.
 """
 
 from types import SimpleNamespace
@@ -12,13 +13,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oddshift import LearnerSpec, NuisanceSet, fit_learner
-from oddshift.learners import OMEGA_FLOOR
+from oddshift import FittedModel, NuisanceSet, fit_learner
+from oddshift.learners import OMEGA_FLOOR, PI_CLIP
 from oddshift.panel import history_features
 
 
-def _spec_at(spec, s):
-    return spec if isinstance(spec, LearnerSpec) else spec[s - 1]
+def reference_oracle_stage(spec, ds, s, pool, query, a, clip):
+    """An oracle's clipped predictions at the ``query`` units, and a fit record of the pool."""
+    out = np.clip(spec.fn(ds, s, np.flatnonzero(query), a), *clip)
+    return out, FittedModel(kind="oracle", predict_fn=spec.fn, n_train=int(pool.sum()))
 
 
 def reference_pool_warnings(spec, pool, F, s, what):
@@ -34,10 +37,13 @@ def reference_propensity_loop(ds, train, spec):
     for s in range(1, ds.T + 1):
         F, alive = history_features(ds, s)
         pool = train & alive
-        spec_s = _spec_at(spec, s)
-        warns += reference_pool_warnings(spec_s, pool, F, s, "propensity")
-        model = fit_learner(spec_s, F[pool], ds.A[pool, s - 1], "probability")
-        pred[alive, s - 1] = model.predict(F[alive])
+        warns += reference_pool_warnings(spec, pool, F, s, "propensity")
+        if spec.kind == "oracle":
+            clip = (PI_CLIP, 1.0 - PI_CLIP)
+            pred[alive, s - 1], model = reference_oracle_stage(spec, ds, s, pool, alive, None, clip)
+        else:
+            model = fit_learner(spec, F[pool], ds.A[pool, s - 1], "probability")
+            pred[alive, s - 1] = model.predict(F[alive])
         models.append(model)
     return pred, models, warns
 
@@ -49,12 +55,15 @@ def reference_missingness_loop(ds, train, spec, rows=None):
     for s in range(1, ds.T + 1):
         F, alive = history_features(ds, s, with_action=True)
         pool = train & alive
-        spec_s = _spec_at(spec, s)
-        warns += reference_pool_warnings(spec_s, pool, F, s, "missingness")
-        target = ds.R[pool, s].astype(float)
-        model = fit_learner(spec_s, F[pool], target, "probability", clip=(OMEGA_FLOOR, 1.0))
+        warns += reference_pool_warnings(spec, pool, F, s, "missingness")
         query = alive if rows is None else alive & rows
-        pred[query, s - 1] = model.predict(F[query])
+        if spec.kind == "oracle":
+            a, clip = ds.A[query, s - 1], (OMEGA_FLOOR, 1.0)
+            pred[query, s - 1], model = reference_oracle_stage(spec, ds, s, pool, query, a, clip)
+        else:
+            target = ds.R[pool, s].astype(float)
+            model = fit_learner(spec, F[pool], target, "probability", clip=(OMEGA_FLOOR, 1.0))
+            pred[query, s - 1] = model.predict(F[query])
         models.append(model)
     return pred, models, warns
 
@@ -69,7 +78,7 @@ def reference_continuation_loop(ds, train, pi_pred, spec, deltas, t_star):
     for s in range(t_star, 0, -1):
         F, alive = history_features(ds, s, with_action=True)
         pool = train & (ds.R[:, s] == 1)
-        model = fit_learner(_spec_at(spec, s), F[pool], target[pool], "regression")
+        model = fit_learner(spec, F[pool], target[pool], "regression")
         for m, a in ((m1, 1.0), (m0, 0.0)):
             Fa = F[alive].copy()
             Fa[:, -1] = a

@@ -25,6 +25,7 @@ from oddshift import (
     estimate_no_censoring,
     estimate_plugin,
     default_grid,
+    exact_effect_curve,
     fit_missingness_sequence,
     fit_nuisances,
     fit_propensity_sequence,
@@ -343,8 +344,8 @@ class TestBaselines:
         R = np.ones((2, 2), dtype=np.int8)
         ds = PanelDataset.from_arrays(X, A, Y, R)
         specs = NuisanceSpecs(
-            pi=LearnerSpec.oracle(lambda F: np.full(F.shape[0], 0.5)),
-            omega=LearnerSpec.oracle(lambda F: np.ones(F.shape[0])),
+            pi=LearnerSpec.oracle(lambda ds, s, units, a: np.full(units.size, 0.5)),
+            omega=LearnerSpec.oracle(lambda ds, s, units, a: np.ones(units.size)),
             m=LearnerSpec.zero(),
         )
         est = estimate_ipw(ds, specs, DeltaGrid(values=(2.0,)), 1)
@@ -400,7 +401,7 @@ class TestBaselines:
     def test_ipw_never_fits_the_continuation_spec(self):
         ds = simulate(DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=15))
 
-        def no_m(F):
+        def no_m(ds, s, units, a):
             raise AssertionError("continuation spec used by IPW")
 
         specs = NuisanceSpecs(
@@ -492,6 +493,25 @@ class TestUnbiasednessSmall:
         truth, se = true_effect_curve(cfg, grid, 3, draws=100_000, seed=77)
         combined = np.sqrt(se**2 + est.sigma_hat**2 / ds.n)
         assert np.all(np.abs(est.psi_hat - truth) < 3 * combined)
+
+
+@pytest.mark.parametrize("oracle_pi", [False, True])
+@pytest.mark.parametrize("oracle_omega", [False, True])
+@pytest.mark.parametrize("oracle_m", [False, True])
+def test_each_nuisance_swaps_for_its_oracle(oracle_pi, oracle_omega, oracle_m):
+    # learned and oracle specs mix freely: every cell of the factorial is unbiased
+    cfg = DgpConfig(kind="dropout", n=2000, T=3, seed=21)
+    ds = simulate(cfg)
+    grid = DeltaGrid(values=(0.5, 1.0, 2.0))
+    oracle = oracle_specs(cfg, 3)
+    specs = NuisanceSpecs(
+        pi=oracle.pi if oracle_pi else LearnerSpec.logistic(),
+        omega=oracle.omega if oracle_omega else LearnerSpec.logistic(),
+        m=oracle.m if oracle_m else LearnerSpec.ridge(1e-6),
+    )
+    est, _ = estimate_cross_fit(ds, 2, 1, specs, grid, 3)
+    truth = exact_effect_curve(cfg, grid, 3)
+    assert np.all(np.abs(est.psi_hat - truth) < 4 * est.sigma_hat / np.sqrt(ds.n))
 
 
 # --------------------------------------------------------------------------

@@ -246,14 +246,11 @@ class TestRidge:
 
 
 class TestOracleAndZero:
-    def test_oracle_passthrough(self):
-        model = fit_learner(
-            LearnerSpec.oracle(lambda F: F[:, 0] ** 2),
-            np.empty((0, 1)),
-            np.empty(0),
-            "regression",
-        )
-        assert np.allclose(model.predict(np.array([[3.0], [4.0]])), [9.0, 16.0])
+    def test_oracle_is_not_fit(self):
+        # an oracle reads the panel; fitting it as a zero model would predict 0
+        spec = LearnerSpec.oracle(lambda ds, s, units, a: np.ones(units.size))
+        with pytest.raises(ConfigError, match="oracle spec is not fit"):
+            fit_learner(spec, np.ones((4, 1)), np.ones(4), "regression")
 
     def test_zero_predictor(self):
         model = fit_learner(LearnerSpec.zero(), np.ones((4, 2)), np.ones(4), "regression")
@@ -302,7 +299,6 @@ class TestTargetColumns:
             LearnerSpec.ridge(0.7),
             LearnerSpec.knn(k),
             LearnerSpec.zero(),
-            LearnerSpec.oracle(lambda F: F.sum(axis=1) - 0.25),
         )
         for spec in specs:
             together = fit_learner(spec, X, Y, "regression").predict(Xq)
@@ -323,8 +319,7 @@ class TestTargetColumns:
         X, Xq = rng.normal(size=(20, 3)), rng.normal(size=(7, 3))
         y = rng.normal(size=20)
         y01 = (y > 0).astype(float)
-        for spec in (LearnerSpec.ridge(0.1), LearnerSpec.knn(3), LearnerSpec.zero(),
-                     LearnerSpec.oracle(lambda F: F[:, 0])):
+        for spec in (LearnerSpec.ridge(0.1), LearnerSpec.knn(3), LearnerSpec.zero()):
             one = fit_learner(spec, X, y, "regression")
             assert one.columns is None and one.predict(Xq).shape == (7,)
             assert fit_learner(spec, X, y[:, None], "regression").predict(Xq).shape == (7, 1)

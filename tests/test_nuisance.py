@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from scipy.special import expit
 
 from oddshift import (
     ConfigError,
+    DeltaGrid,
     DgpConfig,
     EstimationError,
     LearnerSpec,
@@ -15,7 +17,9 @@ from oddshift import (
     PanelDataset,
     default_grid,
     estimate_cross_fit,
+    estimate_ipw,
     estimate_no_censoring,
+    estimate_plugin,
     fit_missingness_sequence,
     fit_propensity_sequence,
     fit_pseudo_outcome_sequence,
@@ -326,11 +330,27 @@ class TestGroupedContinuationFits:
         assert len(fit_calls) == 4
         assert all(shape[1] == len(self.DELTAS) for shape in fit_calls)
 
-    def test_callable_oracle_fits_once_per_stage(self, dropout_ds, pi_pred, fit_calls):
-        specs = oracle_specs(DgpConfig(kind="dropout", n=2000, T=4, u_l=1.0, seed=11), 4)
-        fit_pseudo_outcome_sequence(dropout_ds, None, pi_pred, specs.m, self.DELTAS, 4)
-        assert len(fit_calls) == 4
-        assert all(shape[1] == len(self.DELTAS) for shape in fit_calls)
+    def test_callable_oracle_reads_each_stage_twice_and_fits_nothing(
+        self, dropout_ds, pi_pred, fit_calls
+    ):
+        grid_spec = oracle_specs(DgpConfig(kind="dropout", n=2000, T=4, u_l=1.0, seed=11), 4).m
+        calls = []
+
+        def m(deltas):
+            fn = grid_spec(deltas).fn
+
+            def counted(ds, s, units, a):
+                out = fn(ds, s, units, a)
+                calls.append((s, a, out.shape[1:]))
+                return out
+
+            return LearnerSpec.oracle(counted)
+
+        fit = fit_pseudo_outcome_sequence(dropout_ds, None, pi_pred, m, self.DELTAS, 4)
+        assert fit_calls == []
+        D = (len(self.DELTAS),)
+        assert calls == [(s, a, () if s == 4 else D) for s in (4, 3, 2, 1) for a in (1.0, 0.0)]
+        assert fit.m1.shape == (dropout_ds.n, 4, len(self.DELTAS))
 
     def test_callable_gets_the_grid_once(self, dropout_ds, pi_pred):
         seen = []
@@ -404,19 +424,24 @@ class TestHeldOutFit:
         assert eta.summary()["n_train"] == int(np.count_nonzero(train))
 
 
+def panel_of(X, A):
+    """A fully retained panel with covariates X (n, T, d), treatments A (n, T) and no outcomes."""
+    n, T = A.shape
+    return PanelDataset.from_arrays(X, A, np.full((n, T), np.nan), np.ones((n, T + 1), np.int8))
+
+
 class TestContinuationOracle:
     @pytest.mark.parametrize("s,a,b,u", [(3, 1, 0, 0.7), (2, 0, 1, -1.2), (1, 1, 0, 0.4)])
     def test_matches_forward_monte_carlo(self, s, a, b, u):
         t_star, delta = 3, 2.0
         oracle = _ContinuationOracle(t_star, [delta])
-        d = 2
-        F = np.zeros((1, d * s + (s - 1) + 1))
-        F[0, (s - 1) * d] = u  # put the whole block sum in one coordinate
+        X = np.zeros((1, s, 2))
+        A = np.zeros((1, s))
+        X[0, s - 1, 0] = u  # put the whole block sum in one coordinate
         if s >= 2:
-            F[0, d * s + (s - 2)] = b
-            F[0, (s - 2) * d] = -0.3  # u_{s-1}, only used when s == t_star
-        F[0, -1] = a
-        got = oracle.predict(s, F).ravel()[0]
+            A[0, s - 2] = b
+            X[0, s - 2, 0] = -0.3  # u_{s-1}, only used when s == t_star
+        got = np.ravel(oracle.predict(panel_of(X, A), s, np.array([0]), float(a)))[0]
 
         rng = np.random.default_rng(123)
         m = 400_000
@@ -439,18 +464,16 @@ class TestContinuationOracle:
         # surviving units carry higher frailty, so the posterior retention
         # at a never-treated path exceeds the prior average of expit(c)
         ret = _RetentionOracle(1.0)
-        F1 = np.zeros((1, 1))  # s=1: only the action column
-        prior = ret.predict(1, F1, d=0)[0]
-        F3 = np.zeros((1, 2 + 1))  # s=3 with d=0: two past treatments + action
-        posterior = ret.predict(3, F3, d=0)[0]
+        ds = panel_of(np.empty((1, 3, 0)), np.zeros((1, 3)))  # never treated
+        prior = ret.predict(ds, 1, np.array([0]), np.zeros(1))[0]
+        posterior = ret.predict(ds, 3, np.array([0]), np.zeros(1))[0]
         assert posterior > prior
 
 
-def retention_all_rows(oracle, s, F, d):
+def retention_all_rows(oracle, ds, s, units, a):
     """_RetentionOracle.predict as it was before paths were deduplicated: every row."""
-    n = F.shape[0]
-    past = F[:, d * s + np.arange(s - 1)] if s >= 2 else np.empty((n, 0))
-    path = np.column_stack([past, F[:, -1]])
+    n = units.size
+    path = np.column_stack([ds.A[units, : s - 1], a])
     ks = np.cumsum(path, axis=1)
     grid = oracle._c[None, None, :]
     surv = expit(grid + ks[:, :-1, None]) if s >= 2 else np.ones((n, 1, 1))
@@ -464,14 +487,11 @@ class TestOracleLookups:
     def test_retention_by_path_equals_every_row_bitwise(self, s):
         rng = np.random.default_rng(s)
         d, n = 2, 700
-        F = np.column_stack([
-            rng.normal(size=(n, d * s)),
-            rng.integers(0, 2, size=(n, s - 1)),
-            rng.integers(0, 2, size=n),
-        ]).astype(float)
+        ds = panel_of(rng.normal(size=(n, s, d)), rng.integers(0, 2, size=(n, s)))
+        units, a = np.arange(n), ds.A[:, s - 1]
         oracle = _RetentionOracle(1.0)
-        got = oracle.predict(s, F, d)
-        want = retention_all_rows(oracle, s, F, d)
+        got = oracle.predict(ds, s, units, a)
+        want = retention_all_rows(oracle, ds, s, units, a)
         assert got.shape == (n,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -479,15 +499,14 @@ class TestOracleLookups:
         cfg = DgpConfig(kind="trial", n=10, T=5, p=0.3)
         delta, t_star = 1.7, 5
         q = incremental_propensity(cfg.p, delta)
-        fns = oracle_specs(cfg, t_star).m((delta,))
+        fn = oracle_specs(cfg, t_star).m((delta,)).fn
         table = 10.0 + np.sqrt(np.arange(t_star + 1.0))
-        rng = np.random.default_rng(0)
+        ds = panel_of(np.empty((50, t_star, 0)), np.random.default_rng(0).integers(0, 2, (50, t_star)))
         for s in range(t_star - 1, 0, -1):
             table = q * table[1:] + (1.0 - q) * table[:-1]
-            F = rng.integers(0, 2, size=(50, s)).astype(float)
             lut = dict(enumerate(table))
-            want = np.array([lut[int(v)] for v in F.sum(axis=1)])
-            assert np.array_equal(fns[s - 1].fn(F)[:, 0], want)
+            want = np.array([lut[int(v)] for v in ds.A[:, :s].sum(axis=1)])
+            assert np.array_equal(fn(ds, s, np.arange(50), ds.A[:, s - 1])[:, 0], want)
 
 
 class PerDeltaOracle:
@@ -539,18 +558,18 @@ class PerDeltaOracle:
                     level[(a, b)] = qb * nxt[(1, a)] + (1.0 - qb) * nxt[(0, a)]
             self._tables[s] = level
 
-    def predict(self, s, F):
-        t, d = self.t_star, 2
-        a = F[:, -1]
-        u_cur = F[:, (s - 1) * d : s * d].sum(axis=1)
-        a_prev = F[:, d * s + (s - 2)] if s >= 2 else np.zeros(F.shape[0])
+    def predict(self, ds, s, units, a):
+        t = self.t_star
+        a = np.broadcast_to(np.asarray(a, dtype=float), units.shape)
+        u_cur = ds.X[units, s - 1].sum(axis=1)
+        a_prev = ds.A[units, s - 2] if s >= 2 else np.zeros(units.size)
         if s == t:
-            u_prev = F[:, (s - 2) * d : (s - 1) * d].sum(axis=1) if s >= 2 else 0.0
+            u_prev = ds.X[units, s - 2].sum(axis=1) if s >= 2 else 0.0
             return _outcome_mean(a, a_prev, u_cur, u_prev)
         if s == t - 1:
             return self._penultimate(u_cur, a, a_prev)
         table = self._tables[s]
-        out = np.empty(F.shape[0])
+        out = np.empty(units.size)
         for aa in (0, 1):
             for bb in (0, 1):
                 mask = (a == aa) & (a_prev == bb)
@@ -558,7 +577,7 @@ class PerDeltaOracle:
         return out
 
 
-def per_delta_trial(p, delta, t_star, s, F):
+def per_delta_trial(p, delta, t_star, ds, s, units, a):
     """The one-delta trial continuation table, looked up at stage s."""
     q = incremental_propensity(p, delta)
     values = {}
@@ -566,7 +585,7 @@ def per_delta_trial(p, delta, t_star, s, F):
     for r in range(t_star - 1, 0, -1):
         table = q * table[1:] + (1.0 - q) * table[:-1]
         values[r] = table
-    k = (F[:, :-1].sum(axis=1) if s >= 2 else np.zeros(F.shape[0])) + F[:, -1]
+    k = (ds.A[units, : s - 1].sum(axis=1) if s >= 2 else np.zeros(units.size)) + a
     return 10.0 + np.sqrt(k) if s == t_star else values[s][k.astype(np.intp)]
 
 
@@ -577,22 +596,71 @@ class TestGridOracleEqualsPerDelta:
     @pytest.mark.parametrize("t_star", [1, 2, 3, 5])
     def test_every_column_bitwise(self, kind, t_star):
         cfg = DgpConfig(kind=kind, n=10, T=t_star, p=0.3)
-        fns = oracle_specs(cfg, t_star).m(self.DELTAS)
+        spec = oracle_specs(cfg, t_star).m(self.DELTAS)
         refs = [PerDeltaOracle(t_star, delta) for delta in self.DELTAS]
         rng = np.random.default_rng(100 * t_star + len(kind))
         n = 64
-        for s in range(1, t_star + 1):
-            F = np.column_stack([
-                rng.normal(size=(n, cfg.d * s)),
-                rng.integers(0, 2, size=(n, s - 1)),
-                rng.integers(0, 2, size=n),
-            ])
-            model = fit_learner(fns[s - 1], np.empty((0, F.shape[1])), np.empty((0, 6)), "regression")
-            got = model.predict(F)
+        d = 0 if kind == "trial" else 2
+        ds = panel_of(rng.normal(size=(n, t_star, d)), rng.integers(0, 2, size=(n, t_star)))
+        units = np.arange(n)
+        for s, a in itertools.product(range(1, t_star + 1), (1.0, 0.0)):
+            model = nuisance._panel_model(spec, ds, s, n, a, columns=len(self.DELTAS))
+            got = model.predict(units)
             assert got.shape == (n, len(self.DELTAS))
             for j, delta in enumerate(self.DELTAS):
                 if kind == "trial":
-                    want = per_delta_trial(cfg.p, delta, t_star, s, F)
+                    want = per_delta_trial(cfg.p, delta, t_star, ds, s, units, a)
                 else:
-                    want = refs[j].predict(s, F)
+                    want = refs[j].predict(ds, s, units, a)
                 assert np.array_equal(got[:, j].view(np.uint64), want.view(np.uint64))
+
+
+class TestOraclesReadThePanel:
+    """Oracle and zero specs are models of the panel: no history features, pools recorded."""
+
+    GRID = DeltaGrid(values=(0.5, 1.0, 2.0))
+
+    @pytest.fixture
+    def history_calls(self, monkeypatch):
+        calls = []
+        real = nuisance.history_features
+
+        def counting(ds, t, with_action=False):
+            calls.append(t)
+            return real(ds, t, with_action=with_action)
+
+        monkeypatch.setattr(nuisance, "history_features", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["dropout", "trial", "observational"])
+    def test_oracles_never_build_features(self, kind, monkeypatch):
+        def no_features(*args, **kwargs):
+            raise AssertionError("an oracle fit built history features")
+
+        monkeypatch.setattr(nuisance, "history_features", no_features)
+        cfg = DgpConfig(kind=kind, n=300, T=3, seed=4)
+        ds = simulate(cfg)
+        specs = oracle_specs(cfg, 3)
+        estimate_cross_fit(ds, 2, 1, specs, self.GRID, 3)
+        estimate_plugin(ds, specs, self.GRID, 3)
+        estimate_ipw(ds, specs, self.GRID, 3)
+        estimate_no_censoring(ds, 2, 1, specs, self.GRID, 3)
+        assert not np.isnan(true_propensities(cfg, ds, 3)[ds.R[:, :3] == 1]).any()
+
+    def test_ipw_builds_features_for_pi_and_omega_only(self, history_calls):
+        # the zero continuation recursion reads no history: 2 builds per stage, not 3
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-6)
+        )
+        estimate_ipw(simulate(DgpConfig(kind="dropout", n=300, T=4, seed=0)), specs, self.GRID, 4)
+        assert sorted(history_calls) == [1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_oracle_fits_record_their_training_pool(self):
+        # a trial's stage-1 history has no columns; the pool still has every training unit
+        cfg = DgpConfig(kind="trial", n=400, T=2, seed=6)
+        ds, specs = simulate(cfg), oracle_specs(cfg, 2)
+        plug, _ = estimate_plugin(ds, specs, self.GRID, 2)
+        assert plug.diagnostics["folds"][0]["n_train_per_t"] == [400, 400]
+        cross, _ = estimate_cross_fit(ds, 2, 1, specs, self.GRID, 2)
+        for fold in cross.diagnostics["folds"]:
+            assert fold["n_train_per_t"] == [fold["n_train"]] * 2

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -464,3 +465,20 @@ class TestHistory:
         assert alive.tolist() == [True, False]
         assert np.array_equal(F[0], [0.0, 1.0, 2.0, 3.0, 1.0, 5.0])
         assert np.isnan(F[1, 2:4]).all()
+
+
+def test_only_nuisance_reads_the_history_layout():
+    # panel defines history_features and __init__ re-exports it; every other
+    # module, the oracles included, reads the panel arrays instead
+    callers, importers = set(), set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "oddshift").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "history_features":
+                    callers.add(path.stem)
+            elif isinstance(node, ast.ImportFrom):
+                if "history_features" in [alias.name for alias in node.names]:
+                    importers.add(path.stem)
+    assert callers == {"nuisance"}
+    assert importers == {"__init__", "nuisance"}

@@ -335,7 +335,7 @@ class TestBenchmark:
         # a lambda oracle is a local function, which a process pool cannot ship
         cfg = DgpConfig(kind="trial", n=100, T=2, p=0.5, seed=2)
         grid = DeltaGrid(values=(1.0, 2.0))
-        specs = replace(oracle_specs(cfg, 2), omega=LearnerSpec.oracle(lambda F: np.ones(len(F))))
+        specs = replace(oracle_specs(cfg, 2), omega=LearnerSpec.oracle(lambda ds, s, units, a: np.ones(units.size)))
         with pytest.raises(ConfigError, match="picklable"):
             run_benchmark(cfg, S=2, grid=grid, specs=specs, seed=3, threads=2)
 
