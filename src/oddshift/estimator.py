@@ -46,7 +46,7 @@ import numpy as np
 from .errors import ConfigError, EstimationError
 from .intervention import DeltaGrid, _check_delta
 from .learners import LearnerSpec
-from .nuisance import NuisanceSet, NuisanceSpecs, fit_nuisances
+from .nuisance import NuisanceSet, NuisanceSpecs, _check_horizon, fit_nuisances
 from .panel import FoldAssignment, PanelDataset, split_folds
 
 __all__ = [
@@ -402,8 +402,7 @@ def estimate_complete_case(ds: PanelDataset, t: int) -> float:
     Positivity failures surface as an error: with many periods the
     always- or never-treated retained subgroup is routinely empty.
     """
-    if t not in ds.outcome_times:
-        raise ConfigError(f"no recorded outcome at t={t}")
+    _check_horizon(ds, t)
     retained = ds.R[:, t] == 1
     A = ds.A[:, :t]
     all_treated = retained & np.all(A == 1.0, axis=1)

@@ -2,9 +2,10 @@
 
 The estimator only needs a fit/predict contract, so the menu is small:
 logistic regression fit by iteratively reweighted least squares, k-nearest
-neighbours, closed-form ridge, a constant-zero predictor, and an oracle
-spec for a known function of the panel, never fit.  Probability
-predictions are clipped away from {0, 1} so inverse weights stay finite.
+neighbours and closed-form ridge, fit on feature rows, and oracle specs
+(the constant zero among them): known functions of the panel, never fit,
+which ``fit_learner`` rejects.  Probability predictions are clipped away
+from {0, 1} so inverse weights stay finite.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class LearnerSpec:
     fn: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("logistic_irls", "knn", "ridge", "oracle", "zero"):
+        if self.kind not in ("logistic_irls", "knn", "ridge", "oracle"):
             raise ConfigError(f"unknown learner kind {self.kind!r}")
         if self.kind == "knn" and self.k < 1:
             raise ConfigError("knn needs k >= 1")
@@ -75,7 +76,7 @@ class LearnerSpec:
 
     @classmethod
     def zero(cls) -> "LearnerSpec":
-        return cls(kind="zero")
+        return cls.oracle(_zeros)
 
     @classmethod
     def from_config(cls, obj) -> "LearnerSpec":
@@ -100,6 +101,11 @@ class LearnerSpec:
         return cls.zero() if name == "zero" else cls.logistic()
 
 
+def _zeros(ds, s: int, units: np.ndarray, a) -> np.ndarray:
+    """The constant-zero predictor, an oracle handle (``LearnerSpec.zero``)."""
+    return np.zeros(units.size)
+
+
 @dataclass
 class FittedModel:
     """Deterministic predictor with training metadata."""
@@ -110,20 +116,18 @@ class FittedModel:
     iterations: int = 0
     converged: bool = True
     clip: tuple | None = None
-    coef_: np.ndarray | None = None
-    intercept_: float | np.ndarray | None = None
     columns: int | None = None  # D for a (rows, D) target, None for a 1-D one
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """(q,) predictions for a 1-D target, (q, D) for a (rows, D) one.
 
-        ``X`` is feature rows, or unit indices for an oracle or zero model.
+        ``X`` is feature rows, or unit indices for an oracle model.
         """
-        if self.kind not in ("oracle", "zero"):
+        if self.kind != "oracle":
             X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.asarray(self.predict_fn(X), dtype=float)
         if out.ndim == 1 and self.columns is not None:
-            # zero and oracle ignore the target: one output serves every column
+            # an oracle may ignore the target: one output serves every column
             out = np.repeat(out[:, None], self.columns, axis=1)
         elif out.ndim == 2 and self.columns is None:
             out = out[:, 0]  # ridge and knn fit a 1-D target as one column
@@ -174,8 +178,6 @@ def _fit_logistic_irls(X: np.ndarray, y: np.ndarray, clip: tuple) -> FittedModel
         iterations=it,
         converged=converged,
         clip=clip,
-        coef_=fitted[1:],
-        intercept_=float(fitted[0]),
     )
 
 
@@ -253,9 +255,7 @@ def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> Fitted
     return FittedModel(kind="knn", predict_fn=predict, n_train=n, clip=clip)
 
 
-def _fit_ridge(
-    X: np.ndarray, Y: np.ndarray, lam: float, clip: tuple | None, columns: int | None
-) -> FittedModel:
+def _fit_ridge(X: np.ndarray, Y: np.ndarray, lam: float, clip: tuple | None) -> FittedModel:
     """Closed-form ridge for the D target rows of ``Y`` (D, n); predicts (q, D).
 
     The design's standardisation and Gram matrix, and at predict time the
@@ -281,16 +281,7 @@ def _fit_ridge(
             out[:, owner == j] = (ybar + Q @ beta)[:, None]
         return out
 
-    coef = np.column_stack([fits[j][1] / sd for j in owner])
-    intercept = np.array([fits[j][0] - float((fits[j][1] * mu / sd).sum()) for j in owner])
-    return FittedModel(
-        kind="ridge",
-        predict_fn=predict,
-        n_train=n,
-        clip=clip,
-        coef_=coef if columns else coef[:, 0],
-        intercept_=intercept if columns else float(intercept[0]),
-    )
+    return FittedModel(kind="ridge", predict_fn=predict, n_train=n, clip=clip)
 
 
 def fit_learner(
@@ -315,7 +306,7 @@ def fit_learner(
     """
     if task not in ("probability", "regression"):
         raise ConfigError(f"unknown task {task!r}")
-    if spec.kind == "oracle":
+    if spec.kind == "oracle":  # zero included
         raise ConfigError("an oracle spec is not fit: the nuisance pipelines call it on the panel")
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -344,14 +335,7 @@ def fit_learner(
         model = _fit_logistic_irls(X, y, clip)
     elif spec.kind == "knn":
         model = _fit_knn(X, Y, spec.k, clip)
-    elif spec.kind == "ridge":
-        model = _fit_ridge(X, Y, spec.lam, clip, columns)
     else:
-        model = FittedModel(
-            kind="zero",
-            predict_fn=lambda Xq: np.zeros(len(Xq)),
-            n_train=X.shape[0],
-            clip=clip,
-        )
+        model = _fit_ridge(X, Y, spec.lam, clip)
     model.columns = columns
     return model

@@ -18,13 +18,12 @@ weights, producing the next regression target:
     M_t = [delta * pi_t * m_t(H_t,1) + (1 - pi_t) * m_t(H_t,0)]
           / (delta * pi_t + 1 - pi_t).
 
-It walks the stages once.  Each stage builds its history features and the
-a=1/a=0 query copies once, then makes one fit: all D delta columns go to
-``fit_learner`` as one (rows, D) target, whose columns are bitwise
-one-column fits, so every column gets exactly what a one-delta recursion
-would give it.
-Oracle and zero specs fit nothing and build no features: they read the
-panel, so only the learners that fit see the history layout.
+One stage fit serves all three pipelines and decides oracle vs learned
+once.  A learned spec builds the stage's history features once and makes
+one fit; in the recursion all D delta columns are one (rows, D) target,
+whose columns are bitwise what a one-delta recursion would fit.  An
+oracle spec, zero included, fits nothing and builds no features: it is
+called on the panel, so only the learners that fit see the history layout.
 Predictions for units already censored at t are defined as zero; every
 influence-function term touching them carries a retention indicator.
 """
@@ -108,31 +107,50 @@ class PseudoOutcomeFit:
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_pool(n_train: int, width, s: int, warnings: list[str], what: str) -> None:
-    """Fail below two training units; warn below max(10, width + 2) unless nothing is fit (None)."""
-    if n_train < 2:
-        raise EstimationError(f"{n_train} training unit(s) for {what} at t={s}; need at least 2")
-    if width is not None and n_train < max(10, width + 2):
-        warnings.append(f"underdetermined {what} fit at t={s}: {n_train} units")
+def _fit_stage(spec, ds, s, pool, target, units, queries, clip, what, warns) -> FittedModel:
+    """Fit stage s on the ``pool`` rows of ``target``; fill ``out[units]`` per (a, out) query.
 
-
-def _panel_model(spec, ds, s, n_train: int, a, clip=None, columns=None) -> FittedModel:
-    """An oracle or zero spec at stage s as a model queried with unit indices; nothing is fit."""
-    fn = spec.fn if spec.kind == "oracle" else lambda ds, s, units, a: np.zeros(units.size)
-    return FittedModel(spec.kind, lambda units: fn(ds, s, units, a), n_train, clip=clip,
-                       columns=columns)
+    ``a`` is A_s in the query: observed for omega, 1.0 or 0.0 for m, None
+    for pi.  A learned spec needs two training units (fewer than
+    max(10, width + 2) warn) and predicts with the action column set; an
+    oracle is called on the panel as ``fn(ds, s, units, a)``.  A ``clip``
+    makes a probability task.  Returns the (last) model.
+    """
+    n_pool = int(pool.sum())
+    if spec.kind == "oracle":
+        columns = target.shape[1] if target.ndim == 2 else None
+        for a, out in queries:
+            model = FittedModel("oracle", lambda q, a=a: spec.fn(ds, s, q, a), n_pool,
+                                clip=clip, columns=columns)
+            out[units] = model.predict(units)
+        return model
+    F = history_features(ds, s, with_action=queries[0][0] is not None)[0]
+    if n_pool < 2:
+        raise EstimationError(f"{n_pool} training unit(s) for {what} at t={s}; need at least 2")
+    if n_pool < max(10, F.shape[1] + 2):
+        warns.append(f"underdetermined {what} fit at t={s}: {n_pool} units")
+    task = "regression" if clip is None else "probability"
+    model = fit_learner(spec, F[pool], target[pool], task, clip=clip)
+    if not model.converged:
+        warns.append(f"{what} fit at t={s} stopped at IRLS_MAX_ITER={model.iterations} "
+                     "without converging")
+    X = F[units]
+    for a, out in queries:
+        if a is not None:
+            X[:, -1] = a  # the action column
+        out[units] = model.predict(X)
+    return model
 
 
 def _fit_forward(
     ds, folds, spec, exclude_fold, t_star, target, with_action: bool, what: str,
     clip, held_out_only: bool = False,
 ) -> SequenceFit:
-    """Fit target[:, t-1] ~ history_features(t) on retained training units, t = 1..t*.
+    """Fit target[:, t-1] on the stage-t history of retained training units, t = 1..t*.
 
     Predictions fill every retained unit, or with ``held_out_only`` the
-    retained evaluated units, NaN elsewhere.  A fit that stops at the
-    iteration cap without converging adds a warning.  An oracle or zero
-    spec reads the panel instead.
+    retained evaluated units, NaN elsewhere; ``with_action`` queries at
+    the observed A_t.
     """
     t_star = ds.T if t_star is None else t_star
     train, held = _split(ds, folds, exclude_fold)
@@ -140,24 +158,10 @@ def _fit_forward(
     models, warns = [], []
     for s in range(1, t_star + 1):
         alive = ds.R[:, s - 1] == 1
-        pool = train & alive
-        n_pool = int(pool.sum())
-        query = alive & held if held_out_only else alive
-        if spec.kind in ("oracle", "zero"):
-            _check_pool(n_pool, None, s, warns, what)
-            X = np.flatnonzero(query)  # the query is the units themselves
-            model = _panel_model(spec, ds, s, n_pool, ds.A[X, s - 1] if with_action else None, clip)
-        else:
-            F = history_features(ds, s, with_action=with_action)[0]
-            _check_pool(n_pool, F.shape[1], s, warns, what)
-            model = fit_learner(spec, F[pool], target[pool, s - 1], "probability", clip=clip)
-            X = F[query]
-        if not model.converged:
-            warns.append(
-                f"{what} fit at t={s} stopped at IRLS_MAX_ITER={model.iterations} without converging"
-            )
-        pred[query, s - 1] = model.predict(X)
-        models.append(model)
+        units = np.flatnonzero(alive & held if held_out_only else alive)
+        a = ds.A[units, s - 1] if with_action else None
+        models.append(_fit_stage(spec, ds, s, train & alive, target[:, s - 1], units,
+                                 ((a, pred[:, s - 1]),), clip, what, warns))
     return SequenceFit(models=models, pred=pred, warnings=warns)
 
 
@@ -202,8 +206,8 @@ def fit_pseudo_outcome_sequence(
 
     ``spec`` is a LearnerSpec, or a callable grid -> LearnerSpec called
     once with the tuple of deltas.  Each stage makes one fit on the
-    (rows, D) target, one column per delta; an oracle or zero spec reads
-    the panel instead.
+    (rows, D) target, one column per delta; an oracle spec reads the
+    panel instead.
     ``pi_pred`` must hold propensity predictions from the same training
     pool for every retained unit; they weight the two arms when the
     recursion collapses A_t.  m1 and m0 hold fold ``exclude_fold``'s
@@ -226,22 +230,10 @@ def fit_pseudo_outcome_sequence(
     for s in range(t_star, 0, -1):
         alive = ds.R[:, s - 1] == 1
         pool = train & (ds.R[:, s] == 1)  # R_{s+1} = 1
-        n_pool = int(pool.sum())
         m1s = np.zeros((ds.n, grid.size))
         m0s = np.zeros((ds.n, grid.size))
-        if m_spec.kind in ("oracle", "zero"):
-            _check_pool(n_pool, None, s, warns, "pseudo-outcome")
-            units = np.flatnonzero(alive)
-            for ms, a in ((m1s, 1.0), (m0s, 0.0)):
-                ms[alive] = _panel_model(m_spec, ds, s, n_pool, a, columns=grid.size).predict(units)
-        else:
-            F = history_features(ds, s, with_action=True)[0]
-            _check_pool(n_pool, F.shape[1], s, warns, "pseudo-outcome")
-            model = fit_learner(m_spec, F[pool], target[pool], "regression")
-            for ms, a in ((m1s, 1.0), (m0s, 0.0)):
-                Fa = F[alive]
-                Fa[:, -1] = a  # the action column
-                ms[alive] = model.predict(Fa)
+        _fit_stage(m_spec, ds, s, pool, target, np.flatnonzero(alive), ((1.0, m1s), (0.0, m0s)),
+                   None, "pseudo-outcome", warns)
         m1[:, s - 1] = m1s[held]
         m0[:, s - 1] = m0s[held]
         if s > 1:

@@ -25,7 +25,7 @@ def reference_oracle_stage(spec, ds, s, pool, query, a, clip):
 
 
 def reference_pool_warnings(spec, pool, F, s, what):
-    if spec.kind in ("oracle", "zero") or pool.sum() >= max(10, F.shape[1] + 2):
+    if spec.kind == "oracle" or pool.sum() >= max(10, F.shape[1] + 2):
         return []
     return [f"underdetermined {what} fit at t={s}: {int(pool.sum())} units"]
 

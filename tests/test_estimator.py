@@ -486,6 +486,11 @@ class TestCompleteCase:
         ds = self._dataset([[1, 1], [0, 0]], [3.0, 3.0])
         assert estimate_complete_case(ds, 2) == 0.0
 
+    def test_horizon_rule_is_the_nuisance_one(self):
+        ds = self._dataset([[1, 1], [0, 0]], [3.0, 3.0])  # an outcome at t=2 only
+        with pytest.raises(ConfigError, match=r"^no recorded outcome at horizon t=1$"):
+            estimate_complete_case(ds, 1)
+
 
 class TestUnbiasednessSmall:
     def test_oracle_recovers_truth(self, oracle_run):

@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oddshift import ConfigError, LearnerSpec, fit_learner
+from oddshift import ConfigError, FittedModel, LearnerSpec, fit_learner
 from oddshift import learners
 from oddshift.learners import OMEGA_FLOOR, PI_CLIP, _knn_neighbours, _standardize
 
@@ -136,8 +138,11 @@ class TestLogistic:
         y = (rng.random(4000) < p).astype(float)
         model = fit_learner(LearnerSpec.logistic(), X, y, "probability")
         assert model.converged
-        assert np.allclose(model.coef_, [1.0, -2.0], atol=0.2)
-        assert abs(model.intercept_ - 0.5) < 0.2
+        # the fitted logit at the origin and at each unit vector
+        p = model.predict(np.vstack([np.zeros(2), np.eye(2)]))
+        z = np.log(p / (1.0 - p))
+        assert np.allclose(z[1:] - z[0], [1.0, -2.0], atol=0.2)
+        assert abs(z[0] - 0.5) < 0.2
 
     def test_rejects_non_binary(self):
         with pytest.raises(ConfigError):
@@ -223,8 +228,9 @@ class TestRidge:
         x = np.linspace(-2, 2, 30)[:, None]
         y = 2.0 * x[:, 0]
         model = fit_learner(LearnerSpec.ridge(0.0), x, y, "regression")
-        assert model.coef_[0] == pytest.approx(2.0, abs=1e-8)
-        assert model.intercept_ == pytest.approx(0.0, abs=1e-8)
+        at0, at1 = model.predict(np.array([[0.0], [1.0]]))
+        assert at1 - at0 == pytest.approx(2.0, abs=1e-8)
+        assert at0 == pytest.approx(0.0, abs=1e-8)
 
     def test_singular_system_resolved_by_jitter(self):
         X = np.column_stack([np.ones(10), np.ones(10)])  # perfectly collinear
@@ -247,14 +253,27 @@ class TestRidge:
 
 class TestOracleAndZero:
     def test_oracle_is_not_fit(self):
-        # an oracle reads the panel; fitting it as a zero model would predict 0
+        # an oracle reads the panel: fit_learner has no model to build for it
         spec = LearnerSpec.oracle(lambda ds, s, units, a: np.ones(units.size))
         with pytest.raises(ConfigError, match="oracle spec is not fit"):
             fit_learner(spec, np.ones((4, 1)), np.ones(4), "regression")
 
     def test_zero_predictor(self):
-        model = fit_learner(LearnerSpec.zero(), np.ones((4, 2)), np.ones(4), "regression")
-        assert np.all(model.predict(np.ones((7, 2))) == 0.0)
+        # zero is an oracle handle: it reads only the unit count, and nothing fits it
+        zero = LearnerSpec.zero()
+        assert zero.kind == "oracle"
+        units = np.arange(7)
+        one = FittedModel("oracle", lambda q: zero.fn(None, 1, q, None), clip=(OMEGA_FLOOR, 1.0))
+        assert np.all(one.predict(units) == OMEGA_FLOOR)
+        grid = FittedModel("oracle", lambda q: zero.fn(None, 1, q, 1.0), columns=3)
+        assert np.array_equal(grid.predict(units), np.zeros((7, 3)))
+        with pytest.raises(ConfigError, match="oracle spec is not fit"):
+            fit_learner(zero, np.ones((4, 2)), np.ones(4), "regression")
+
+    def test_zero_spec_is_one_value(self):
+        zero = LearnerSpec.from_config("zero")
+        assert zero == LearnerSpec.zero()
+        assert pickle.loads(pickle.dumps(zero)) == zero
 
     @pytest.mark.parametrize(
         "text,spec",
@@ -298,7 +317,6 @@ class TestTargetColumns:
             LearnerSpec.ridge(0.0),
             LearnerSpec.ridge(0.7),
             LearnerSpec.knn(k),
-            LearnerSpec.zero(),
         )
         for spec in specs:
             together = fit_learner(spec, X, Y, "regression").predict(Xq)
@@ -319,19 +337,19 @@ class TestTargetColumns:
         X, Xq = rng.normal(size=(20, 3)), rng.normal(size=(7, 3))
         y = rng.normal(size=20)
         y01 = (y > 0).astype(float)
-        for spec in (LearnerSpec.ridge(0.1), LearnerSpec.knn(3), LearnerSpec.zero()):
+        for spec in (LearnerSpec.ridge(0.1), LearnerSpec.knn(3)):
             one = fit_learner(spec, X, y, "regression")
             assert one.columns is None and one.predict(Xq).shape == (7,)
             assert fit_learner(spec, X, y[:, None], "regression").predict(Xq).shape == (7, 1)
             many = fit_learner(spec, X, np.column_stack([y, -y]), "regression")
             assert many.columns == 2 and many.predict(Xq).shape == (7, 2)
         assert fit_learner(LearnerSpec.logistic(), X, y01, "probability").predict(Xq).shape == (7,)
-        ridge = fit_learner(LearnerSpec.ridge(0.1), X, y, "regression")
-        assert ridge.coef_.shape == (3,) and isinstance(ridge.intercept_, float)
+        # the ridge fit at the origin and at each unit vector, one target and two
+        points = np.vstack([np.zeros(3), np.eye(3)])
+        ridge = fit_learner(LearnerSpec.ridge(0.1), X, y, "regression").predict(points)
         ridge2 = fit_learner(LearnerSpec.ridge(0.1), X, np.column_stack([y, y]), "regression")
-        assert ridge2.coef_.shape == (3, 2) and ridge2.intercept_.shape == (2,)
-        assert np.array_equal(ridge2.coef_[:, 1], ridge.coef_)
-        assert ridge2.intercept_[1] == ridge.intercept_
+        assert ridge.shape == (4,)
+        assert np.array_equal(ridge2.predict(points)[:, 1], ridge)
 
     def test_clip_applies_to_every_column(self):
         X = np.arange(8.0)[:, None]

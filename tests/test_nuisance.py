@@ -602,12 +602,11 @@ class TestGridOracleEqualsPerDelta:
         n = 64
         d = 0 if kind == "trial" else 2
         ds = panel_of(rng.normal(size=(n, t_star, d)), rng.integers(0, 2, size=(n, t_star)))
-        units = np.arange(n)
-        for s, a in itertools.product(range(1, t_star + 1), (1.0, 0.0)):
-            model = nuisance._panel_model(spec, ds, s, n, a, columns=len(self.DELTAS))
-            got = model.predict(units)
-            assert got.shape == (n, len(self.DELTAS))
-            for j, delta in enumerate(self.DELTAS):
+        units, pool, target = np.arange(n), np.ones(n, dtype=bool), np.zeros((n, len(self.DELTAS)))
+        for s in range(1, t_star + 1):
+            queries = ((1.0, np.full_like(target, np.nan)), (0.0, np.full_like(target, np.nan)))
+            nuisance._fit_stage(spec, ds, s, pool, target, units, queries, None, "pseudo-outcome", [])
+            for (j, delta), (a, got) in itertools.product(enumerate(self.DELTAS), queries):
                 if kind == "trial":
                     want = per_delta_trial(cfg.p, delta, t_star, ds, s, units, a)
                 else:
@@ -664,3 +663,17 @@ class TestOraclesReadThePanel:
         cross, _ = estimate_cross_fit(ds, 2, 1, specs, self.GRID, 2)
         for fold in cross.diagnostics["folds"]:
             assert fold["n_train_per_t"] == [fold["n_train"]] * 2
+
+    def test_oracles_need_no_training_pool(self):
+        # heavy dropout leaves one training unit at t=2 in fold 2's complement:
+        # learners cannot fit there, the oracles fit nothing and still estimate
+        cfg = DgpConfig(kind="dropout", n=8, T=3, u_l=-5.0, seed=0)
+        ds = simulate(cfg)
+        est, _ = estimate_cross_fit(ds, 2, 0, oracle_specs(cfg, 3), self.GRID, 3)
+        assert np.all(np.isfinite(est.psi_hat))
+        assert [f["n_train_per_t"] for f in est.diagnostics["folds"]] == [[4, 3, 3], [4, 1, 1]]
+        learned = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-6)
+        )
+        with pytest.raises(EstimationError, match="1 training unit\\(s\\) for propensity at t=2"):
+            estimate_cross_fit(ds, 2, 0, learned, self.GRID, 3)

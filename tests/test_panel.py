@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -469,16 +470,17 @@ class TestHistory:
 
 def test_only_nuisance_reads_the_history_layout():
     # panel defines history_features and __init__ re-exports it; every other
-    # module, the oracles included, reads the panel arrays instead
-    callers, importers = set(), set()
+    # module, the oracles included, reads the panel arrays instead.  Within
+    # nuisance one stage fit builds the features and fits the learner.
+    calls, importers = Counter(), set()
     for path in (Path(__file__).resolve().parents[1] / "src" / "oddshift").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
-                func = node.func
-                if getattr(func, "id", getattr(func, "attr", None)) == "history_features":
-                    callers.add(path.stem)
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("history_features", "fit_learner"):
+                    calls[path.stem, name] += 1
             elif isinstance(node, ast.ImportFrom):
                 if "history_features" in [alias.name for alias in node.names]:
                     importers.add(path.stem)
-    assert callers == {"nuisance"}
+    assert calls == {("nuisance", "history_features"): 1, ("nuisance", "fit_learner"): 1}
     assert importers == {"__init__", "nuisance"}
