@@ -5,7 +5,10 @@ logistic regression fit by iteratively reweighted least squares, k-nearest
 neighbours and closed-form ridge, fit on feature rows, and oracle specs
 (the constant zero among them): known functions of the panel, never fit,
 which ``fit_learner`` rejects.  Probability predictions are clipped away
-from {0, 1} so inverse weights stay finite.
+from {0, 1} so inverse weights stay finite.  kNN on a {0,1} target (a
+retention or treatment indicator) predicts the count of ones among the k
+neighbours over k: the neighbours need no order, and the count is bitwise
+the ordered mean.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ class LearnerSpec:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
         if self.kind == "knn" and self.k < 1:
             raise ConfigError("knn needs k >= 1")
-        if self.kind == "ridge" and self.lam < 0:
-            raise ConfigError("ridge needs lam >= 0")
+        if self.kind == "ridge" and not 0 <= self.lam < np.inf:  # NaN fails too
+            raise ConfigError(f"ridge needs a finite lam >= 0, got {self.lam!r}")
         if self.kind == "oracle" and self.fn is None:
             raise ConfigError("oracle spec needs a function handle")
 
@@ -82,11 +85,14 @@ class LearnerSpec:
     def from_config(cls, obj) -> "LearnerSpec":
         """Parse 'knn[:k]' | 'ridge[:lam]' | 'logistic' | 'logistic_irls' | 'zero'.
 
-        Only knn (k, default 5) and ridge (lam, default 0) take an argument.
+        Only knn (k, default 5) and ridge (lam, default 0) take an argument;
+        a ':' with nothing after it is an error, not the default.
         """
         if not isinstance(obj, str):
             raise ConfigError(f"cannot parse learner spec {obj!r}")
-        name, _, arg = obj.partition(":")
+        name, colon, arg = obj.partition(":")
+        if colon and not arg:
+            raise ConfigError(f"empty learner argument in {obj!r}")
         try:
             if name == "knn":
                 return cls.knn(int(arg)) if arg else cls.knn(5)
@@ -188,17 +194,13 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - mu) / sd, mu, sd
 
 
-def _knn_neighbours(
-    d2: np.ndarray, k: int, scratch: np.ndarray, chosen: np.ndarray
-) -> np.ndarray:
-    """Each row's k nearest columns of ``d2``, nearest first.
+def _knn_select(d2: np.ndarray, k: int, scratch: np.ndarray, chosen: np.ndarray) -> None:
+    """Mark each row's k nearest columns of ``d2`` in ``chosen``, exactly k per row.
 
-    Neighbours are the k smallest (distance, column) pairs, taken in that
-    order, so the result is bitwise ``np.argsort(d2, axis=1,
-    kind="stable")[:, :k]``: ties at the k-th distance go to the lowest
-    columns.  Selection is linear in the row length.  ``scratch`` (float)
-    and ``chosen`` (bool) are buffers of ``d2``'s shape that the selection
-    overwrites.
+    The marked columns are the k smallest (distance, column) pairs: ties at
+    the k-th distance go to the lowest columns.  Selection is linear in the
+    row length.  ``scratch`` (float) and ``chosen`` (bool) are buffers of
+    ``d2``'s shape that the selection overwrites.
     """
     np.copyto(scratch, d2)
     scratch.partition(k - 1, axis=1)
@@ -212,6 +214,17 @@ def _knn_neighbours(
         keep = np.count_nonzero(tie, axis=1) - extra[over]
         rank = np.cumsum(tie, axis=1, dtype=np.int32)
         chosen[over] &= ~tie | (rank <= keep[:, None])
+
+
+def _knn_neighbours(
+    d2: np.ndarray, k: int, scratch: np.ndarray, chosen: np.ndarray
+) -> np.ndarray:
+    """Each row's k nearest columns of ``d2``, nearest first.
+
+    The columns ``_knn_select`` marks, in (distance, column) order, so the
+    result is bitwise ``np.argsort(d2, axis=1, kind="stable")[:, :k]``.
+    """
+    _knn_select(d2, k, scratch, chosen)
     # exactly k per row, in row-major order: the ascending columns of each row
     cols = np.flatnonzero(chosen).reshape(-1, k)
     cols -= np.arange(0, chosen.size, chosen.shape[1])[:, None]
@@ -222,15 +235,25 @@ def _knn_neighbours(
 def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> FittedModel:
     """k nearest neighbours for the D target rows of ``Y`` (D, n); predicts (q, D).
 
-    Each predict call allocates its (block, n) distance and selection
-    buffers once and reuses them for every query block.
+    A prediction is the mean target over the k nearest training rows.  When
+    every target value is +0.0 or 1 (a retention or treatment target), that
+    mean is the count of chosen ones over k: each partial sum of 0/1 values
+    is an exact integer, so the neighbours need no order and the count is
+    bitwise the ordered mean.  Any other target sums its neighbours nearest
+    first; so does one holding -0.0, since a count is +0.0 where a sum of
+    -0.0s may keep the sign.  Each predict call allocates its (block, n)
+    distance and selection buffers once and reuses them for every query
+    block.
     """
     n = X.shape[0]
     k_eff = min(k, n)
     Xs, mu, sd = _standardize(X)
     sq = np.sum(Xs**2, axis=1)
+    ones = Y == 1
+    if not np.all(ones | ((Y == 0) & ~np.signbit(Y))):
+        ones = None  # not a {0,1} target: ordered gather and mean
 
-    def predict(Xq, Xs=Xs, Y=Y, mu=mu, sd=sd, k_eff=k_eff, sq=sq):
+    def predict(Xq, Xs=Xs, Y=Y, ones=ones, mu=mu, sd=sd, k_eff=k_eff, sq=sq):
         Q = (Xq - mu) / sd
         if Xs.shape[1] == 0:
             # featureless: every training point ties at distance zero
@@ -239,17 +262,26 @@ def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> Fitted
         rows = min(_KNN_BLOCK, Q.shape[0])
         dist, scratch = np.empty((rows, n)), np.empty((rows, n))
         chosen = np.empty((rows, n), dtype=bool)
+        # one target counts in the selection mask itself; D targets need a mask each
+        hits = chosen if ones is None or len(ones) == 1 else np.empty_like(chosen)
         for lo in range(0, Q.shape[0], _KNN_BLOCK):
             q = Q[lo : lo + _KNN_BLOCK]
-            d2 = dist[: q.shape[0]]
+            m = q.shape[0]
+            d2 = dist[:m]
             # |q|^2 - (2q).x + |x|^2, left to right: the distances' bits depend on
             # this order, and on Xs.T staying a view (a copy may pick another gemm kernel)
             np.matmul(2.0 * q, Xs.T, out=d2)
             np.subtract(np.sum(q**2, axis=1)[:, None], d2, out=d2)
             d2 += sq
-            nbrs = _knn_neighbours(d2, k_eff, scratch[: q.shape[0]], chosen[: q.shape[0]])
-            for j, y in enumerate(Y):  # one (q, k) gather and mean per target, as for 1-D
-                out[lo : lo + _KNN_BLOCK, j] = y[nbrs].mean(axis=1)
+            if ones is None:
+                nbrs = _knn_neighbours(d2, k_eff, scratch[:m], chosen[:m])
+                for j, y in enumerate(Y):  # one (q, k) gather and mean per target, as for 1-D
+                    out[lo : lo + m, j] = y[nbrs].mean(axis=1)
+            else:
+                _knn_select(d2, k_eff, scratch[:m], chosen[:m])
+                for j, one in enumerate(ones):
+                    hit = np.logical_and(chosen[:m], one, out=hits[:m])
+                    out[lo : lo + m, j] = np.count_nonzero(hit, axis=1) / k_eff
         return out
 
     return FittedModel(kind="knn", predict_fn=predict, n_train=n, clip=clip)

@@ -210,6 +210,9 @@ class TestEstimateCommand:
         [
             (["--omega-learner", "knn:abc"], {}),
             (["--m-learner", "ridge:x"], {}),
+            (["--m-learner", "ridge:nan"], {}),
+            (["--m-learner", "ridge:inf"], {}),
+            (["--omega-learner", "knn:"], {}),
             (["--grid", "notjson"], {}),
             (["--grid", '[1,"a"]'], {}),
             ([], {"K": "two"}),

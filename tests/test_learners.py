@@ -5,7 +5,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oddshift import ConfigError, FittedModel, LearnerSpec, fit_learner
+from oddshift import (
+    ConfigError,
+    DgpConfig,
+    FittedModel,
+    LearnerSpec,
+    fit_learner,
+    fit_missingness_sequence,
+    simulate,
+    split_folds,
+)
 from oddshift import learners
 from oddshift.learners import OMEGA_FLOOR, PI_CLIP, _knn_neighbours, _standardize
 
@@ -72,6 +81,44 @@ def knn_blocks(draw):
     return X, Xq, Y, draw(st.integers(1, n + 5))
 
 
+@st.composite
+def binary_knn_blocks(draw):
+    """Tie-heavy features, a {0,1} target (1-D or (rows, D)), maybe spoilt by one 0.5 or by -0.0."""
+    n = draw(st.integers(1, 60))
+    block = learners._KNN_BLOCK
+    nq = draw(
+        st.one_of(
+            st.integers(0, 40),
+            st.builds(lambda m, off: m * block + off, st.integers(1, 3), st.sampled_from([-1, 0, 1])),
+        )
+    )
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 3, size=(n, p)).astype(float)
+    Xq = rng.integers(0, 3, size=(nq, p)).astype(float)
+    shape = draw(st.sampled_from([(n,), (n, 1), (n, 3)]))
+    Y = (rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.8, 1.0]))).astype(float)
+    spoil = draw(st.sampled_from(["none", "half", "negative zero"]))
+    if spoil == "half":
+        Y.flat[rng.integers(Y.size)] = 0.5
+    elif spoil == "negative zero":
+        Y[Y == 0] = -0.0  # every 0 of the target: all-(-0.0) neighbourhoods are common
+        Y.flat[rng.integers(Y.size)] = -0.0
+    return X, Xq, Y, draw(st.integers(1, n + 5))
+
+
+def blockwise_argsort_knn(X, Y, k, Xq):
+    """``argsort_knn`` per query block, on the distances the model computes; Y is (n, D)."""
+    Xs, mu, sd = _standardize(X)
+    Q = (Xq - mu) / sd
+    out = [np.empty((0, Y.shape[1]))]
+    for lo in range(0, Q.shape[0], learners._KNN_BLOCK):
+        q = Q[lo : lo + learners._KNN_BLOCK]
+        d2 = np.sum(q**2, axis=1)[:, None] - 2.0 * q @ Xs.T + np.sum(Xs**2, axis=1)[None, :]
+        out.append(np.column_stack([argsort_knn(d2, np.ascontiguousarray(y), k) for y in Y.T]))
+    return np.vstack(out)
+
+
 def unbuffered_knn_predict(X, Y, k, Xq):
     """Reference kNN predict that the buffered one must match bit for bit.
 
@@ -101,6 +148,11 @@ def unbuffered_knn_predict(X, Y, k, Xq):
         for j in range(Y.shape[1]):
             out[lo : lo + learners._KNN_BLOCK, j] = np.ascontiguousarray(Y[:, j])[nbrs].mean(axis=1)
     return out
+
+
+def refuse_ordered_search(*args):
+    """Stands in for ``learners._knn_neighbours`` where a {0,1} target must not need it."""
+    raise AssertionError("ordered neighbour search")
 
 
 def bits(a):
@@ -212,6 +264,43 @@ class TestKnn:
         model = fit_learner(LearnerSpec.knn(k), X, Y, "regression")
         assert np.array_equal(bits(model.predict(Xq)), bits(unbuffered_knn_predict(X, Y, k, Xq)))
 
+    @KNN_SETTINGS
+    @given(binary_knn_blocks())
+    def test_binary_target_matches_ordered_mean_bitwise(self, case):
+        # a clean {0,1} target is counted, a spoilt one averaged in order: both
+        # must be the ordered mean's bits, for one target column and for D
+        X, Xq, Y, k = case
+        Y2 = Y.reshape(Y.shape[0], -1)
+        pred = fit_learner(LearnerSpec.knn(k), X, Y, "regression").predict(Xq).reshape(-1, Y2.shape[1])
+        assert np.array_equal(bits(pred), bits(unbuffered_knn_predict(X, Y2, k, Xq)))
+        assert np.array_equal(bits(pred), bits(blockwise_argsort_knn(X, Y2, k, Xq)))
+
+    def test_only_non_binary_targets_order_their_neighbours(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        X = rng.integers(0, 3, size=(300, 3)).astype(float)
+        Xq = rng.integers(0, 3, size=(270, 3)).astype(float)
+        y = (rng.random(300) < 0.7).astype(float)
+        targets = (y, np.column_stack([y, 1 - y]))
+        counted = [fit_learner(LearnerSpec.knn(40), X, t, "probability").predict(Xq) for t in targets]
+        monkeypatch.setattr(learners, "_knn_neighbours", refuse_ordered_search)
+        for t, before in zip(targets, counted):
+            after = fit_learner(LearnerSpec.knn(40), X, t, "probability").predict(Xq)
+            assert np.array_equal(bits(after), bits(before))
+        for spoilt in (np.where(y == 0, -0.0, y), np.where(np.arange(300) == 5, 0.5, y)):
+            with pytest.raises(AssertionError, match="ordered neighbour search"):
+                fit_learner(LearnerSpec.knn(40), X, spoilt, "regression").predict(Xq)
+
+    def test_knn_retention_fit_never_orders_neighbours(self, monkeypatch):
+        ds = simulate(DgpConfig(kind="dropout", n=600, T=3, u_l=1.0, seed=4))
+        folds = split_folds(ds, 2, seed=1)
+        spec = LearnerSpec.knn(30)
+        before = fit_missingness_sequence(ds, folds, spec, exclude_fold=1).pred
+        monkeypatch.setattr(learners, "_knn_neighbours", refuse_ordered_search)
+        after = fit_missingness_sequence(ds, folds, spec, exclude_fold=1).pred
+        assert np.array_equal(after, before, equal_nan=True)
+        held = after[~np.isnan(after)]
+        assert held.size and held.min() >= OMEGA_FLOOR and held.max() <= 1.0
+
     def test_blocks_cover_every_query_row(self, monkeypatch):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(60, 3))
@@ -306,6 +395,16 @@ class TestOracleAndZero:
             LearnerSpec.knn(0)
         with pytest.raises(ConfigError):
             LearnerSpec.ridge(-1.0)
+        for text in ("knn:", "ridge:"):  # an empty argument is not the default
+            with pytest.raises(ConfigError, match="empty learner argument"):
+                LearnerSpec.from_config(text)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_ridge_needs_a_finite_non_negative_lam(self, lam):
+        with pytest.raises(ConfigError, match="ridge needs a finite lam >= 0"):
+            LearnerSpec.ridge(lam)
+        with pytest.raises(ConfigError, match="bad learner argument"):
+            LearnerSpec.from_config(f"ridge:{lam!r}")
 
 
 class TestTargetColumns:
