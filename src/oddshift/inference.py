@@ -15,11 +15,12 @@ which is bitwise what ``numpy.random.Generator.integers(0, 2)`` draws from
 the same stream.
 
 The bootstrap runs in two passes.  The first stacks a block of
-replicates' signs and takes their suprema with one matrix product; the
-second recomputes, one matrix-vector product each, the few replicates
-whose suprema lie within a rounding bound of the order statistics the
-quantile reads.  c_alpha is therefore bitwise the quantile of the
-per-replicate products, whatever the block size."""
+replicates' signs, as float32 +-1, and takes their suprema in float32
+products over chunks of the units whose partial sums go on in float64;
+the second recomputes, one float64 matrix-vector product each, the few
+replicates whose suprema lie within a proven rounding bound of the order
+statistics the quantile reads.  c_alpha is therefore bitwise the quantile
+of the per-replicate products, whatever the block size."""
 
 from __future__ import annotations
 
@@ -93,11 +94,14 @@ class ConfidenceBand:
     excluded: tuple = ()
 
 
-# Bytes of +-1 signs that the first bootstrap pass stacks into one block,
-# so that a block of replicates costs one gemm over the standardized
-# values instead of one gemv per replicate.
+# Bytes of float32 +-1 signs that the first bootstrap pass stacks into
+# one block, so that a block of replicates costs one stacked product over
+# the standardized values instead of one gemv per replicate.
 _SIGN_BLOCK_BYTES = 1 << 21
-_UNIT_ROUNDOFF = 2.0**-53
+# Units per float32 partial sum in the first pass: the rounding bound, and
+# so the number of replicates the second pass recomputes, grows with it.
+_CHUNK = 256
+_UNIT_ROUNDOFF, _F32_ROUNDOFF, _F32_TINY = 2.0**-53, 2.0**-24, 2.0**-126
 
 # numpy's SeedSequence hash constants, which ``_stream_keys`` applies to every
 # replicate's spawn key at once, and PCG64's 128-bit multiplier (``_pcg64_state``)
@@ -106,7 +110,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_SIGN_BIT, _ONE_BITS = np.uint64(1 << 63), np.float64(1.0).view(np.uint64)
+_SIGN_BIT, _ONE_BITS = np.uint32(1 << 31), np.float32(1.0).view(np.uint32)
 
 
 def _stream_keys(seed: int, B: int) -> np.ndarray:
@@ -167,26 +171,88 @@ def _pcg64_state(key: np.ndarray) -> dict:
     }
 
 
-def _draw_signs(bitgen: np.random.PCG64, keys: np.ndarray, b: int, out: np.ndarray) -> np.ndarray:
-    """Replicate b's n multipliers, +-1.0, into float ``out`` from ``bitgen`` set to key b.
+def _draw_signs(
+    bitgen: np.random.PCG64, keys: np.ndarray, start: int, out: np.ndarray
+) -> np.ndarray:
+    """The +-1.0 multipliers of replicates start, start + 1, ... into the rows of float32 ``out``.
 
-    Multiplier i is +1 where bit 31 of the i-th 32-bit half of the stream's
-    raw 64-bit words is set, low half first, and -1 elsewhere.  That is
-    bitwise ``Generator.integers(0, 2, size=n) * 2.0 - 1.0`` on the same
-    stream: numpy draws it by Lemire's method on buffered 32-bit halves,
-    which keeps a half's top bit and never rejects at range 2.  The halves
-    are cast to float as signed ints, keeping that bit as the sign; two
-    in-place masks then keep the sign bit and swap it onto the bits of 1.0.
-    The explicit little-endian views make the halves' order independent
-    of the host's byte order.
+    Row r holds the first m multipliers of replicate start + r, m being
+    ``out``'s width, drawn from ``bitgen`` set to that replicate's key.
+    Multiplier i is +1 where bit 31 of the i-th 32-bit half of the
+    stream's raw 64-bit words is set, low half first, and -1 elsewhere.
+    That is exactly ``Generator.integers(0, 2, size=m) * 2.0 - 1.0`` on the
+    same stream: numpy draws it by Lemire's method on buffered 32-bit
+    halves, which keeps a half's top bit and never rejects at range 2.
+    The halves go as they are into the bits of ``out``; two in-place masks
+    over the whole block then keep each top bit and swap it onto the bits
+    of 1.0f, with no int-to-float cast.  The explicit little-endian views
+    make the halves' order independent of the host's byte order.
     """
-    bitgen.state = _pcg64_state(keys[b])
-    words = bitgen.random_raw((out.size + 1) // 2)
-    np.copyto(out, np.asarray(words, dtype="<u8").view("<i4")[: out.size], casting="unsafe")
-    bits = out.view(np.uint64)
+    bits = out.view(np.uint32)
+    m = out.shape[1]
+    for r in range(out.shape[0]):
+        bitgen.state = _pcg64_state(keys[start + r])
+        bits[r] = np.asarray(bitgen.random_raw((m + 1) // 2), dtype="<u8").view("<u4")[:m]
     bits &= _SIGN_BIT
     bits ^= _SIGN_BIT | _ONE_BITS
     return out
+
+
+def _chunked_sups(
+    centered: np.ndarray, denom: np.ndarray, bitgen: np.random.PCG64, keys: np.ndarray
+) -> np.ndarray:
+    """Pass 1: every replicate's max_j |sum_i xi_i s_ij| from float32 products over unit chunks.
+
+    s = centered / denom is rounded once to float32 (|s| <= 1 up to
+    rounding, sigma^2 being the mean square of centered, so it cannot
+    overflow) and zero-padded to whole chunks of ``_CHUNK`` units.  For each block of replicates, one
+    stacked product sums each chunk's products in float32, and the
+    chunks' partial sums are added in float64.
+    """
+    chunks = -(-centered.shape[0] // _CHUNK)
+    m = chunks * _CHUNK
+    s32 = np.zeros((m, centered.shape[1]), np.float32)  # the zero rows pad the last chunk
+    np.divide(centered, denom, out=s32[: centered.shape[0]], casting="same_kind")
+    by_chunk = s32.reshape(chunks, _CHUNK, -1)
+    B = keys.shape[0]
+    rows = max(1, _SIGN_BLOCK_BYTES // (4 * m))
+    block = np.empty((min(rows, B), m), np.float32)
+    sups = np.empty(B)
+    for lo in range(0, B, rows):
+        signs = _draw_signs(bitgen, keys, lo, block[: min(rows, B - lo)])
+        partial = np.matmul(signs.reshape(-1, chunks, _CHUNK).transpose(1, 0, 2), by_chunk)
+        sups[lo : lo + signs.shape[0]] = np.max(
+            np.abs(partial.sum(axis=0, dtype=np.float64)), axis=1
+        )
+    return sups
+
+
+def _rounding_bound(scaled: np.ndarray) -> float:
+    """eps >= |pass-1 statistic - gemv statistic| for every replicate, on standardized ``scaled``.
+
+    The signs are exactly +-1, so every product is exact and each
+    statistic's error comes from rounding s to float32 and from the sums.
+    With S_j = sum_i |s_ij|, u the float32 unit roundoff, C = ``_CHUNK``
+    and gamma_k = k u' / (1 - k u') for a sum of k terms rounded at u'
+    (u for gamma_C, 2^-53 for gamma_{n/C} and gamma_n), pass 1's column-j
+    sum is within [u + gamma_C (1 + u)] (1 + gamma_{n/C}) S_j +
+    gamma_{n/C} S_j of the exact one, in any summation order the BLAS
+    takes, plus an absolute term of a few float32 smallest normals per
+    unit for underflow, whether or not the CPU flushes subnormals to zero.
+    The gemv is within gamma_n S_j of the exact sum, and max_j |.| is
+    1-Lipschitz.
+    """
+    n = scaled.shape[0]
+    chunks = -(-n // _CHUNK)
+
+    def gamma(k, u):
+        return k * u / (1.0 - k * u)
+
+    mass = float(np.max(np.sum(np.abs(scaled), axis=0)))  # max_j S_j
+    per_chunk = _F32_ROUNDOFF + gamma(_CHUNK, _F32_ROUNDOFF) * (1.0 + _F32_ROUNDOFF)
+    across = gamma(chunks, _UNIT_ROUNDOFF)
+    relative = per_chunk * (1.0 + across) + across + gamma(n, _UNIT_ROUNDOFF)
+    return relative * mass + 4.0 * chunks * _CHUNK * _F32_TINY
 
 
 def _bootstrap_quantile(
@@ -203,42 +269,32 @@ def _bootstrap_quantile(
     ``Generator.integers(0, 2, size=n)`` draws from its stream, without a
     SeedSequence, a Generator or an int64 array per replicate.
 
-    Pass 1 stacks a block of replicates' signs and takes all their
-    statistics with one gemm on a C-ordered copy of s.  Its rounding
-    differs from the per-replicate gemv ``xi @ s``, but both are sums of n
-    exactly signed terms, so each is within gamma_n * sum_i |s_ij| of the
-    exact sum and, max |.| being 1-Lipschitz, an approximate statistic is
-    within eps = 2 gamma_n max_j sum_i |s_ij| of the gemv one.  Pass 2
-    recomputes with the gemv, on s in its own layout, every replicate
-    within 2 eps of the two order statistics that the linear quantile
-    reads.  The patched statistics then count like the gemv ones on an
-    interval that holds both order statistics, so the quantile is bitwise
-    the one of the per-replicate gemv.
+    Pass 1 (``_chunked_sups``) takes every statistic from float32 products
+    over chunks of ``_CHUNK`` units, summed in float64.  Its rounding
+    differs from the per-replicate float64 gemv ``xi @ s``, but both are
+    within a proven bound of the exact sum, so an approximate statistic
+    is within eps (``_rounding_bound``) of the gemv one.  Pass 2
+    recomputes with the gemv, on s in the layout of ``centered``, every
+    replicate within 2 eps of the two order statistics that the linear
+    quantile reads.  The patched statistics then count like the gemv ones
+    on an interval that holds both order statistics, so the quantile is
+    bitwise the one of the per-replicate gemv.  The float32 copy of s is
+    freed before the float64 one is built, so the two never coexist.
     """
     denom = np.sqrt(n) * sigma[None, :]  # sum_i xi_i * centered / denom -> stat
     keys = _stream_keys(seed, B)
     bitgen = np.random.PCG64(0)  # every draw first sets its replicate's key
-    rows = max(1, _SIGN_BLOCK_BYTES // (8 * n))
-    block = np.empty((min(rows, B), n))
-    by_row = np.divide(centered, denom, order="C")  # the gemm runs fastest on row-major operands
-    sups = np.empty(B)
-    for lo in range(0, B, rows):
-        signs = block[: min(rows, B - lo)]
-        for r in range(signs.shape[0]):
-            _draw_signs(bitgen, keys, lo + r, signs[r])
-        sups[lo : lo + signs.shape[0]] = np.max(np.abs(signs @ by_row), axis=1)
-    del block, by_row  # freed before pass 2's copy, which keeps the layout of centered
+    sups = _chunked_sups(centered, denom, bitgen, keys)
     scaled = centered / denom
-
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    eps = 2.0 * gamma * float(np.max(np.sum(np.abs(scaled), axis=0)))
+    eps = _rounding_bound(scaled)
     i = int(np.floor((B - 1) * level))  # np.quantile's linear rule reads order stats i, j
     j = min(i + 1, B - 1)
     low, high = np.partition(sups, (i, j))[[i, j]]
     window = (sups >= low - 2.0 * eps) & (sups <= high + 2.0 * eps)  # factor 2: safety
-    xi = np.empty(n)
+    signs, xi = np.empty((1, n), np.float32), np.empty(n)
     for b in np.flatnonzero(window):
-        sups[b] = np.max(np.abs(_draw_signs(bitgen, keys, int(b), xi) @ scaled))
+        np.copyto(xi, _draw_signs(bitgen, keys, int(b), signs)[0])
+        sups[b] = np.max(np.abs(xi @ scaled))
     return float(np.quantile(sups, level))
 
 

@@ -13,6 +13,7 @@ the ordered mean.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,8 +48,10 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in ("logistic_irls", "knn", "ridge", "oracle"):
             raise ConfigError(f"unknown learner kind {self.kind!r}")
-        if self.kind == "knn" and self.k < 1:
-            raise ConfigError("knn needs k >= 1")
+        if self.kind == "knn" and (
+            isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1
+        ):
+            raise ConfigError(f"knn needs an integer k >= 1, got {self.k!r}")
         if self.kind == "ridge" and not 0 <= self.lam < np.inf:  # NaN fails too
             raise ConfigError(f"ridge needs a finite lam >= 0, got {self.lam!r}")
         if self.kind == "oracle" and self.fn is None:
@@ -98,8 +101,8 @@ class LearnerSpec:
                 return cls.knn(int(arg)) if arg else cls.knn(5)
             if name == "ridge":
                 return cls.ridge(float(arg)) if arg else cls.ridge(0.0)
-        except ValueError:
-            raise ConfigError(f"bad learner argument in {obj!r}") from None
+        except ValueError as err:  # a ConfigError from the spec is one too
+            raise ConfigError(f"bad learner argument in {obj!r}: {err}") from None
         if name not in ("logistic_irls", "logistic", "zero"):
             raise ConfigError(f"unknown learner {obj!r}")
         if arg:

@@ -330,11 +330,18 @@ class _RetentionOracle:
         self._w = w  # prior density constant cancels in the posterior mean
 
     def predict(self, ds: PanelDataset, s: int, units: np.ndarray, a) -> np.ndarray:
-        """Retention at s given A_s = a, by quadrature once per distinct path a_1..a_s."""
-        path, row_path = np.unique(
-            np.column_stack([ds.A[units, : s - 1], a]), axis=0, return_inverse=True
+        """Retention at s given A_s = a, by quadrature once per distinct path a_1..a_s.
+
+        A path is keyed by its 0/1 actions packed eight to a byte, one
+        opaque key per row, which groups the rows faster than comparing
+        float rows; each path's actions are its first row's.
+        """
+        rows = np.column_stack([ds.A[units, : s - 1], a])
+        packed = np.packbits(rows != 0, axis=1)
+        _, first, row_path = np.unique(
+            packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
         )
-        ks = np.cumsum(path, axis=1)  # k_1..k_s
+        ks = np.cumsum(rows[first], axis=1)  # k_1..k_s per path
         surv = expit(self._c[None, None, :] + ks[:, :-1, None])  # (paths, s - 1, nodes)
         weights = self._w[None, :] * np.prod(surv, axis=1)
         cur = expit(self._c[None, :] + ks[:, -1:, ])

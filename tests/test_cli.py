@@ -358,6 +358,10 @@ BAD_INPUTS = [
     (["estimate", "--pi-learner", "logistic:7"], {},
      "learner 'logistic' takes no argument, got 'logistic:7'"),
     (["estimate", "--m-learner", "zero:3"], {}, "learner 'zero' takes no argument, got 'zero:3'"),
+    (["estimate", "--m-learner", "ridge:nan"], {},
+     "bad learner argument in 'ridge:nan': ridge needs a finite lam >= 0, got nan"),
+    (["estimate", "--omega-learner", "knn:0"], {},
+     "bad learner argument in 'knn:0': knn needs an integer k >= 1, got 0"),
 ]
 
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from oddshift import (
@@ -210,7 +212,62 @@ def integer_values(rng, n, D):
     return values
 
 
+def record_draws(monkeypatch) -> list:
+    """The replicates that ``_draw_signs`` draws from now on, in call order."""
+    draws, built = inference._draw_signs, []
+
+    def counted(bitgen, keys, start, out):
+        built.extend(range(start, start + out.shape[0]))
+        return draws(bitgen, keys, start, out)
+
+    monkeypatch.setattr(inference, "_draw_signs", counted)
+    return built
+
+
+@st.composite
+def centered_columns(draw):
+    """Columns for the first pass: tie-heavy integers, magnitudes down to 1e-45, or normals.
+
+    The 1e-45 end rounds to float32 subnormals or to zero.  n runs over a
+    few chunks of the first pass and is mostly not a multiple of one.
+    """
+    n = draw(st.integers(2, 3 * inference._CHUNK + 3))
+    D = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["ties", "wide", "normal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        values = integer_values(rng, n, D) - 1.0
+    elif kind == "wide":
+        values = rng.choice([-1.0, 1.0], size=(n, D)) * 10.0 ** rng.uniform(-45, 0, size=(n, D))
+        values[0] = 1.0
+    else:
+        values = rng.normal(size=(n, D))
+    return values, draw(st.integers(0, 2**40))
+
+
 class TestBlockedBootstrap:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(centered_columns())
+    def test_first_pass_within_rounding_bound_of_gemv(self, case):
+        centered, seed = case
+        n, B = centered.shape[0], 64
+        sigma = np.sqrt(np.mean(centered**2, axis=0))
+        denom = np.sqrt(n) * sigma[None, :]
+        keys = inference._stream_keys(seed, B)
+        approx = inference._chunked_sups(centered, denom, np.random.PCG64(0), keys)
+        exact = reference_bootstrap_sup(centered, sigma, n, B, seed)
+        eps = inference._rounding_bound(centered / denom)
+        assert np.all(np.abs(approx - exact) <= eps), np.max(np.abs(approx - exact)) / eps
+
+    def test_rounding_bound_recomputes_few_replicates_at_scale(self, monkeypatch):
+        # a bound gone slack would send many replicates to the second pass
+        rng = np.random.default_rng(20)
+        pair = make_pair(rng.normal(size=(20_000, 25)) + rng.normal(size=(20_000, 1)))
+        B, built = 2000, record_draws(monkeypatch)
+        uniform_band(*pair, alpha=0.05, B=B, seed=3)
+        assert sorted(set(built)) == list(range(B))
+        assert len(built) - B <= 2 + B // 100
+
     @pytest.mark.parametrize(
         "n, D, B, alpha, pooled, ties",
         [
@@ -248,14 +305,7 @@ class TestBlockedBootstrap:
 
     def test_refinement_recomputes_few_replicates(self, gaussian_pair, monkeypatch):
         eif, est = gaussian_pair
-        draws = inference._draw_signs
-        built = []
-
-        def counted(bitgen, keys, b, out):
-            built.append(b)
-            return draws(bitgen, keys, b, out)
-
-        monkeypatch.setattr(inference, "_draw_signs", counted)
+        built = record_draws(monkeypatch)
         uniform_band(eif, est, alpha=0.05, B=1000, seed=4)
         assert sorted(set(built)) == list(range(1000))
         assert len(built) <= 1000 + 4
@@ -277,12 +327,16 @@ class TestSignStream:
         # Generator.integers is the reference: a numpy that changes its draw fails here
         keys = inference._stream_keys(seed, 64)
         bitgen = np.random.PCG64(0)
-        for b in range(64):
-            for n in (1, 2, 3, 7, 2000, 2001, 20001):
+        for n in (1, 2, 3, 7, 2000, 2001, 20001):
+            # replicates 0-2 one row each, then 3-63 as one block
+            rows = [inference._draw_signs(bitgen, keys, b, np.empty((1, n), np.float32))
+                    for b in range(3)]
+            rows.append(inference._draw_signs(bitgen, keys, 3, np.empty((61, n), np.float32)))
+            signs = np.concatenate(rows).astype(np.float64)
+            for b in range(64):
                 stream = np.random.SeedSequence(entropy=seed, spawn_key=(b,))
                 expected = np.random.default_rng(stream).integers(0, 2, size=n) * 2.0 - 1.0
-                signs = inference._draw_signs(bitgen, keys, b, np.empty(n))
-                assert np.array_equal(signs.view(np.uint64), expected.view(np.uint64)), (b, n)
+                assert np.array_equal(signs[b].view(np.uint64), expected.view(np.uint64)), (b, n)
 
     def test_band_builds_no_generator(self, gaussian_pair, monkeypatch):
         def no_generator(*args, **kwargs):

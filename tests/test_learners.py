@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -398,6 +399,26 @@ class TestOracleAndZero:
         for text in ("knn:", "ridge:"):  # an empty argument is not the default
             with pytest.raises(ConfigError, match="empty learner argument"):
                 LearnerSpec.from_config(text)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0), True, False, "3", None, 0, -2])
+    def test_knn_needs_an_integer_k(self, k):
+        with pytest.raises(ConfigError, match=re.escape(f"knn needs an integer k >= 1, got {k!r}")):
+            LearnerSpec.knn(k)
+
+    def test_knn_takes_a_numpy_integer(self):
+        assert LearnerSpec.knn(np.int64(3)).k == 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("knn:0", "knn needs an integer k >= 1, got 0"),
+            ("ridge:-1", "ridge needs a finite lam >= 0, got -1.0"),
+            ("knn:2.5", "invalid literal for int"),
+        ],
+    )
+    def test_bad_argument_keeps_the_spec_message(self, text, message):
+        with pytest.raises(ConfigError, match=rf"^bad learner argument in '{text}': {message}"):
+            LearnerSpec.from_config(text)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), -1e-300])
     def test_ridge_needs_a_finite_non_negative_lam(self, lam):

@@ -483,7 +483,7 @@ def retention_all_rows(oracle, ds, s, units, a):
 
 
 class TestOracleLookups:
-    @pytest.mark.parametrize("s", [1, 2, 3, 6, 9])
+    @pytest.mark.parametrize("s", [1, 2, 3, 6, 9, 17])
     def test_retention_by_path_equals_every_row_bitwise(self, s):
         rng = np.random.default_rng(s)
         d, n = 2, 700
