@@ -258,8 +258,15 @@ def _fold_pass(
     Fold k's nuisances are fit without its units, over the whole grid,
     and hold its units only; its warnings are tagged ``fold k: ``.
     Without ``folds`` this is the plug-in: one pass trained and evaluated
-    on every unit, using ``eta`` when it is given.
+    on every unit, using ``eta`` when it is given; a given ``eta`` must be
+    a full-sample fit of the panel over this grid and horizon.
     """
+    if eta is not None:
+        if eta.deltas != grid.values or eta.t_star != t:
+            raise ConfigError(f"eta was fit for deltas {eta.deltas} at t={eta.t_star}, "
+                              f"not deltas {grid.values} at t={t}")
+        if eta.rows is not None or eta.pi.shape[0] != ds.n:
+            raise ConfigError(f"eta must be a full-sample fit of the panel's {ds.n} units")
     values = np.empty((ds.n, len(grid)))
     diagnostics: dict = {"folds": [], "warnings": []}
     for k in [None] if folds is None else range(1, folds.K + 1):
@@ -365,7 +372,11 @@ def estimate_ipw(
 
 
 def complete_case_subset(ds: PanelDataset, t: int) -> PanelDataset:
-    """Units fully retained through the horizon outcome, truncated to t periods."""
+    """Units fully retained through the horizon outcome, truncated to t periods.
+
+    The horizon must have a recorded outcome, as for every estimator.
+    """
+    _check_horizon(ds, t)
     keep = ds.R[:, t] == 1
     if not np.any(keep):
         raise EstimationError(f"no unit retained through the outcome at t={t}")

@@ -5,10 +5,9 @@ logistic regression fit by iteratively reweighted least squares, k-nearest
 neighbours and closed-form ridge, fit on feature rows, and oracle specs
 (the constant zero among them): known functions of the panel, never fit,
 which ``fit_learner`` rejects.  Probability predictions are clipped away
-from {0, 1} so inverse weights stay finite.  kNN on a {0,1} target (a
-retention or treatment indicator) predicts the count of ones among the k
-neighbours over k: the neighbours need no order, and the count is bitwise
-the ordered mean.
+from {0, 1} so inverse weights stay finite, and a probability target of one
+class is not fit: every learner predicts that class, clipped.  kNN weights
+each target by its neighbour selection mask, one gemv per target.
 """
 
 from __future__ import annotations
@@ -152,18 +151,6 @@ def _expit(z: np.ndarray) -> np.ndarray:
 def _fit_logistic_irls(X: np.ndarray, y: np.ndarray, clip: tuple) -> FittedModel:
     n, p = X.shape
     Xd = np.column_stack([np.ones(n), X])
-    mean_y = float(np.mean(y))
-    if mean_y in (0.0, 1.0):
-        # degenerate single-class target: constant model at the clipped frequency
-        const = float(np.clip(mean_y, clip[0], clip[1]))
-        return FittedModel(
-            kind="logistic_irls",
-            predict_fn=lambda Xq, c=const: np.full(Xq.shape[0], c),
-            n_train=n,
-            iterations=0,
-            converged=True,
-            clip=clip,
-        )
     beta = np.zeros(p + 1)
     converged = False
     it = 0
@@ -219,72 +206,42 @@ def _knn_select(d2: np.ndarray, k: int, scratch: np.ndarray, chosen: np.ndarray)
         chosen[over] &= ~tie | (rank <= keep[:, None])
 
 
-def _knn_neighbours(
-    d2: np.ndarray, k: int, scratch: np.ndarray, chosen: np.ndarray
-) -> np.ndarray:
-    """Each row's k nearest columns of ``d2``, nearest first.
-
-    The columns ``_knn_select`` marks, in (distance, column) order, so the
-    result is bitwise ``np.argsort(d2, axis=1, kind="stable")[:, :k]``.
-    """
-    _knn_select(d2, k, scratch, chosen)
-    # exactly k per row, in row-major order: the ascending columns of each row
-    cols = np.flatnonzero(chosen).reshape(-1, k)
-    cols -= np.arange(0, chosen.size, chosen.shape[1])[:, None]
-    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
-
-
 def _fit_knn(X: np.ndarray, Y: np.ndarray, k: int, clip: tuple | None) -> FittedModel:
     """k nearest neighbours for the D target rows of ``Y`` (D, n); predicts (q, D).
 
-    A prediction is the mean target over the k nearest training rows.  When
-    every target value is +0.0 or 1 (a retention or treatment target), that
-    mean is the count of chosen ones over k: each partial sum of 0/1 values
-    is an exact integer, so the neighbours need no order and the count is
-    bitwise the ordered mean.  Any other target sums its neighbours nearest
-    first; so does one holding -0.0, since a count is +0.0 where a sum of
-    -0.0s may keep the sign.  Each predict call allocates its (block, n)
-    distance and selection buffers once and reuses them for every query
-    block.
+    A prediction is the mean target over the k nearest training rows: the
+    selection mask, as 0/1 weights, times the target, over k, one gemv per
+    target row.  On a {0,1} target every partial sum is an exact integer,
+    so the value is the count of chosen ones over k.  A width-0 history
+    puts every row at distance 0, and the first k rows are chosen.  Each
+    predict call allocates its (block, n) distance, weight and selection
+    buffers once and reuses them for every query block.
     """
     n = X.shape[0]
     k_eff = min(k, n)
     Xs, mu, sd = _standardize(X)
     sq = np.sum(Xs**2, axis=1)
-    ones = Y == 1
-    if not np.all(ones | ((Y == 0) & ~np.signbit(Y))):
-        ones = None  # not a {0,1} target: ordered gather and mean
 
-    def predict(Xq, Xs=Xs, Y=Y, ones=ones, mu=mu, sd=sd, k_eff=k_eff, sq=sq):
+    def predict(Xq, Xs=Xs, Y=Y, mu=mu, sd=sd, k_eff=k_eff, sq=sq):
         Q = (Xq - mu) / sd
-        if Xs.shape[1] == 0:
-            # featureless: every training point ties at distance zero
-            return np.repeat(Y[:, :k_eff].mean(axis=1)[None, :], Q.shape[0], axis=0)
         out = np.empty((Q.shape[0], Y.shape[0]))
         rows = min(_KNN_BLOCK, Q.shape[0])
         dist, scratch = np.empty((rows, n)), np.empty((rows, n))
         chosen = np.empty((rows, n), dtype=bool)
-        # one target counts in the selection mask itself; D targets need a mask each
-        hits = chosen if ones is None or len(ones) == 1 else np.empty_like(chosen)
         for lo in range(0, Q.shape[0], _KNN_BLOCK):
             q = Q[lo : lo + _KNN_BLOCK]
             m = q.shape[0]
-            d2 = dist[:m]
+            d2, weights = dist[:m], scratch[:m]
             # |q|^2 - (2q).x + |x|^2, left to right: the distances' bits depend on
             # this order, and on Xs.T staying a view (a copy may pick another gemm kernel)
             np.matmul(2.0 * q, Xs.T, out=d2)
             np.subtract(np.sum(q**2, axis=1)[:, None], d2, out=d2)
             d2 += sq
-            if ones is None:
-                nbrs = _knn_neighbours(d2, k_eff, scratch[:m], chosen[:m])
-                for j, y in enumerate(Y):  # one (q, k) gather and mean per target, as for 1-D
-                    out[lo : lo + m, j] = y[nbrs].mean(axis=1)
-            else:
-                _knn_select(d2, k_eff, scratch[:m], chosen[:m])
-                for j, one in enumerate(ones):
-                    hit = np.logical_and(chosen[:m], one, out=hits[:m])
-                    out[lo : lo + m, j] = np.count_nonzero(hit, axis=1) / k_eff
+            _knn_select(d2, k_eff, weights, chosen[:m])
+            np.copyto(weights, chosen[:m])
+            # one gemv per target row, not one gemm: each column sums as a 1-D target's
+            for j, y in enumerate(Y):
+                out[lo : lo + m, j] = weights @ y / k_eff
         return out
 
     return FittedModel(kind="knn", predict_fn=predict, n_train=n, clip=clip)
@@ -330,7 +287,9 @@ def fit_learner(
 
     ``task`` is 'probability' (targets in {0,1}, predictions clipped) or
     'regression' (unrestricted).  ``clip`` overrides the default
-    probability clipping range [PI_CLIP, 1 - PI_CLIP].
+    probability clipping range [PI_CLIP, 1 - PI_CLIP].  A 1-D probability
+    target of one class is not fit, whatever the learner: the model
+    predicts that class, clipped, with iterations=0 and converged=True.
 
     A 1-D target gives (q,) predictions.  A target may also be (rows, D),
     for every learner but logistic_irls: the model then predicts (q, D),
@@ -361,6 +320,10 @@ def fit_learner(
             raise ConfigError("probability task requires {0,1} targets")
         if clip is None:
             clip = (PI_CLIP, 1.0 - PI_CLIP)
+        if columns is None and np.all(y == y[0]):
+            # one class: nothing to learn, every learner predicts it (clipped)
+            return FittedModel(spec.kind, lambda Xq, c=float(y[0]): np.full(Xq.shape[0], c),
+                               n_train=y.size, clip=clip)
     # one contiguous row per target column: each column's sums run as a 1-D target's
     Y = np.ascontiguousarray(y.T) if columns else y[None, :]
 

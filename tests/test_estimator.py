@@ -383,6 +383,40 @@ class TestBaselines:
         shared = estimate_ipw(ds, specs, grid, 3, eta=eta)
         assert np.array_equal(ipw.psi_hat, shared.psi_hat)
 
+    @pytest.mark.parametrize("case", ["other grid", "other horizon", "one fold", "longer grid"])
+    def test_given_eta_must_fit_the_call(self, case):
+        # unchecked, these give another grid's curve, unwritten rows or a raw ValueError
+        ds = simulate(DgpConfig(kind="dropout", n=400, T=3, u_l=1.0, seed=1))
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-6)
+        )
+        grid, folds = (1.0, 2.0), split_folds(ds, 2, seed=1)
+        eta = {
+            "other grid": lambda: fit_nuisances(ds, None, specs, (0.5, 3.0), 3),
+            "other horizon": lambda: replace(fit_nuisances(ds, None, specs, grid, 3), t_star=2),
+            "one fold": lambda: fit_nuisances(ds, folds, specs, grid, 3, exclude_fold=1),
+            "longer grid": lambda: fit_nuisances(ds, None, specs, grid, 3),
+        }[case]()
+        if case == "longer grid":
+            with pytest.raises(ConfigError, match="eta was fit for deltas"):
+                estimate_ipw(ds, specs, (1.0, 2.0, 4.0), 3, eta=eta)
+            return
+        for estimate in (estimate_plugin, estimate_ipw):
+            with pytest.raises(ConfigError, match="eta "):
+                estimate(ds, specs, grid, 3, eta=eta)
+
+    @pytest.mark.parametrize("t", [0, 4, 2])
+    def test_complete_cases_need_a_recorded_outcome_at_the_horizon(self, t):
+        ds = simulate(DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=13))  # outcome at t=3 only
+        specs = NuisanceSpecs(
+            pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(0.01)
+        )
+        message = rf"^no recorded outcome at horizon t={t}$"
+        with pytest.raises(ConfigError, match=message):
+            complete_case_subset(ds, t)
+        with pytest.raises(ConfigError, match=message):
+            estimate_no_censoring(ds, 2, 5, specs, DeltaGrid(values=(1.0,)), t)
+
     @pytest.mark.parametrize("shared", [False, True])
     def test_ipw_is_weight_products_times_outcome(self, shared):
         ds = simulate(DgpConfig(kind="dropout", n=400, T=3, u_l=1.0, seed=14))
@@ -439,7 +473,7 @@ class TestBaselines:
         grid = DeltaGrid(values=(0.5, 1.0, 2.0))
         specs = NuisanceSpecs(pi=LearnerSpec.logistic(), omega=omega, m=LearnerSpec.ridge(1e-6))
         est, eif = estimate_no_censoring(ds, 2, 5, specs, grid, 3)
-        # every complete case is retained, so IRLS fits its constant model at 1.0
+        # every complete case is retained: a one-class pool, so logistic omega predicts 1.0 unfit
         logistic = NuisanceSpecs(
             pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.ridge(1e-6)
         )

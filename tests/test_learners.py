@@ -13,11 +13,12 @@ from oddshift import (
     LearnerSpec,
     fit_learner,
     fit_missingness_sequence,
+    fit_propensity_sequence,
     simulate,
     split_folds,
 )
 from oddshift import learners
-from oddshift.learners import OMEGA_FLOOR, PI_CLIP, _knn_neighbours, _standardize
+from oddshift.learners import OMEGA_FLOOR, PI_CLIP, _knn_select, _standardize
 
 KNN_SETTINGS = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -26,10 +27,10 @@ KNN_SETTINGS = settings(
 
 @st.composite
 def tie_heavy_knn(draw, max_query):
-    """Integer features in {0,1,2}, so many training points tie; any k in [1, n_train]."""
+    """Integer features in {0,1,2} (possibly none), so many training points tie; any k in [1, n_train]."""
     n = draw(st.integers(1, 40))
     nq = draw(st.integers(1, max_query))
-    p = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     k = draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
@@ -41,6 +42,13 @@ def tie_heavy_knn(draw, max_query):
 
 def argsort_knn(d2, ys, k):
     return ys[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(1)
+
+
+def argsort_mask(d2, k):
+    """Each row's first k columns of a stable argsort, as a boolean mask over ``d2``."""
+    mask = np.zeros(d2.shape, dtype=bool)
+    np.put_along_axis(mask, np.argsort(d2, axis=1, kind="stable")[:, :k], True, axis=1)
+    return mask
 
 
 @st.composite
@@ -123,8 +131,8 @@ def blockwise_argsort_knn(X, Y, k, Xq):
 def unbuffered_knn_predict(X, Y, k, Xq):
     """Reference kNN predict that the buffered one must match bit for bit.
 
-    Per query block: a fresh distance array, np.partition's copy, and the
-    columns from a 2-D nonzero.  Y is (n, D); returns (q, D).
+    Per query block: a fresh distance array, np.partition's copy, and a
+    fresh selection mask summed as 0/1 weights.  Y is (n, D); returns (q, D).
     """
     k = min(k, X.shape[0])
     Xs, mu, sd = _standardize(X)
@@ -143,17 +151,15 @@ def unbuffered_knn_predict(X, Y, k, Xq):
             keep = np.count_nonzero(tie, axis=1) - extra[over]
             rank = np.cumsum(tie, axis=1, dtype=np.int32)
             chosen[over] &= ~tie | (rank <= keep[:, None])
-        cols = np.nonzero(chosen)[1].reshape(-1, k)
-        order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-        nbrs = np.take_along_axis(cols, order, axis=1)
+        weights = chosen.astype(float)
         for j in range(Y.shape[1]):
-            out[lo : lo + learners._KNN_BLOCK, j] = np.ascontiguousarray(Y[:, j])[nbrs].mean(axis=1)
+            out[lo : lo + learners._KNN_BLOCK, j] = weights @ np.ascontiguousarray(Y[:, j]) / k
     return out
 
 
-def refuse_ordered_search(*args):
-    """Stands in for ``learners._knn_neighbours`` where a {0,1} target must not need it."""
-    raise AssertionError("ordered neighbour search")
+def refuse_fit(*args):
+    """Stands in for a learner's fit, to show whether a call reaches it."""
+    raise AssertionError("learner fit reached")
 
 
 def bits(a):
@@ -244,8 +250,9 @@ class TestKnn:
         # exact integer squared distances: ties are exact, not rounding luck
         X, Xq, y, k = case
         d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        nbrs = _knn_neighbours(d2, k, np.empty_like(d2), np.empty(d2.shape, bool))
-        assert np.array_equal(nbrs, np.argsort(d2, axis=1, kind="stable")[:, :k])
+        chosen = np.empty(d2.shape, bool)
+        _knn_select(d2, k, np.empty_like(d2), chosen)
+        assert np.array_equal(chosen, argsort_mask(d2, k))
 
     @KNN_SETTINGS
     @given(tie_heavy_knn(max_query=learners._KNN_BLOCK))
@@ -256,7 +263,7 @@ class TestKnn:
         Q = (Xq - mu) / sd
         d2 = np.sum(Q**2, axis=1)[:, None] - 2.0 * Q @ Xs.T + np.sum(Xs**2, axis=1)[None, :]
         model = fit_learner(LearnerSpec.knn(k), X, y, "regression")
-        assert np.array_equal(model.predict(Xq), argsort_knn(d2, y, k))
+        assert np.array_equal(bits(model.predict(Xq)), bits(argsort_mask(d2, k).astype(float) @ y / k))
 
     @KNN_SETTINGS
     @given(knn_blocks())
@@ -276,31 +283,34 @@ class TestKnn:
         assert np.array_equal(bits(pred), bits(unbuffered_knn_predict(X, Y2, k, Xq)))
         assert np.array_equal(bits(pred), bits(blockwise_argsort_knn(X, Y2, k, Xq)))
 
-    def test_only_non_binary_targets_order_their_neighbours(self, monkeypatch):
+    def test_binary_targets_predict_the_ordered_mean_bitwise(self):
         rng = np.random.default_rng(7)
         X = rng.integers(0, 3, size=(300, 3)).astype(float)
         Xq = rng.integers(0, 3, size=(270, 3)).astype(float)
         y = (rng.random(300) < 0.7).astype(float)
-        targets = (y, np.column_stack([y, 1 - y]))
-        counted = [fit_learner(LearnerSpec.knn(40), X, t, "probability").predict(Xq) for t in targets]
-        monkeypatch.setattr(learners, "_knn_neighbours", refuse_ordered_search)
-        for t, before in zip(targets, counted):
+        for t in (y, np.column_stack([y, 1 - y])):
+            before = blockwise_argsort_knn(X, t.reshape(300, -1), 40, Xq).reshape(-1, *t.shape[1:])
             after = fit_learner(LearnerSpec.knn(40), X, t, "probability").predict(Xq)
-            assert np.array_equal(bits(after), bits(before))
-        for spoilt in (np.where(y == 0, -0.0, y), np.where(np.arange(300) == 5, 0.5, y)):
-            with pytest.raises(AssertionError, match="ordered neighbour search"):
-                fit_learner(LearnerSpec.knn(40), X, spoilt, "regression").predict(Xq)
+            assert np.array_equal(bits(after), bits(np.clip(before, PI_CLIP, 1.0 - PI_CLIP)))
 
-    def test_knn_retention_fit_never_orders_neighbours(self, monkeypatch):
+    def test_knn_retention_fit_is_reproducible_and_floored(self):
         ds = simulate(DgpConfig(kind="dropout", n=600, T=3, u_l=1.0, seed=4))
         folds = split_folds(ds, 2, seed=1)
         spec = LearnerSpec.knn(30)
         before = fit_missingness_sequence(ds, folds, spec, exclude_fold=1).pred
-        monkeypatch.setattr(learners, "_knn_neighbours", refuse_ordered_search)
         after = fit_missingness_sequence(ds, folds, spec, exclude_fold=1).pred
         assert np.array_equal(after, before, equal_nan=True)
         held = after[~np.isnan(after)]
         assert held.size and held.min() >= OMEGA_FLOOR and held.max() <= 1.0
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 2000])
+    def test_featureless_stage_is_the_mean_of_the_first_k(self, k):
+        # a trial panel has no covariates: stage 1's pi history has width 0, every
+        # training row ties at distance 0, and the lowest-index rule picks rows 0..k-1
+        ds = simulate(DgpConfig(kind="trial", n=1000, T=2, seed=3))
+        fit = fit_propensity_sequence(ds, None, LearnerSpec.knn(k))
+        expected = np.clip(np.mean(ds.A[:k, 0]), PI_CLIP, 1.0 - PI_CLIP)
+        assert np.array_equal(bits(fit.pred[:, 0]), bits(np.full(ds.n, expected)))
 
     def test_blocks_cover_every_query_row(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -311,6 +321,35 @@ class TestKnn:
         whole = model.predict(Xq)
         monkeypatch.setattr(learners, "_KNN_BLOCK", 4)
         assert np.array_equal(model.predict(Xq), whole)
+
+
+class TestConstantPool:
+    """A 1-D probability target of one class is not fit, whatever the learner."""
+
+    @pytest.mark.parametrize("spec", [LearnerSpec.logistic(), LearnerSpec.knn(3), LearnerSpec.ridge(0.5)])
+    @pytest.mark.parametrize("cls", [0.0, 1.0])
+    @pytest.mark.parametrize("clip", [None, (OMEGA_FLOOR, 1.0)])
+    def test_one_class_returns_the_clipped_class_unfit(self, monkeypatch, spec, cls, clip):
+        rng = np.random.default_rng(8)
+        X, Xq = rng.normal(size=(12, 2)), rng.normal(size=(5, 2))
+        for name in ("_fit_logistic_irls", "_fit_knn", "_fit_ridge"):
+            monkeypatch.setattr(learners, name, refuse_fit)
+        model = fit_learner(spec, X, np.full(12, cls), "probability", clip=clip)
+        lo, hi = clip or (PI_CLIP, 1.0 - PI_CLIP)
+        assert (model.kind, model.n_train, model.iterations, model.converged, model.columns) == (
+            spec.kind, 12, 0, True, None)
+        # bitwise what a fit gives on such a pool: kNN's k/k or 0/k and ridge's mean, clipped
+        assert np.array_equal(bits(model.predict(Xq)), bits(np.full(5, min(max(cls, lo), hi))))
+
+    @pytest.mark.parametrize("target, task", [
+        (np.repeat([0.0, 1.0], 3), "probability"),  # two classes
+        (np.ones((6, 2)), "probability"),  # target columns
+        (np.ones(6), "regression"),
+    ])
+    def test_other_targets_are_fit(self, monkeypatch, target, task):
+        monkeypatch.setattr(learners, "_fit_knn", refuse_fit)
+        with pytest.raises(AssertionError, match="learner fit reached"):
+            fit_learner(LearnerSpec.knn(2), np.arange(6.0)[:, None], target, task)
 
 
 class TestRidge:
