@@ -50,7 +50,7 @@ _OPTIONS = {
     "alpha": (float, 0.05, "band level"),
     "B": (int, 10_000, "bootstrap replicates"),
     "S": (int, 50, "number of replications"),
-    "threads": (int, 1, "worker threads; results do not depend on them"),
+    "threads": (int, 1, "worker processes; results do not depend on them"),
     "grid": (None, None, "explicit JSON list of delta values"),
     "grid_size": (int, None, "log-spaced delta values (estimate 25, bench 9)"),
     "grid_lo": (float, 0.1, "smallest log-spaced delta"),

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, check_count, check_open_unit
 from .intervention import _check_delta
 
 __all__ = [
@@ -86,6 +86,7 @@ class MomentSpec:
     E[Y^a] and E[(Y^a)^2].  When the moments depend on the sequence only
     through its number of ones, supply the count-based providers instead;
     they are then called once per count rather than once per sequence.
+    A spec takes exactly one of the two pairs.
     """
 
     p: float
@@ -98,15 +99,13 @@ class MomentSpec:
     second_by_count: Callable | None = None
 
     def __post_init__(self):
-        if not 0 < self.p < 1:
-            raise ConfigError("p must lie in (0,1)")
+        check_open_unit(self.p, "p")
         _check_delta(self.delta)
-        if self.T < 1:
-            raise ConfigError("T must be >= 1")
-        seq_route = self.mean_of is not None and self.second_of is not None
-        cnt_route = self.mean_by_count is not None and self.second_by_count is not None
-        if not (seq_route or cnt_route):
-            raise ConfigError("provide sequence or count moment providers")
+        check_count(self.T, "T", 1)
+        given = [f is not None for f in (self.mean_of, self.second_of, self.mean_by_count,
+                                         self.second_by_count)]
+        if given not in ([True, True, False, False], [False, False, True, True]):
+            raise ConfigError("provide one pair of moment providers, sequence or count")
 
     def mean(self, a_bar) -> float:
         if self.mean_of is not None:
@@ -122,7 +121,7 @@ class MomentSpec:
     def _moments(self) -> _Moments:
         """The moment table: T+1 calls of the count providers, else all 2^T sequences."""
         T, b_u = self.T, self.b_u
-        if self.mean_by_count is not None and self.second_by_count is not None:
+        if self.mean_by_count is not None:
             keys, mean, second = range(T + 1), self.mean_by_count, self.second_by_count
             counts, label = np.arange(T + 1), lambda k: [1] * k + [0] * (T - k)
         elif T > _ENUM_LIMIT:
@@ -177,6 +176,7 @@ def trial_moments(T: int, p: float, delta: float) -> MomentSpec:
 def base_factor(delta: float, p: float, variant: str = "always_treated") -> float:
     """Per-period factor governing the geometric variance-ratio trend."""
     _check_delta(delta)
+    check_open_unit(p, "p")
     denom = (delta * p + 1.0 - p) ** 2
     if variant == "always_treated":
         return (delta**2 * p**2 + p * (1.0 - p)) / denom
@@ -193,8 +193,7 @@ def path_weight(a_bar, delta: float, p: float) -> float:
     the shifted path probability, which is what makes the decomposition
     in ``decomposition_check`` exact.
     """
-    if not 0 < p < 1:
-        raise ConfigError("p must lie in (0,1)")
+    check_open_unit(p, "p")
     _check_delta(delta)
     denom = (delta * p + 1.0 - p) ** 2
     f1 = p * delta**2 * p / denom
@@ -285,10 +284,10 @@ def crossover_horizon_bound(delta: float, p: float, second_moment_ratio: float) 
     horizons strictly beyond the crossing, so the scan value sits one
     above the conventional statement of the threshold.
     """
+    _check_delta(delta)
     if delta <= 1:
         raise ConfigError("the scan needs delta > 1")
-    if not 0 < p < 1:
-        raise ConfigError("p must lie in (0,1)")
+    check_open_unit(p, "p")
     if not 0 < second_moment_ratio <= 1:
         raise ConfigError("second_moment_ratio must lie in (0, 1]")
     g = (delta**2 * p + 1.0 - p) / (delta * p + 1.0 - p) ** 2
@@ -341,7 +340,7 @@ def decomposition_check(p: float, delta: float, T: int, atoms: Callable) -> floa
     """
     if not callable(atoms):
         raise ConfigError("atoms must be a callable finite-support provider")
-    if T > 12:
+    if check_count(T, "T", 1) > 12:
         raise ConfigError("full enumeration is limited to T <= 12")
     seqs = list(itertools.product((0, 1), repeat=T))
     dist = {}
@@ -434,6 +433,7 @@ def efficiency_curve(
     with the most conservative (smallest) second-moment ratio along the
     curve; it applies only for delta > 1.
     """
+    check_count(T_max, "T_max", 1)
     rows = []
     crossing = None
     c1_min = None

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, check_open_unit
 from .intervention import DeltaGrid, _check_delta
 from .learners import LearnerSpec
 from .nuisance import NuisanceSet, NuisanceSpecs, _check_horizon, fit_nuisances
@@ -180,8 +180,7 @@ def eif_single_period(a, y, r, pi, omega, mu1, mu0, delta) -> float:
     """
     if r not in (0, 1) or a not in (0, 1):
         raise ConfigError("a and r must be binary")
-    if not 0 < pi < 1:
-        raise ConfigError("pi must lie in (0,1)")
+    check_open_unit(pi, "pi")
     if not 0 < omega <= 1:
         raise ConfigError("omega must lie in (0,1]")
     _check_delta(delta)
@@ -238,10 +237,6 @@ def _reduce(values: np.ndarray, folds: FoldAssignment) -> tuple[np.ndarray, np.n
         [values[folds.by_index == k].mean(axis=0) for k in range(1, folds.K + 1)]
     )
     return per_fold.mean(axis=0), per_fold
-
-
-def _as_grid(grid) -> DeltaGrid:
-    return grid if isinstance(grid, DeltaGrid) else DeltaGrid(values=tuple(grid))
 
 
 def _fold_pass(
@@ -317,7 +312,7 @@ def estimate_cross_fit(
         folds = split_folds(ds, K, seed)
     elif folds.K != K:
         raise ConfigError(f"K={K} but the fold assignment has {folds.K} folds")
-    return _fold_pass(ds, specs, _as_grid(grid), t, "cross_fit", folds)
+    return _fold_pass(ds, specs, DeltaGrid.of(grid), t, "cross_fit", folds)
 
 
 def estimate_plugin(
@@ -331,7 +326,7 @@ def estimate_plugin(
 
     ``eta``, a full-sample fit over the same grid, replaces the fit.
     """
-    return _fold_pass(ds, specs, _as_grid(grid), t, "plugin", None, eta)
+    return _fold_pass(ds, specs, DeltaGrid.of(grid), t, "plugin", None, eta)
 
 
 def ipw_weight_products(
@@ -364,7 +359,7 @@ def estimate_ipw(
     ``specs.m`` is never fit; ``eta``, a full-sample fit over the same
     grid, replaces the fit.
     """
-    grid = _as_grid(grid)
+    grid = DeltaGrid.of(grid)
     if eta is None:
         eta = fit_nuisances(ds, None, replace(specs, m=LearnerSpec.zero()), grid.values, t)
     zero = np.broadcast_to(0.0, eta.m1.shape)
@@ -404,7 +399,7 @@ def estimate_no_censoring(
     """Cross-fit estimator on the complete cases, an omega = 1 oracle replacing ``specs.omega``."""
     sub = complete_case_subset(ds, t)
     pinned = replace(specs, omega=LearnerSpec.oracle(_ones))
-    return _fold_pass(sub, pinned, _as_grid(grid), t, "no_censoring", split_folds(sub, K, seed))
+    return _fold_pass(sub, pinned, DeltaGrid.of(grid), t, "no_censoring", split_folds(sub, K, seed))
 
 
 def estimate_complete_case(ds: PanelDataset, t: int) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, EstimationError, check_seed
+from .errors import ConfigError, EstimationError, check_open_unit, check_seed
 from .estimator import EffectEstimate, EifMatrix, _sigma_hat
 
 __all__ = [
@@ -56,8 +56,7 @@ def pointwise_interval(
     psi_hat: np.ndarray, sigma_hat: np.ndarray, n: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric per-delta interval with half-width z_{1-alpha/2} sigma / sqrt(n)."""
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must lie in (0,1)")
+    check_open_unit(alpha, "alpha")
     z = ndtri(1.0 - alpha / 2.0)
     half = z * np.asarray(sigma_hat) / np.sqrt(n)
     psi_hat = np.asarray(psi_hat)
@@ -66,8 +65,7 @@ def pointwise_interval(
 
 def check_band_options(alpha: float, B: int) -> None:
     """Reject a band level outside (0,1), or a B that is not an integer in [100, 2^32]."""
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must lie in (0,1)")
+    check_open_unit(alpha, "alpha")
     if not isinstance(B, (int, np.integer)):
         raise ConfigError(f"the bootstrap replicate count B must be an integer, got {B!r}")
     if B < 100:

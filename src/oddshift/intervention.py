@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 
 __all__ = [
     "incremental_propensity",
@@ -29,7 +29,7 @@ __all__ = [
 
 def _check_delta(delta) -> None:
     d = np.asarray(delta, dtype=float)
-    if not np.all(np.isfinite(d) & (d > 0)):
+    if d.size == 0 or not np.all(np.isfinite(d) & (d > 0)):
         raise ConfigError("delta must be finite and positive")
 
 
@@ -91,12 +91,17 @@ class DeltaGrid:
         return iter(self.values)
 
     @classmethod
+    def of(cls, grid) -> "DeltaGrid":
+        """``grid`` itself if it is a DeltaGrid, else a DeltaGrid of its values."""
+        return grid if isinstance(grid, cls) else cls(values=tuple(grid))
+
+    @classmethod
     def log_spaced(cls, lo: float, hi: float, num: int) -> "DeltaGrid":
         if not np.all(np.isfinite([lo, hi])):
             raise ConfigError("grid values must be finite")
         if not 0 < lo <= hi:
             raise ConfigError("need 0 < lo <= hi")
-        if num < 1 or (num == 1 and lo != hi):
+        if check_count(num, "num", 1) == 1 and lo != hi:
             raise ConfigError("num must cover the endpoints")
         vals = np.exp(np.linspace(np.log(lo), np.log(hi), num))
         # pin the endpoints exactly; exp/log round-trips drift in the last ulp

@@ -35,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError
-from .intervention import _check_delta
+from .errors import ConfigError, EstimationError, check_count
+from .intervention import DeltaGrid, _check_delta
 from .learners import OMEGA_FLOOR, PI_CLIP, FittedModel, LearnerSpec, fit_learner
 from .panel import FoldAssignment, PanelDataset, history_features
 
@@ -71,6 +71,7 @@ class NuisanceSpecs:
 def _check_horizon(ds: PanelDataset, t_star: int) -> None:
     if t_star not in ds.outcome_times:
         raise ConfigError(f"no recorded outcome at horizon t={t_star}")
+    check_count(t_star, "t", 1)  # 2.0 is a member of (2,)
 
 
 def _split(ds: PanelDataset, folds: FoldAssignment | None, exclude_fold):
@@ -211,12 +212,12 @@ def fit_pseudo_outcome_sequence(
     ``pi_pred`` must hold propensity predictions from the same training
     pool for every retained unit; they weight the two arms when the
     recursion collapses A_t.  m1 and m0 hold fold ``exclude_fold``'s
-    units (every unit without one), one column per delta.  Each delta
-    must be finite and positive, and the horizon must have a recorded
-    outcome; both are checked before any fit.
+    units (every unit without one), one column per delta.  The deltas
+    must be finite and positive and form a ``DeltaGrid``, and the horizon
+    must have a recorded outcome; both are checked before any fit.
     """
-    deltas = tuple(deltas)
     _check_delta(deltas)
+    deltas = DeltaGrid.of(deltas).values
     _check_horizon(ds, t_star)
     grid = np.asarray(deltas, dtype=float)
     m_spec = spec(deltas) if callable(spec) else spec
@@ -290,10 +291,11 @@ def fit_nuisances(
     """Fit all three nuisance sequences for one fold over a delta grid.
 
     The arrays hold fold ``exclude_fold``'s units (every unit without one).
-    A delta that is not finite and positive, or a horizon without a
-    recorded outcome, is rejected before any fit.
+    Deltas that do not form a ``DeltaGrid``, or a horizon without a
+    recorded outcome, are rejected before any fit.
     """
     _check_delta(deltas)
+    deltas = DeltaGrid.of(deltas).values
     _check_horizon(ds, t_star)
     held = _split(ds, folds, exclude_fold)[1]
     pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold, t_star)

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PanelDataError, check_seed
+from .errors import ConfigError, PanelDataError, check_count, check_seed
 
 __all__ = [
     "PanelDataset",
@@ -188,7 +188,7 @@ def split_folds(ds: PanelDataset, K: int, seed: int) -> FoldAssignment:
     fold sizes differ by at most one.
     """
     n = ds.n
-    if K < 2 or K > n:
+    if check_count(K, "K", 2) > n:
         raise ConfigError(f"fold count K={K} must satisfy 2 <= K <= n={n}")
     rng = np.random.default_rng(check_seed(seed))
     order = rng.permutation(n)

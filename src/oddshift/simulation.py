@@ -30,7 +30,6 @@ forms for the absolute-value term.
 from __future__ import annotations
 
 import math
-import numbers
 import pickle
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
@@ -41,7 +40,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit, logit, ndtr
 
 from .efficiency import _collapse, trial_moments, variance_ratio_bounds
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, check_count, check_open_unit, check_seed
 from .estimator import (
     _ones,
     estimate_cross_fit,
@@ -86,12 +85,11 @@ class DgpConfig:
     def __post_init__(self):
         if self.kind not in ("dropout", "trial", "observational"):
             raise ConfigError(f"unknown DGP kind {self.kind!r}")
-        if self.n < 1 or self.T < 1:
-            raise ConfigError("need n >= 1 and T >= 1")
-        if self.u_l > 5:
-            raise ConfigError("u_l must not exceed 5")
-        if not 0 < self.p < 1:
-            raise ConfigError("p must lie in (0,1)")
+        check_count(self.n, "n", 1)
+        check_count(self.T, "T", 1)
+        if not (math.isfinite(self.u_l) and self.u_l <= 5):
+            raise ConfigError(f"u_l must be finite and at most 5, got {self.u_l!r}")
+        check_open_unit(self.p, "p")
         check_seed(self.seed)
 
 
@@ -173,6 +171,7 @@ def simulate(cfg: DgpConfig) -> PanelDataset:
 def _check_horizon(cfg: DgpConfig, t: int) -> None:
     if not 1 <= t <= cfg.T:
         raise ConfigError(f"horizon t={t} must lie in 1..{cfg.T}")
+    check_count(t, "t", 1)  # 2.0 lies in 1..3
 
 
 def true_effect_curve(
@@ -189,9 +188,8 @@ def true_effect_curve(
     errors are correlated across deltas, and no value depends on the others.
     """
     _check_horizon(cfg, t)
-    if isinstance(draws, bool) or not isinstance(draws, numbers.Integral) or draws < 2:
-        raise ConfigError(f"draws must be an integer >= 2, got {draws!r}")
-    deltas = np.asarray(grid.values if isinstance(grid, DeltaGrid) else grid, dtype=float)
+    check_count(draws, "draws", 2)
+    deltas = np.asarray(tuple(grid), dtype=float)  # any order, repeats allowed
     _check_delta(deltas)
     trial, rng = cfg.kind == "trial", np.random.default_rng(check_seed(seed))
     lag1, lag2 = np.zeros((2, deltas.size, draws), dtype=bool)  # A_{s-1}, A_{s-2} per delta
@@ -225,7 +223,7 @@ def exact_effect_curve(cfg: DgpConfig, grid, t: int) -> np.ndarray:
     table collapsed to stage 0, sum_k Binom(t, q)(k) * (10 + sqrt(k)).
     """
     _check_horizon(cfg, t)
-    deltas = np.asarray(grid.values if isinstance(grid, DeltaGrid) else grid, dtype=float)
+    deltas = np.asarray(DeltaGrid.of(grid).values)
     if cfg.kind == "trial":
         return _trial_tables(t, incremental_propensity(cfg.p, deltas))[0][0]
     qbar = _mean_shifted_propensity(t, deltas)
@@ -469,8 +467,7 @@ def _derived_seed(seed: int, *key: int) -> int:
 
 
 def _benchmark_one(args):
-    cfg, grid_values, specs, K, rep_seed, fold_seed = args
-    grid = DeltaGrid(values=tuple(grid_values))
+    cfg, grid, specs, K, rep_seed, fold_seed = args
     t = cfg.T
     ds = simulate(replace(cfg, seed=rep_seed))
     out = {}
@@ -505,18 +502,20 @@ def run_benchmark(
     is all zeros.  ``truth_draws`` is ignored; it is still accepted so
     that callers passing it keep working until it is removed.
     Deterministic for a given seed; replicate seeds are derived so
-    results do not depend on execution order or thread count.
+    results do not depend on execution order or on ``threads``, the
+    number of worker processes.
     """
+    check_count(S, "S", 1)
     if threads > 1:
         try:
             pickle.dumps(specs)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ConfigError(f"threads > 1 needs picklable specs: {exc}") from None
-    grid = grid if isinstance(grid, DeltaGrid) else DeltaGrid(tuple(grid))
+    grid = DeltaGrid.of(grid)
     truths = exact_effect_curve(cfg, grid, cfg.T)
     psi_bar = float(truths.mean())
     jobs = [
-        (cfg, grid.values, specs, K, _derived_seed(seed, r, 1), _derived_seed(seed, r, 2))
+        (cfg, grid, specs, K, _derived_seed(seed, r, 1), _derived_seed(seed, r, 2))
         for r in range(1, S + 1)
     ]
     if threads > 1:
@@ -555,9 +554,9 @@ def relative_efficiency_mc(
 ) -> list[dict]:
     """Variance of the shifted weight estimator relative to the always-treated one.
 
-    For each horizon t, ``reps`` fresh panels are drawn; on each the two
-    single-pass weighted means (known propensities, no estimation) are
-    computed, and ``ratio`` is Var(shifted) / Var(fixed-regime) across
+    For each horizon t >= 1, ``reps`` >= 2 fresh panels are drawn; on each
+    the two single-pass weighted means (known propensities, no estimation)
+    are computed, and ``ratio`` is Var(shifted) / Var(fixed-regime) across
     replicates, the quantity ``variance_ratio_bounds`` bounds.  Horizons
     where either sample variance is exactly zero (the fixed-regime weights
     routinely vanish for long horizons) are excluded with a warning.  For
@@ -565,6 +564,8 @@ def relative_efficiency_mc(
     """
     if cfg.kind not in ("trial", "observational"):
         raise ConfigError("relative efficiency runs on the trial or observational generator")
+    check_count(reps, "reps", 2)
+    horizons = [check_count(t, "each horizon", 1) for t in horizons]
     records = []
     for t in horizons:
         at_vals = np.empty(reps)
@@ -580,7 +581,7 @@ def relative_efficiency_mc(
             inc_vals[r] = float(np.mean(w_inc * y))
         var_at = float(np.var(at_vals, ddof=1))
         var_inc = float(np.var(inc_vals, ddof=1))
-        rec = {"t": int(t), "var_deterministic": var_at, "var_incremental": var_inc}
+        rec = {"t": t, "var_deterministic": var_at, "var_incremental": var_inc}
         if var_inc == 0.0 or var_at == 0.0:
             _warnings.warn(
                 f"degenerate sample variance at t={t}; point excluded from the ratio"
@@ -589,7 +590,7 @@ def relative_efficiency_mc(
         else:
             rec["ratio"] = var_inc / var_at
         if cfg.kind == "trial":
-            spec = trial_moments(int(t), cfg.p, delta)
+            spec = trial_moments(t, cfg.p, delta)
             lower, upper = variance_ratio_bounds(spec)
             rec["lower_bound"] = lower
             rec["upper_bound"] = upper

@@ -354,6 +354,8 @@ BAD_INPUTS = [
     (["simulate", "--kind", "foo"], {}, "unknown DGP kind 'foo'"),
     (["efficiency", "--variant", "foo"], {}, "unknown variant 'foo'"),
     (["efficiency", "--delta", "nan"], {}, "delta must be finite and positive"),
+    (["efficiency", "--tmax", "0"], {}, "T_max must be an integer >= 1, got 0"),
+    (["simulate", "--ul", "nan"], {}, "u_l must be finite and at most 5, got nan"),
     ([], None, "the following arguments are required: command"),
     (["estimate", "--pi-learner", "logistic:7"], {},
      "learner 'logistic' takes no argument, got 'logistic:7'"),

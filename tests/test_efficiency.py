@@ -125,6 +125,36 @@ def test_delta_not_finite_and_positive_rejected(delta):
             call()
 
 
+# (call, message): horizons, deltas, probabilities and provider routes the bounds cannot use
+UNUSABLE_INPUTS = {
+    "T=2.5": (lambda: trial_moments(2.5, 0.5, 2.0), "T must be an integer >= 1, got 2.5"),
+    "T_max=0": (lambda: efficiency_curve(lambda T: trial_moments(T, 0.5, 2.0), 0),
+                "T_max must be an integer >= 1, got 0"),
+    "scan delta=nan": (lambda: crossover_horizon_bound(math.nan, 0.5, 0.5),
+                       "delta must be finite and positive"),
+    "scan delta=inf": (lambda: crossover_horizon_bound(math.inf, 0.5, 0.5),
+                       "delta must be finite and positive"),
+    # both routes: mean() would read 0.5 and the moment table 0.9
+    "both routes": (lambda: MomentSpec(p=0.5, delta=2.0, T=3, b_u=1.0,
+                                       mean_of=lambda a: 0.5, second_of=lambda a: 0.25,
+                                       mean_by_count=lambda k: 0.9,
+                                       second_by_count=lambda k: 0.81),
+                    "provide one pair of moment providers, sequence or count"),
+    "base factor p=1.5": (lambda: base_factor(2.0, 1.5), "p must lie in (0,1)"),
+    "base factor p=0": (lambda: base_factor(2.0, 0.0), "p must lie in (0,1)"),
+    "decomposition T=2.5": (lambda: decomposition_check(0.5, 2.0, 2.5, binary_atoms),
+                            "T must be an integer >= 1, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_INPUTS)
+def test_unusable_input_raises_config_error(case):
+    call, message = UNUSABLE_INPUTS[case]
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestBounds:
     def test_delta_one_zero_lower(self):
         spec = trial_moments(3, 0.5, 1.0)

@@ -328,6 +328,15 @@ class TestFoldAssignmentFitsThePanel:
         with pytest.raises(ConfigError, match="K=5 but the fold assignment has 2 folds"):
             estimate_cross_fit(ds, 5, 0, self.SPECS, default_grid(), 3, folds=folds)
 
+    @pytest.mark.parametrize("K,t,message", [
+        (2.5, 3, "K must be an integer >= 2, got 2.5"),
+        (2, 3.0, "t must be an integer >= 1, got 3.0"),
+    ])
+    def test_K_and_horizon_must_be_integers(self, ds, K, t, message):
+        with pytest.raises(ConfigError) as info:
+            estimate_cross_fit(ds, K, 0, self.SPECS, default_grid(), t)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("k", [0, 3])
     def test_excluded_fold_outside_the_assignment(self, ds, k):
         folds = split_folds(ds, 2, seed=0)
@@ -668,7 +677,8 @@ class TestStageKernel:
             assert np.array_equal(W[:, j], want)
             assert np.array_equal(ipw_weight_products(A, R, pi, omega, delta), want)
 
-    @pytest.mark.parametrize("delta", [-0.5, -1.0, 0.0, np.nan, np.inf, np.array([0.5, np.nan])])
+    @pytest.mark.parametrize("delta", [-0.5, -1.0, 0.0, np.nan, np.inf, np.array([0.5, np.nan]),
+                                       np.array([])])
     def test_delta_not_finite_and_positive_rejected_at_every_entry_point(self, delta):
         rng, A, R, y, pi, omega = random_panel(6, 40, 3)
         m = rng.normal(size=(40, 3) + np.shape(delta))

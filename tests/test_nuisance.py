@@ -370,7 +370,7 @@ def test_horizon_checked_before_any_fit(dropout_ds, monkeypatch):
         fit_nuisances(dropout_ds, None, specs, [1.0], 7)
 
 
-@pytest.mark.parametrize("deltas", [(-0.5, 2.0), (0.0,), (1.0, np.nan), (np.inf,)])
+@pytest.mark.parametrize("deltas", [(-0.5, 2.0), (0.0,), (1.0, np.nan), (np.inf,), ()])
 def test_delta_checked_before_any_fit(dropout_ds, monkeypatch, deltas):
     monkeypatch.setattr(nuisance, "fit_learner", lambda *a, **k: pytest.fail("fit before check"))
     specs = NuisanceSpecs(pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.zero())
@@ -379,6 +379,18 @@ def test_delta_checked_before_any_fit(dropout_ds, monkeypatch, deltas):
         fit_nuisances(dropout_ds, None, specs, deltas, 4)
     with pytest.raises(ConfigError, match="delta must be finite and positive"):
         fit_pseudo_outcome_sequence(dropout_ds, None, pi_pred, LearnerSpec.zero(), deltas, 4)
+
+
+@pytest.mark.parametrize("deltas", [(5.0, 0.1), [1.0, 1.0]])
+def test_grid_rule_checked_before_any_fit(dropout_ds, monkeypatch, deltas):
+    # the estimators' grid rule: strictly increasing, so no reordered or repeated delta
+    monkeypatch.setattr(nuisance, "fit_learner", lambda *a, **k: pytest.fail("fit before check"))
+    specs = NuisanceSpecs(pi=LearnerSpec.logistic(), omega=LearnerSpec.logistic(), m=LearnerSpec.zero())
+    pi_pred = np.full((dropout_ds.n, 4), 0.5)
+    for fit in (lambda: fit_nuisances(dropout_ds, None, specs, deltas, 4),
+                lambda: fit_pseudo_outcome_sequence(dropout_ds, None, pi_pred, specs.m, deltas, 4)):
+        with pytest.raises(ConfigError, match="^grid values must be strictly increasing$"):
+            fit()
 
 
 class TestCrossFitHygiene:

@@ -388,6 +388,12 @@ class TestFolds:
         with pytest.raises(ConfigError):
             split_folds(ds10, 11, seed=0)
 
+    @pytest.mark.parametrize("K", [2.5, 2.0, True])
+    def test_K_must_be_an_integer(self, ds10, K):
+        with pytest.raises(ConfigError) as info:
+            split_folds(ds10, K, seed=0)
+        assert str(info.value) == f"K must be an integer >= 2, got {K!r}"
+
     def test_content_independent(self, ds10):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(10, 2, 1))

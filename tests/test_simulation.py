@@ -66,6 +66,48 @@ def test_seed_must_be_a_non_negative_integer(seed):
             call()
 
 
+_TRIAL = DgpConfig(kind="trial", n=20, T=2, seed=0)
+_ZERO_SPECS = NuisanceSpecs(pi=LearnerSpec.zero(), omega=LearnerSpec.zero(), m=LearnerSpec.zero())
+# (call, message): counts, horizons, u_l and grids that the generators, truths and
+# protocols take from their callers
+UNUSABLE_INPUTS = {
+    "n=2.5": (lambda: DgpConfig(kind="trial", n=2.5, T=3), "n must be an integer >= 1, got 2.5"),
+    "T=2.0": (lambda: DgpConfig(kind="trial", n=5, T=2.0), "T must be an integer >= 1, got 2.0"),
+    "n=True": (lambda: DgpConfig(kind="trial", n=True, T=3), "n must be an integer >= 1, got True"),
+    "u_l=nan": (lambda: DgpConfig(kind="dropout", n=5, T=2, u_l=math.nan),
+                "u_l must be finite and at most 5, got nan"),
+    "u_l=-inf": (lambda: DgpConfig(kind="dropout", n=5, T=2, u_l=-math.inf),
+                 "u_l must be finite and at most 5, got -inf"),
+    "S=0": (lambda: run_benchmark(_TRIAL, S=0, grid=[1.0], specs=_ZERO_SPECS, seed=0),
+            "S must be an integer >= 1, got 0"),
+    "reps=1": (lambda: relative_efficiency_mc(_TRIAL, 2.0, [2], reps=1, seed=0),
+               "reps must be an integer >= 2, got 1"),
+    "reps=0": (lambda: relative_efficiency_mc(_TRIAL, 2.0, [2], reps=0, seed=0),
+               "reps must be an integer >= 2, got 0"),
+    "horizon 2.0": (lambda: relative_efficiency_mc(_TRIAL, 2.0, [1, 2.0], reps=2, seed=0),
+                    "each horizon must be an integer >= 1, got 2.0"),
+    "exact t=True": (lambda: exact_effect_curve(_TRIAL, [1.0], True),
+                     "t must be an integer >= 1, got True"),
+    "Monte Carlo t=2.0": (lambda: true_effect_curve(_TRIAL, [1.0], 2.0, draws=10),
+                          "t must be an integer >= 1, got 2.0"),
+    "exact []": (lambda: exact_effect_curve(_TRIAL, [], 2), "grid must be non-empty"),
+    "exact [5, 0.1]": (lambda: exact_effect_curve(_TRIAL, [5.0, 0.1], 2),
+                       "grid values must be strictly increasing"),
+    "exact [1, 1]": (lambda: exact_effect_curve(_TRIAL, [1.0, 1.0], 2),
+                     "grid values must be strictly increasing"),
+    "Monte Carlo []": (lambda: true_effect_curve(_TRIAL, [], 2, draws=10),
+                       "delta must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_INPUTS)
+def test_unusable_input_raises_config_error(case):
+    call, message = UNUSABLE_INPUTS[case]
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestGenerators:
     @pytest.mark.parametrize("kind", ["dropout", "trial", "observational"])
     def test_monotone_retention(self, kind):
