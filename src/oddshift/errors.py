@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks for counts and (0,1) probabilities."""
+"""Exception types shared across the package, and the count, stage and (0,1) probability checks."""
 
 import numbers
 
@@ -26,6 +26,17 @@ def check_count(value, what: str, low: int) -> int:
 def check_seed(seed) -> int:
     """``seed`` as an int; ConfigError unless it is a non-negative integer and not a bool."""
     return check_count(seed, "seed", 0)
+
+
+def check_stage(t, T: int, what: str) -> int:
+    """``t`` as an int; ConfigError unless it is an integer in 1..``T`` and not a bool.
+
+    A number is tested against the range first, so 0 and -1 get the range
+    message; 2.0 and True lie in 1..3 and fail the integer rule after it.
+    """
+    if isinstance(t, numbers.Real) and not 1 <= t <= T:
+        raise ConfigError(f"{what} t={t} must lie in 1..{T}")
+    return check_count(t, "t", 1)
 
 
 def check_open_unit(value, what: str) -> None:

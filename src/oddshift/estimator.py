@@ -46,8 +46,8 @@ import numpy as np
 from .errors import ConfigError, EstimationError, check_open_unit
 from .intervention import DeltaGrid, _check_delta
 from .learners import LearnerSpec
-from .nuisance import NuisanceSet, NuisanceSpecs, _check_horizon, fit_nuisances
-from .panel import FoldAssignment, PanelDataset, split_folds
+from .nuisance import NuisanceSet, NuisanceSpecs, fit_nuisances
+from .panel import FoldAssignment, PanelDataset, check_horizon, split_folds
 
 __all__ = [
     "EifMatrix",
@@ -371,7 +371,7 @@ def complete_case_subset(ds: PanelDataset, t: int) -> PanelDataset:
 
     The horizon must have a recorded outcome, as for every estimator.
     """
-    _check_horizon(ds, t)
+    t = check_horizon(ds, t)
     keep = ds.R[:, t] == 1
     if not np.any(keep):
         raise EstimationError(f"no unit retained through the outcome at t={t}")
@@ -408,7 +408,7 @@ def estimate_complete_case(ds: PanelDataset, t: int) -> float:
     Positivity failures surface as an error: with many periods the
     always- or never-treated retained subgroup is routinely empty.
     """
-    _check_horizon(ds, t)
+    t = check_horizon(ds, t)
     retained = ds.R[:, t] == 1
     A = ds.A[:, :t]
     all_treated = retained & np.all(A == 1.0, axis=1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, EstimationError, check_open_unit, check_seed
+from .errors import ConfigError, EstimationError, check_count, check_open_unit, check_seed
 from .estimator import EffectEstimate, EifMatrix, _sigma_hat
 
 __all__ = [
@@ -55,7 +55,8 @@ def estimate_variance(eif: EifMatrix, psi: EffectEstimate) -> np.ndarray:
 def pointwise_interval(
     psi_hat: np.ndarray, sigma_hat: np.ndarray, n: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-delta interval with half-width z_{1-alpha/2} sigma / sqrt(n)."""
+    """Symmetric per-delta interval with half-width z_{1-alpha/2} sigma / sqrt(n), n >= 1."""
+    check_count(n, "n", 1)
     check_open_unit(alpha, "alpha")
     z = ndtri(1.0 - alpha / 2.0)
     half = z * np.asarray(sigma_hat) / np.sqrt(n)

@@ -35,10 +35,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError, check_count
+from .errors import ConfigError, EstimationError, check_stage
 from .intervention import DeltaGrid, _check_delta
 from .learners import OMEGA_FLOOR, PI_CLIP, FittedModel, LearnerSpec, fit_learner
-from .panel import FoldAssignment, PanelDataset, history_features
+from .panel import FoldAssignment, PanelDataset, check_horizon, history_features
 
 __all__ = [
     "NuisanceSpecs",
@@ -66,12 +66,6 @@ class NuisanceSpecs:
     pi: LearnerSpec
     omega: LearnerSpec
     m: LearnerSpec | Callable
-
-
-def _check_horizon(ds: PanelDataset, t_star: int) -> None:
-    if t_star not in ds.outcome_times:
-        raise ConfigError(f"no recorded outcome at horizon t={t_star}")
-    check_count(t_star, "t", 1)  # 2.0 is a member of (2,)
 
 
 def _split(ds: PanelDataset, folds: FoldAssignment | None, exclude_fold):
@@ -144,23 +138,24 @@ def _fit_stage(spec, ds, s, pool, target, units, queries, clip, what, warns) -> 
 
 
 def _fit_forward(
-    ds, folds, spec, exclude_fold, t_star, target, with_action: bool, what: str,
-    clip, held_out_only: bool = False,
+    ds, folds, spec, exclude_fold, t_star, target, what: str, clip, retention: bool = False,
 ) -> SequenceFit:
     """Fit target[:, t-1] on the stage-t history of retained training units, t = 1..t*.
 
-    Predictions fill every retained unit, or with ``held_out_only`` the
-    retained evaluated units, NaN elsewhere; ``with_action`` queries at
-    the observed A_t.
+    t* defaults to T and is a stage 1..T.  A propensity fit predicts
+    every retained unit, NaN elsewhere: the m recursion weighs its
+    training units' arms with pi.  The ``retention`` fit (omega) is
+    queried at the observed A_t and predicts only the retained evaluated
+    units, the only ones whose influence values use it.
     """
-    t_star = ds.T if t_star is None else t_star
+    t_star = ds.T if t_star is None else check_stage(t_star, ds.T, "horizon")
     train, held = _split(ds, folds, exclude_fold)
     pred = np.full((ds.n, t_star), np.nan)
     models, warns = [], []
     for s in range(1, t_star + 1):
         alive = ds.R[:, s - 1] == 1
-        units = np.flatnonzero(alive & held if held_out_only else alive)
-        a = ds.A[units, s - 1] if with_action else None
+        units = np.flatnonzero(alive & held if retention else alive)
+        a = ds.A[units, s - 1] if retention else None
         models.append(_fit_stage(spec, ds, s, train & alive, target[:, s - 1], units,
                                  ((a, pred[:, s - 1]),), clip, what, warns))
     return SequenceFit(models=models, pred=pred, warnings=warns)
@@ -174,7 +169,7 @@ def fit_propensity_sequence(
     t_star: int | None = None,
 ) -> SequenceFit:
     """Fit A_t ~ H_t for t = 1..t* on retained training units; predict every retained unit."""
-    return _fit_forward(ds, folds, spec, exclude_fold, t_star, ds.A, False, "propensity",
+    return _fit_forward(ds, folds, spec, exclude_fold, t_star, ds.A, "propensity",
                         (PI_CLIP, 1.0 - PI_CLIP))
 
 
@@ -191,7 +186,7 @@ def fit_missingness_sequence(
     retained unit without one), NaN elsewhere.
     """
     return _fit_forward(ds, folds, spec, exclude_fold, t_star, ds.R[:, 1:],  # R_{t+1}
-                        True, "missingness", (OMEGA_FLOOR, 1.0), held_out_only=True)
+                        "missingness", (OMEGA_FLOOR, 1.0), retention=True)
 
 
 def fit_pseudo_outcome_sequence(
@@ -218,7 +213,7 @@ def fit_pseudo_outcome_sequence(
     """
     _check_delta(deltas)
     deltas = DeltaGrid.of(deltas).values
-    _check_horizon(ds, t_star)
+    t_star = check_horizon(ds, t_star)
     grid = np.asarray(deltas, dtype=float)
     m_spec = spec(deltas) if callable(spec) else spec
     train, held = _split(ds, folds, exclude_fold)
@@ -296,7 +291,7 @@ def fit_nuisances(
     """
     _check_delta(deltas)
     deltas = DeltaGrid.of(deltas).values
-    _check_horizon(ds, t_star)
+    t_star = check_horizon(ds, t_star)
     held = _split(ds, folds, exclude_fold)[1]
     pi_fit = fit_propensity_sequence(ds, folds, specs.pi, exclude_fold, t_star)
     omega_fit = fit_missingness_sequence(ds, folds, specs.omega, exclude_fold, t_star)

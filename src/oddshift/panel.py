@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PanelDataError, check_count, check_seed
+from .errors import ConfigError, PanelDataError, check_count, check_seed, check_stage
 
 __all__ = [
     "PanelDataset",
@@ -165,6 +165,17 @@ class PanelDataset:
         return ds
 
 
+def check_horizon(ds: PanelDataset, t) -> int:
+    """``t`` as an int; ConfigError unless the panel records an outcome at t.
+
+    A number is tested for membership first; 2.0 and True are members of
+    (2,) and (1,) and fail the integer rule after it.
+    """
+    if isinstance(t, numbers.Real) and t not in ds.outcome_times:
+        raise ConfigError(f"no recorded outcome at horizon t={t}")
+    return check_count(t, "t", 1)
+
+
 @dataclass(frozen=True)
 class FoldAssignment:
     """Partition of subjects into K >= 2 folds, each label 1..K used."""
@@ -207,8 +218,7 @@ def history_features(
     ``with_action``, the observed A_t last.  Rows for units with R_t = 0
     contain NaN and must not be used.
     """
-    if not 1 <= t <= ds.T:
-        raise ConfigError(f"time t={t} outside 1..{ds.T}")
+    t = check_stage(t, ds.T, "time")
     outcome_cols = [s - 1 for s in ds.outcome_times if s <= t - 1]
     parts = [ds.X[:, :t, :].reshape(ds.n, t * ds.d)]
     if t > 1:

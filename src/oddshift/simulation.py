@@ -40,7 +40,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit, logit, ndtr
 
 from .efficiency import _collapse, trial_moments, variance_ratio_bounds
-from .errors import ConfigError, check_count, check_open_unit, check_seed
+from .errors import ConfigError, check_count, check_open_unit, check_seed, check_stage
 from .estimator import (
     _ones,
     estimate_cross_fit,
@@ -168,12 +168,6 @@ def simulate(cfg: DgpConfig) -> PanelDataset:
     return PanelDataset.from_arrays(X, A, Y, R)
 
 
-def _check_horizon(cfg: DgpConfig, t: int) -> None:
-    if not 1 <= t <= cfg.T:
-        raise ConfigError(f"horizon t={t} must lie in 1..{cfg.T}")
-    check_count(t, "t", 1)  # 2.0 lies in 1..3
-
-
 def true_effect_curve(
     cfg: DgpConfig, grid, t: int, draws: int = 200_000, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +181,7 @@ def true_effect_curve(
     standard error) per grid value; each error is its own delta's, the
     errors are correlated across deltas, and no value depends on the others.
     """
-    _check_horizon(cfg, t)
+    t = check_stage(t, cfg.T, "horizon")
     check_count(draws, "draws", 2)
     deltas = np.asarray(tuple(grid), dtype=float)  # any order, repeats allowed
     _check_delta(deltas)
@@ -222,7 +216,7 @@ def exact_effect_curve(cfg: DgpConfig, grid, t: int) -> np.ndarray:
     the mean shifted propensities as transitions.  Trial: the continuation
     table collapsed to stage 0, sum_k Binom(t, q)(k) * (10 + sqrt(k)).
     """
-    _check_horizon(cfg, t)
+    t = check_stage(t, cfg.T, "horizon")
     deltas = np.asarray(DeltaGrid.of(grid).values)
     if cfg.kind == "trial":
         return _trial_tables(t, incremental_propensity(cfg.p, deltas))[0][0]
@@ -300,8 +294,9 @@ class _ContinuationOracle:
         self._qbar, self._tables = qbar, tables
 
     def predict(self, ds: PanelDataset, s: int, units: np.ndarray, a) -> np.ndarray:
-        """m_s at the units with A_s = a: (q,) at the horizon, else (q, D)."""
+        """m_s at the units with A_s = a: (q,) at the horizon, else (q, D); s <= the horizon."""
         t = self.t_star
+        check_stage(s, t, f"oracle for horizon t={t}: stage")
         u_cur = ds.X[units, s - 1].sum(axis=1)
         a_prev = ds.A[units, s - 2] if s >= 2 else np.zeros(units.size)
         if s == t:
@@ -369,6 +364,7 @@ def _true_pi(cfg: DgpConfig, ds: PanelDataset, s: int, units: np.ndarray, a=None
 
 def true_propensities(cfg: DgpConfig, ds: PanelDataset, t: int) -> np.ndarray:
     """Structural treatment propensities for every unit and period 1..t, NaN after dropout."""
+    t = check_stage(t, ds.T, "horizon")
     out = np.full((ds.n, t), np.nan)
     for s in range(1, t + 1):
         units = np.flatnonzero(ds.R[:, s - 1] == 1)
@@ -378,6 +374,7 @@ def true_propensities(cfg: DgpConfig, ds: PanelDataset, t: int) -> np.ndarray:
 
 def _trial_continuation(values: dict, t_star: int, ds, s: int, units, a) -> np.ndarray:
     """Trial m_s at the units with A_s = a: the table at k_s, the outcome mean at the horizon."""
+    check_stage(s, t_star, f"oracle for horizon t={t_star}: stage")
     k = ds.A[units, : s - 1].sum(axis=1) + a
     if s == t_star:
         return 10.0 + np.sqrt(k)
@@ -397,8 +394,10 @@ def oracle_specs(cfg: DgpConfig, t_star: int) -> NuisanceSpecs:
     One handle per nuisance serves every stage; m is a grid callable.
     Every handle is a module-level function or a bound method, partially
     applied, so the specs pickle and ``run_benchmark`` can ship them to
-    worker processes.
+    worker processes.  ``t_star`` is a stage 1..T of ``cfg``, and the
+    continuation oracle rejects a stage past it.
     """
+    t_star = check_stage(t_star, cfg.T, "horizon")
     omega = _RetentionOracle(cfg.u_l).predict if cfg.kind == "dropout" else _ones
     return NuisanceSpecs(
         pi=LearnerSpec.oracle(partial(_true_pi, cfg)),

@@ -76,6 +76,14 @@ class TestPointwise:
         with pytest.raises(ConfigError):
             pointwise_interval(np.array([0.0]), np.array([1.0]), 10, 0.0)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.0, True])
+    def test_n_must_be_a_positive_integer(self, n):
+        # n=0 gave infinite half-widths with a divide-by-zero warning, n=-3 NaN intervals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"^n must be an integer >= 1, got {n!r}$"):
+                pointwise_interval(np.array([0.0]), np.array([1.0]), n, 0.05)
+
     @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.95])
     def test_z_bitwise_scipy_stats_norm(self, alpha):
         lo, hi = pointwise_interval(np.array([0.0]), np.array([1.0]), 1, alpha)
