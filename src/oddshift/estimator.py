@@ -78,6 +78,20 @@ def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
     computed with the scalar expressions in the same order, so it equals
     the scalar result bitwise.  ``terms`` (shaped like m1) receives each
     stage's correction term on units retained at that stage.
+
+    Every stage reuses seven (n, D) buffers allocated once per call; each
+    in-place step is one operation of
+
+        denom   = delta*p + 1 - p
+        ratio   = (delta*a + 1 - a) / denom
+        g       = (delta*p*m1 + (1 - p)*m0) / denom
+        b       = delta*(a - p)*(m1 - m0) / denom**2
+        summand = g + b - ratio*(r_next/w)*m_obs
+        C      *= ratio*r_next/w
+
+    in that grouping, with m1, m0 and both products zeroed off the
+    retained units.  Only the kernel's own buffers are written: m1 and m0
+    may be read-only broadcasts.
     """
     _check_delta(delta)
     scalar = np.ndim(delta) == 0
@@ -89,6 +103,7 @@ def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
     n, t = A.shape
     phi = np.zeros((n, deltas.size))
     C = np.ones((n, deltas.size))
+    denom, ratio, m1s, m0s, m_obs, g, tmp = np.empty((7, n, deltas.size))
     for s in range(t):
         alive = R[:, s] == 1
         a = _gate(alive, A[:, s], 0.0)
@@ -98,21 +113,45 @@ def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
             raise EstimationError(f"propensity outside (0,1) at t={s + 1}")
         if np.any(alive & (w <= 0.0)):
             raise EstimationError(f"retention propensity not positive at t={s + 1}")
-        live, a, p, w = alive[:, None], a[:, None], p[:, None], w[:, None]
+        gone = np.flatnonzero(~alive)
+        a, p, w = a[:, None], p[:, None], w[:, None]
         r_next = R[:, s + 1, None].astype(float)
-        denom = deltas * p + 1.0 - p
-        ratio = (deltas * a + 1.0 - a) / denom
-        m1s = _gate(live, m1[:, s], 0.0)
-        m0s = _gate(live, m0[:, s], 0.0)
-        m_obs = np.where(a == 1.0, m1s, m0s)
-        g = (deltas * p * m1s + (1.0 - p) * m0s) / denom
-        b = deltas * (a - p) * (m1s - m0s) / denom**2
-        summand = g + b - ratio * (r_next / w) * m_obs
+        np.multiply(deltas, p, out=g)
+        np.add(g, 1.0, out=denom)
+        denom -= p
+        np.multiply(deltas, a, out=ratio)
+        ratio += 1.0
+        ratio -= a
+        ratio /= denom
+        for buf, m in ((m1s, m1), (m0s, m0)):
+            np.copyto(buf, m[:, s])
+            buf[gone] = 0.0
+        np.copyto(m_obs, m0s)
+        np.copyto(m_obs, m1s, where=a == 1.0)
+        g *= m1s
+        np.multiply(1.0 - p, m0s, out=tmp)
+        g += tmp
+        g /= denom  # g
+        np.multiply(deltas, a - p, out=tmp)
+        m1s -= m0s
+        tmp *= m1s
+        np.square(denom, out=m0s)
+        tmp /= m0s  # b
+        g += tmp
+        np.multiply(ratio, r_next / w, out=tmp)
+        tmp *= m_obs
+        g -= tmp  # the summand
         if terms is not None:
-            terms[alive, s] = summand[alive]
-        phi += C * np.where(live, summand, 0.0)
-        C = C * np.where(live, ratio * r_next / w, 0.0)
-    phi = phi + C * _gate(R[:, t] == 1, y_term, 0.0)[:, None]
+            terms[alive, s] = g[alive]
+        g[gone] = 0.0
+        g *= C
+        phi += g
+        ratio *= r_next
+        ratio /= w
+        ratio[gone] = 0.0
+        C *= ratio
+    np.multiply(C, _gate(R[:, t] == 1, y_term, 0.0)[:, None], out=tmp)
+    phi += tmp
     return (phi[:, 0], C[:, 0]) if scalar else (phi, C)
 
 

@@ -24,6 +24,8 @@ one fit; in the recursion all D delta columns are one (rows, D) target,
 whose columns are bitwise what a one-delta recursion would fit.  An
 oracle spec, zero included, fits nothing and builds no features: it is
 called on the panel, so only the learners that fit see the history layout.
+An oracle recursion also builds no regression target and queries only
+the evaluated fold's retained units, the only rows m1 and m0 keep.
 Predictions for units already censored at t are defined as zero; every
 influence-function term touching them carries a retention indicator.
 """
@@ -102,22 +104,26 @@ class PseudoOutcomeFit:
     warnings: list[str] = field(default_factory=list)
 
 
-def _fit_stage(spec, ds, s, pool, target, units, queries, clip, what, warns) -> FittedModel:
-    """Fit stage s on the ``pool`` rows of ``target``; fill ``out[units]`` per (a, out) query.
+def _fit_stage(spec, ds, s, pool, target, units, queries, clip, what, warns,
+               rows=None) -> FittedModel:
+    """Fit stage s on the ``pool`` rows of ``target``; fill ``out[rows]`` per (a, out) query.
 
     ``a`` is A_s in the query: observed for omega, 1.0 or 0.0 for m, None
-    for pi.  A learned spec needs two training units (fewer than
-    max(10, width + 2) warn) and predicts with the action column set; an
-    oracle is called on the panel as ``fn(ds, s, units, a)``.  A ``clip``
-    makes a probability task.  Returns the (last) model.
+    for pi.  The predictions are for ``units``, written at ``rows`` of
+    ``out`` (``units`` by default).  A learned spec needs two training
+    units (fewer than max(10, width + 2) warn) and predicts with the
+    action column set; an oracle is called on the panel as
+    ``fn(ds, s, units, a)`` and reads only the width of a 2-D ``target``.
+    A ``clip`` makes a probability task.  Returns the (last) model.
     """
     n_pool = int(pool.sum())
+    rows = units if rows is None else rows
     if spec.kind == "oracle":
         columns = target.shape[1] if target.ndim == 2 else None
         for a, out in queries:
             model = FittedModel("oracle", lambda q, a=a: spec.fn(ds, s, q, a), n_pool,
                                 clip=clip, columns=columns)
-            out[units] = model.predict(units)
+            out[rows] = model.predict(units)
         return model
     F = history_features(ds, s, with_action=queries[0][0] is not None)[0]
     if n_pool < 2:
@@ -133,7 +139,7 @@ def _fit_stage(spec, ds, s, pool, target, units, queries, clip, what, warns) -> 
     for a, out in queries:
         if a is not None:
             X[:, -1] = a  # the action column
-        out[units] = model.predict(X)
+        out[rows] = model.predict(X)
     return model
 
 
@@ -201,25 +207,42 @@ def fit_pseudo_outcome_sequence(
     """Backward continuation-value recursion over a grid of odds multipliers.
 
     ``spec`` is a LearnerSpec, or a callable grid -> LearnerSpec called
-    once with the tuple of deltas.  Each stage makes one fit on the
-    (rows, D) target, one column per delta; an oracle spec reads the
-    panel instead.
-    ``pi_pred`` must hold propensity predictions from the same training
-    pool for every retained unit; they weight the two arms when the
-    recursion collapses A_t.  m1 and m0 hold fold ``exclude_fold``'s
-    units (every unit without one), one column per delta.  The deltas
-    must be finite and positive and form a ``DeltaGrid``, and the horizon
-    must have a recorded outcome; both are checked before any fit.
+    once with the tuple of deltas.  A learned spec makes one fit per
+    stage on the (rows, D) target, one column per delta, and predicts
+    every retained unit: the next stage's target needs the training
+    units' arms.  An oracle spec, zero included, fits nothing, builds no
+    target and never reads ``pi_pred``: each stage queries it only on
+    the retained units of the evaluated fold.
+    ``pi_pred``, an (n, >= t_star) array, must hold propensity
+    predictions from the same training pool for every retained unit;
+    they weight the two arms when the recursion collapses A_t.  m1 and
+    m0 hold fold ``exclude_fold``'s units (every unit without one), one
+    column per delta.  The deltas must be finite and positive and form a
+    ``DeltaGrid``, the horizon must have a recorded outcome, and
+    ``pi_pred`` must have its shape; all are checked before any fit.
     """
     _check_delta(deltas)
     deltas = DeltaGrid.of(deltas).values
     t_star = check_horizon(ds, t_star)
+    shape = np.shape(pi_pred)
+    if len(shape) != 2 or shape[0] != ds.n or shape[1] < t_star:
+        raise ConfigError(f"pi_pred must be an (n, >= t_star) = ({ds.n}, >= {t_star}) array, "
+                          f"got shape {shape}")
     grid = np.asarray(deltas, dtype=float)
     m_spec = spec(deltas) if callable(spec) else spec
     train, held = _split(ds, folds, exclude_fold)
     m1 = np.zeros((int(np.count_nonzero(held)), t_star, grid.size))
     m0 = np.zeros_like(m1)
     warns: list[str] = []
+
+    if m_spec.kind == "oracle":
+        width = np.empty((0, grid.size))  # all an oracle reads of the target
+        for s in range(t_star, 0, -1):
+            alive = ds.R[:, s - 1] == 1
+            _fit_stage(m_spec, ds, s, train & (ds.R[:, s] == 1), width,
+                       np.flatnonzero(alive & held), ((1.0, m1[:, s - 1]), (0.0, m0[:, s - 1])),
+                       None, "pseudo-outcome", warns, rows=alive[held])
+        return PseudoOutcomeFit(m1=m1, m0=m0, deltas=deltas, warnings=warns)
 
     y = np.where(ds.R[:, t_star] == 1, ds.Y[:, t_star - 1], np.nan)
     target = np.repeat(y[:, None], grid.size, axis=1)

@@ -301,6 +301,39 @@ class TestCrossFitHeldOut:
             assert est.diagnostics["folds"][k - 1]["warnings"] == expected
         assert all(w.startswith(("fold 1: ", "fold 2: ")) for w in warnings)
 
+    def test_oracle_m_sees_only_the_held_out_fold(self):
+        cfg = DgpConfig(kind="dropout", n=600, T=3, u_l=1.0, seed=21)
+        ds = simulate(cfg)
+        specs = oracle_specs(cfg, 3)
+        queries = []  # per recursion, i.e. per fold: (s, a, units) of every m query
+
+        def recording_m(deltas):
+            fn = specs.m(deltas).fn
+            seen = []
+            queries.append(seen)
+
+            def handle(ds, s, units, a):
+                seen.append((s, a, units.copy()))
+                return fn(ds, s, units, a)
+
+            return LearnerSpec.oracle(handle)
+
+        grid = DeltaGrid(values=(0.5, 1.0, 2.0))
+        est, eif = estimate_cross_fit(ds, 2, 4, replace(specs, m=recording_m), grid, 3)
+        want, want_eif = estimate_cross_fit(ds, 2, 4, specs, grid, 3)
+        folds = split_folds(ds, 2, seed=4)
+        assert np.any(ds.R[:, 3] == 0) and len(queries) == 2
+        for k, seen in enumerate(queries, start=1):
+            assert [(s, a) for s, a, _ in seen] == [(s, a) for s in (3, 2, 1) for a in (1.0, 0.0)]
+            for s, _, units in seen:
+                held = np.flatnonzero((folds.by_index == k) & (ds.R[:, s - 1] == 1))
+                assert np.array_equal(units, held)
+        assert not np.isin(np.flatnonzero(folds.by_index != 1),
+                           np.concatenate([u for _, _, u in queries[0]])).any()
+        assert est.psi_hat.tobytes() == want.psi_hat.tobytes()
+        assert est.sigma_hat.tobytes() == want.sigma_hat.tobytes()
+        assert eif.values.tobytes() == want_eif.values.tobytes()
+
 
 class TestFoldAssignmentFitsThePanel:
     """A fold assignment that does not fit the panel is a ConfigError before any fit."""
@@ -632,6 +665,43 @@ def reference_weight_products(A, R, pi, omega, delta):
     return W
 
 
+def reference_stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
+    """The stage kernel in its allocating expression form: one fresh array per operation.
+
+    The kernel's in-place rewrite must keep every value of this form bitwise.
+    """
+    scalar = np.ndim(delta) == 0
+    deltas = np.atleast_1d(np.asarray(delta, dtype=float))
+    if scalar:
+        m1, m0 = m1[..., None], m0[..., None]
+        terms = None if terms is None else terms[..., None]
+    A = np.atleast_2d(A)
+    n, t = A.shape
+    phi = np.zeros((n, deltas.size))
+    C = np.ones((n, deltas.size))
+    for s in range(t):
+        alive = R[:, s] == 1
+        a = _gate(alive, A[:, s], 0.0)
+        p = _gate(alive, pi[:, s], 0.5)
+        w = _gate(alive, omega[:, s], 1.0)
+        live, a, p, w = alive[:, None], a[:, None], p[:, None], w[:, None]
+        r_next = R[:, s + 1, None].astype(float)
+        denom = deltas * p + 1.0 - p
+        ratio = (deltas * a + 1.0 - a) / denom
+        m1s = _gate(live, m1[:, s], 0.0)
+        m0s = _gate(live, m0[:, s], 0.0)
+        m_obs = np.where(a == 1.0, m1s, m0s)
+        g = (deltas * p * m1s + (1.0 - p) * m0s) / denom
+        b = deltas * (a - p) * (m1s - m0s) / denom**2
+        summand = g + b - ratio * (r_next / w) * m_obs
+        if terms is not None:
+            terms[alive, s] = summand[alive]
+        phi += C * np.where(live, summand, 0.0)
+        C = C * np.where(live, ratio * r_next / w, 0.0)
+    phi = phi + C * _gate(R[:, t] == 1, y_term, 0.0)[:, None]
+    return (phi[:, 0], C[:, 0]) if scalar else (phi, C)
+
+
 KERNEL_SETTINGS = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -720,3 +790,56 @@ class TestStageKernel:
             ratio = C[kept] / C_prev[kept]
             assert np.all(ratio >= lo * (1 - 1e-12)) and np.all(ratio <= hi * (1 + 1e-12))
             C_prev = C
+
+    @KERNEL_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), t=st.integers(1, 6),
+           deltas=deltas_st, scalar=st.booleans())
+    def test_equals_the_expression_form_bitwise_and_writes_no_input(self, seed, n, t, deltas,
+                                                                   scalar):
+        rng, A, R, y, pi, omega = random_panel(seed, n, t)
+        delta = deltas[0] if scalar else np.array(deltas)
+        shape = (n, t) + np.shape(delta)
+        here = (R[:, :t] == 1).reshape((n, t) + (1,) * np.ndim(delta))
+        m1 = np.where(here, rng.normal(size=shape), np.nan)  # NaN once the unit has left
+        m0 = np.where(here, rng.normal(size=shape), np.nan)
+        inputs = (A, R, y, pi, omega, m1, m0)
+        before = [x.copy() for x in inputs]
+        for x in inputs:
+            x.flags.writeable = False
+        phi = eif_from_arrays(A, R, y, pi, omega, m1, m0, delta)
+        assert phi.tobytes() == reference_stage_kernel(*inputs, delta)[0].tobytes()
+        want = np.full(shape, np.nan)
+        reference_stage_kernel(A, R, 0.0, pi, omega, m1, m0, delta, terms=want)
+        terms = eif_correction_terms(A, R, pi, omega, m1, m0, delta)
+        assert terms.tobytes() == want.tobytes()
+        zeros = np.broadcast_to(0.0, shape)  # read-only, as ipw_weight_products passes m
+        W = ipw_weight_products(A, R, pi, omega, delta)
+        assert W.tobytes() == reference_stage_kernel(A, R, 0.0, pi, omega, zeros, zeros,
+                                                     delta)[1].tobytes()
+        for x, was in zip(inputs, before):
+            assert x.tobytes() == was.tobytes()
+
+    @pytest.mark.parametrize("delta", [2.0, np.array([0.5, 2.0])], ids=["scalar", "grid"])
+    @pytest.mark.parametrize("name, value, message", [
+        ("pi", 1.0, r"propensity outside \(0,1\)"),
+        ("pi", 0.0, r"propensity outside \(0,1\)"),
+        ("omega", 0.0, "retention propensity not positive"),
+    ])
+    def test_range_errors_at_a_retained_unit(self, delta, name, value, message):
+        _, A, R, y, pi, omega = random_panel(8, 20, 3, dropout=False)
+        m = np.zeros((20, 3) + np.shape(delta))
+        arrays = {"pi": pi, "omega": omega}
+        arrays[name][4, 1] = value
+        with pytest.raises(EstimationError, match=f"^{message} at t=2$"):
+            eif_from_arrays(A, R, y, arrays["pi"], arrays["omega"], m, m, delta)
+
+    @pytest.mark.parametrize("delta", [2.0, np.array([0.5, 2.0])], ids=["scalar", "grid"])
+    def test_censored_unit_with_nan_nuisances_gets_a_finite_value(self, delta):
+        rng, A, R, y, pi, omega = random_panel(9, 20, 3, dropout=False)
+        m = rng.normal(size=(20, 3) + np.shape(delta))
+        R[4, 1:] = 0  # unit 4 leaves after stage 1
+        for x in (A, pi, omega, m):
+            x[4, 1:] = np.nan
+        y[4] = np.nan
+        phi = eif_from_arrays(A, R, y, pi, omega, m, m.copy(), delta)
+        assert np.all(np.isfinite(phi))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -391,6 +392,18 @@ def test_grid_rule_checked_before_any_fit(dropout_ds, monkeypatch, deltas):
                 lambda: fit_pseudo_outcome_sequence(dropout_ds, None, pi_pred, specs.m, deltas, 4)):
         with pytest.raises(ConfigError, match="^grid values must be strictly increasing$"):
             fit()
+
+
+@pytest.mark.parametrize("shape", [(50, 1), (10, 3), (50,)])
+@pytest.mark.parametrize("learned", [True, False], ids=["learned", "oracle"])
+def test_pi_pred_shape_checked_before_any_fit(monkeypatch, shape, learned):
+    cfg = DgpConfig(kind="dropout", n=50, T=3, u_l=1.0, seed=11)
+    ds = simulate(cfg)
+    spec = LearnerSpec.ridge(0.1) if learned else oracle_specs(cfg, 3).m
+    monkeypatch.setattr(nuisance, "_fit_stage", lambda *a, **k: pytest.fail("fit before check"))
+    want = f"pi_pred must be an (n, >= t_star) = (50, >= 3) array, got shape {shape}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        fit_pseudo_outcome_sequence(ds, None, np.full(shape, 0.5), spec, [2.0], 3)
 
 
 class TestCrossFitHygiene:
