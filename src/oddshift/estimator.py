@@ -70,6 +70,28 @@ def _gate(cond: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
     return np.where(cond, values, fill)
 
 
+# Units per block of the stage kernel, whose seven work buffers are
+# (block, D).  At n=10 000, t=5, D=25, blocks of 512 and 1024 ran fastest
+# of 256..8192 (30-34 ms, against 39-45 ms in (n, D) buffers); 1024 keeps
+# a fold of 1000 units in one block.
+_STAGE_BLOCK = 1024
+
+
+def _check_ranges(alive: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> None:
+    """Raise for the first stage whose retained units hold pi outside (0,1) or omega <= 0.
+
+    Within a stage the propensity is checked before the retention
+    propensity; a NaN passes both checks, as it fails neither comparison.
+    """
+    bad_pi = np.any(alive & ((pi <= 0.0) | (pi >= 1.0)), axis=0)
+    bad_omega = np.any(alive & (omega <= 0.0), axis=0)
+    bad = np.flatnonzero(bad_pi | bad_omega)
+    if bad.size:
+        s = int(bad[0])
+        what = "propensity outside (0,1)" if bad_pi[s] else "retention propensity not positive"
+        raise EstimationError(f"{what} at t={s + 1}")
+
+
 def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
     """The gated per-stage loop: returns (phi, C_t), filling ``terms`` if given.
 
@@ -79,8 +101,10 @@ def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
     the scalar result bitwise.  ``terms`` (shaped like m1) receives each
     stage's correction term on units retained at that stage.
 
-    Every stage reuses seven (n, D) buffers allocated once per call; each
-    in-place step is one operation of
+    Both range checks run over every unit, stage by stage, before any
+    arithmetic.  Units are then walked in blocks of ``_STAGE_BLOCK``, each
+    through every stage, in seven (block, D) buffers allocated once per
+    call; each in-place step is one operation of
 
         denom   = delta*p + 1 - p
         ratio   = (delta*a + 1 - a) / denom
@@ -90,8 +114,9 @@ def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
         C      *= ratio*r_next/w
 
     in that grouping, with m1, m0 and both products zeroed off the
-    retained units.  Only the kernel's own buffers are written: m1 and m0
-    may be read-only broadcasts.
+    retained units.  A unit's values read only its own row, so they do not
+    depend on the block size.  Only the kernel's own buffers are written:
+    m1 and m0 may be read-only broadcasts.
     """
     _check_delta(delta)
     scalar = np.ndim(delta) == 0
@@ -101,57 +126,58 @@ def _stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
         terms = None if terms is None else terms[..., None]
     A = np.atleast_2d(A)
     n, t = A.shape
+    _check_ranges(R[:, :t] == 1, pi[:, :t], omega[:, :t])
+    y = _gate(R[:, t] == 1, y_term, 0.0)
     phi = np.zeros((n, deltas.size))
     C = np.ones((n, deltas.size))
-    denom, ratio, m1s, m0s, m_obs, g, tmp = np.empty((7, n, deltas.size))
-    for s in range(t):
-        alive = R[:, s] == 1
-        a = _gate(alive, A[:, s], 0.0)
-        p = _gate(alive, pi[:, s], 0.5)
-        w = _gate(alive, omega[:, s], 1.0)
-        if np.any(alive & ((p <= 0.0) | (p >= 1.0))):
-            raise EstimationError(f"propensity outside (0,1) at t={s + 1}")
-        if np.any(alive & (w <= 0.0)):
-            raise EstimationError(f"retention propensity not positive at t={s + 1}")
-        gone = np.flatnonzero(~alive)
-        a, p, w = a[:, None], p[:, None], w[:, None]
-        r_next = R[:, s + 1, None].astype(float)
-        np.multiply(deltas, p, out=g)
-        np.add(g, 1.0, out=denom)
-        denom -= p
-        np.multiply(deltas, a, out=ratio)
-        ratio += 1.0
-        ratio -= a
-        ratio /= denom
-        for buf, m in ((m1s, m1), (m0s, m0)):
-            np.copyto(buf, m[:, s])
-            buf[gone] = 0.0
-        np.copyto(m_obs, m0s)
-        np.copyto(m_obs, m1s, where=a == 1.0)
-        g *= m1s
-        np.multiply(1.0 - p, m0s, out=tmp)
-        g += tmp
-        g /= denom  # g
-        np.multiply(deltas, a - p, out=tmp)
-        m1s -= m0s
-        tmp *= m1s
-        np.square(denom, out=m0s)
-        tmp /= m0s  # b
-        g += tmp
-        np.multiply(ratio, r_next / w, out=tmp)
-        tmp *= m_obs
-        g -= tmp  # the summand
-        if terms is not None:
-            terms[alive, s] = g[alive]
-        g[gone] = 0.0
-        g *= C
-        phi += g
-        ratio *= r_next
-        ratio /= w
-        ratio[gone] = 0.0
-        C *= ratio
-    np.multiply(C, _gate(R[:, t] == 1, y_term, 0.0)[:, None], out=tmp)
-    phi += tmp
+    work = np.empty((7, min(n, _STAGE_BLOCK), deltas.size))
+    for lo in range(0, n, _STAGE_BLOCK):
+        rows = slice(lo, lo + _STAGE_BLOCK)
+        phi_b, C_b = phi[rows], C[rows]
+        denom, ratio, m1s, m0s, m_obs, g, tmp = work[:, : C_b.shape[0]]
+        for s in range(t):
+            alive = R[rows, s] == 1
+            gone = np.flatnonzero(~alive)
+            a = _gate(alive, A[rows, s], 0.0)[:, None]
+            p = _gate(alive, pi[rows, s], 0.5)[:, None]
+            w = _gate(alive, omega[rows, s], 1.0)[:, None]
+            r_next = R[rows, s + 1, None].astype(float)
+            np.multiply(deltas, p, out=g)
+            np.add(g, 1.0, out=denom)
+            denom -= p
+            np.multiply(deltas, a, out=ratio)
+            ratio += 1.0
+            ratio -= a
+            ratio /= denom
+            for buf, m in ((m1s, m1), (m0s, m0)):
+                np.copyto(buf, m[rows, s])
+                buf[gone] = 0.0
+            np.copyto(m_obs, m0s)
+            np.copyto(m_obs, m1s, where=a == 1.0)
+            g *= m1s
+            np.multiply(1.0 - p, m0s, out=tmp)
+            g += tmp
+            g /= denom  # g
+            np.multiply(deltas, a - p, out=tmp)
+            m1s -= m0s
+            tmp *= m1s
+            np.square(denom, out=m0s)
+            tmp /= m0s  # b
+            g += tmp
+            np.multiply(ratio, r_next / w, out=tmp)
+            tmp *= m_obs
+            g -= tmp  # the summand
+            if terms is not None:
+                terms[rows, s][alive] = g[alive]
+            g[gone] = 0.0
+            g *= C_b
+            phi_b += g
+            ratio *= r_next
+            ratio /= w
+            ratio[gone] = 0.0
+            C_b *= ratio
+        np.multiply(C_b, y[rows, None], out=tmp)
+        phi_b += tmp
     return (phi[:, 0], C[:, 0]) if scalar else (phi, C)
 
 

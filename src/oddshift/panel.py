@@ -251,14 +251,15 @@ def _parse_finite(raw: str, what: str, line_no: int) -> float:
     return value
 
 
-def _read(path: Path) -> str:
-    """The file's UTF-8 text, newlines untranslated.
+def _read(path: Path) -> tuple[bytes, str]:
+    """The file's bytes, read once, and their UTF-8 text, newlines untranslated.
 
     An operating-system error, or a byte that is not UTF-8, is raised as
     ``PanelDataError``.
     """
     try:
-        return path.read_bytes().decode("utf-8")
+        raw = path.read_bytes()
+        return raw, raw.decode("utf-8")
     except OSError as exc:
         raise PanelDataError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -278,7 +279,8 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
     path = Path(path)
     if not path.exists():
         raise PanelDataError(f"no such file: {path}")
-    with io.StringIO(_read(path), newline="") as fh:
+    raw, text = _read(path)  # the sidecar's sha256 checks these same bytes
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -330,13 +332,13 @@ def load_long_csv(path, n_periods: int | None = None) -> PanelDataset:
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
             try:
-                meta = json.loads(_read(meta_path))
+                meta = json.loads(_read(meta_path)[1])
             except json.JSONDecodeError as exc:
                 raise PanelDataError(f"{meta_path}: not valid JSON: {exc}") from None
             if not isinstance(meta, dict):
                 raise PanelDataError(f"{meta_path}: sidecar must be a JSON object")
             # a sidecar left over from another file would set a wrong horizon
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            digest = hashlib.sha256(raw).hexdigest()
             for key, value in (("n", len(subjects)), ("d", d), ("sha256", digest)):
                 if meta.get(key) != value:
                     raise PanelDataError(

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from oddshift import (
     split_folds,
     true_effect_curve,
 )
-from oddshift import nuisance
+from oddshift import estimator, nuisance
 from oddshift.estimator import ipw_weight_products
 
 
@@ -702,6 +703,34 @@ def reference_stage_kernel(A, R, y_term, pi, omega, m1, m0, delta, terms=None):
     return (phi[:, 0], C[:, 0]) if scalar else (phi, C)
 
 
+def assert_kernel_is_the_expression_form(seed, n, t, delta):
+    """Every kernel entry point, on a random dropout panel, bitwise the expression form.
+
+    m1 and m0 are NaN once a unit has left, and no input may be written.
+    """
+    rng, A, R, y, pi, omega = random_panel(seed, n, t)
+    shape = (n, t) + np.shape(delta)
+    here = (R[:, :t] == 1).reshape((n, t) + (1,) * np.ndim(delta))
+    m1 = np.where(here, rng.normal(size=shape), np.nan)
+    m0 = np.where(here, rng.normal(size=shape), np.nan)
+    inputs = (A, R, y, pi, omega, m1, m0)
+    before = [x.copy() for x in inputs]
+    for x in inputs:
+        x.flags.writeable = False
+    phi = eif_from_arrays(A, R, y, pi, omega, m1, m0, delta)
+    assert phi.tobytes() == reference_stage_kernel(*inputs, delta)[0].tobytes()
+    want = np.full(shape, np.nan)
+    reference_stage_kernel(A, R, 0.0, pi, omega, m1, m0, delta, terms=want)
+    terms = eif_correction_terms(A, R, pi, omega, m1, m0, delta)
+    assert terms.tobytes() == want.tobytes()
+    zeros = np.broadcast_to(0.0, shape)  # read-only, as ipw_weight_products passes m
+    W = ipw_weight_products(A, R, pi, omega, delta)
+    assert W.tobytes() == reference_stage_kernel(A, R, 0.0, pi, omega, zeros, zeros,
+                                                 delta)[1].tobytes()
+    for x, was in zip(inputs, before):
+        assert x.tobytes() == was.tobytes()
+
+
 KERNEL_SETTINGS = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -796,28 +825,59 @@ class TestStageKernel:
            deltas=deltas_st, scalar=st.booleans())
     def test_equals_the_expression_form_bitwise_and_writes_no_input(self, seed, n, t, deltas,
                                                                    scalar):
-        rng, A, R, y, pi, omega = random_panel(seed, n, t)
-        delta = deltas[0] if scalar else np.array(deltas)
-        shape = (n, t) + np.shape(delta)
-        here = (R[:, :t] == 1).reshape((n, t) + (1,) * np.ndim(delta))
-        m1 = np.where(here, rng.normal(size=shape), np.nan)  # NaN once the unit has left
-        m0 = np.where(here, rng.normal(size=shape), np.nan)
-        inputs = (A, R, y, pi, omega, m1, m0)
-        before = [x.copy() for x in inputs]
-        for x in inputs:
-            x.flags.writeable = False
-        phi = eif_from_arrays(A, R, y, pi, omega, m1, m0, delta)
-        assert phi.tobytes() == reference_stage_kernel(*inputs, delta)[0].tobytes()
-        want = np.full(shape, np.nan)
-        reference_stage_kernel(A, R, 0.0, pi, omega, m1, m0, delta, terms=want)
-        terms = eif_correction_terms(A, R, pi, omega, m1, m0, delta)
-        assert terms.tobytes() == want.tobytes()
-        zeros = np.broadcast_to(0.0, shape)  # read-only, as ipw_weight_products passes m
-        W = ipw_weight_products(A, R, pi, omega, delta)
-        assert W.tobytes() == reference_stage_kernel(A, R, 0.0, pi, omega, zeros, zeros,
-                                                     delta)[1].tobytes()
-        for x, was in zip(inputs, before):
-            assert x.tobytes() == was.tobytes()
+        assert_kernel_is_the_expression_form(seed, n, t, deltas[0] if scalar else np.array(deltas))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("delta", [1.7, np.array([0.3, 1.0, 4.0, 0.3])], ids=["scalar", "grid"])
+    def test_block_size_changes_no_bit(self, monkeypatch, block, delta):
+        monkeypatch.setattr(estimator, "_STAGE_BLOCK", block)
+        for seed, n in enumerate((1, 6, 7 * 4 + 3, 7 * 9 + 5)):
+            assert_kernel_is_the_expression_form(seed, n, 5, delta)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("early, late, message", [
+        ("pi", "pi", r"propensity outside \(0,1\)"),
+        ("pi", "omega", "retention propensity not positive"),
+        ("omega", "pi", r"propensity outside \(0,1\)"),
+        ("omega", "omega", "retention propensity not positive"),
+    ])
+    def test_the_first_bad_stage_is_named_whichever_block_holds_it(self, monkeypatch, block,
+                                                                   early, late, message):
+        """A bad value at stage 3 in the first block, another at stage 2 in a later block."""
+        monkeypatch.setattr(estimator, "_STAGE_BLOCK", block)
+        _, A, R, y, pi, omega = random_panel(8, 20, 3, dropout=False)
+        m = np.zeros((20, 3))
+        arrays = {"pi": pi, "omega": omega}
+        arrays[early][0, 2] = 0.0
+        arrays[late][15, 1] = 0.0
+        with pytest.raises(EstimationError, match=f"^{message} at t=2$"):
+            eif_from_arrays(A, R, y, pi, omega, m, m, 2.0)
+
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_within_a_stage_the_propensity_is_checked_first(self, monkeypatch, block):
+        monkeypatch.setattr(estimator, "_STAGE_BLOCK", block)
+        _, A, R, y, pi, omega = random_panel(8, 20, 3, dropout=False)
+        m = np.zeros((20, 3))
+        omega[0, 1] = 0.0
+        pi[15, 1] = 1.0
+        with pytest.raises(EstimationError, match=r"^propensity outside \(0,1\) at t=2$"):
+            eif_from_arrays(A, R, y, pi, omega, m, m, 2.0)
+
+    def test_work_memory_is_blocks_not_units(self):
+        """At n=16384 the kernel holds phi, C and seven (block, D) buffers, not seven (n, D)."""
+        n, t, D = 16384, 3, 25
+        rng, A, R, y, pi, omega = random_panel(3, n, t)
+        m1, m0 = rng.normal(size=(2, n, t, D))
+        grid = np.geomspace(0.1, 10.0, D)
+        tracemalloc.start()
+        try:
+            eif_from_arrays(A, R, y, pi, omega, m1, m0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = (2 * n + 7 * estimator._STAGE_BLOCK) * D * 8
+        # slack for the (n, D) finiteness mask (410 kB) and per-stage vectors
+        assert peak < held + 2**20
 
     @pytest.mark.parametrize("delta", [2.0, np.array([0.5, 2.0])], ids=["scalar", "grid"])
     @pytest.mark.parametrize("name, value, message", [

@@ -180,6 +180,24 @@ class TestLoader:
             load_long_csv(out)
         assert load_long_csv(out, n_periods=6).T == 6
 
+    def test_file_with_a_sidecar_is_read_once_and_hashed_as_parsed(self, tmp_path, monkeypatch):
+        out = tmp_path / "p.csv"
+        ds = simulate(DgpConfig(kind="dropout", n=20, T=3, u_l=1.0, seed=1))
+        write_long_csv(ds, out)
+        reads = Counter()
+        read_bytes = Path.read_bytes
+
+        def read_then_remove(path):
+            reads[path] += 1
+            raw = read_bytes(path)
+            if path == out:
+                path.unlink()  # gone before any second read could see it
+            return raw
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_remove)
+        assert_same_panel(load_long_csv(out), ds)
+        assert reads[out] == 1
+
     @pytest.mark.parametrize("n_periods", [0, -1, 2.5, "2", True])
     def test_bad_horizon_argument(self, tmp_path, n_periods):
         path = full_csv(tmp_path, "id,time,x1,a,y,r\ns1,1,0.5,1,1.0,1\n")

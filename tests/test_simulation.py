@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scipy.special import expit
+from scipy.special import expit, logit
 from scipy.stats import norm
 
 from oddshift import (
@@ -238,6 +238,27 @@ class TestExactTruth:
         assert np.array_equal(res.truth_se, np.zeros(len(self.GRID)))
 
 
+def per_delta_truth(cfg, delta, t, draws, seed):
+    """The Monte Carlo truth for one delta, written with whole-length arrays only."""
+    rng = np.random.default_rng(seed)
+    lag1, lag2 = np.zeros(draws), np.zeros(draws)
+    count = np.zeros(draws)
+    u_prev = u_cur = np.zeros(draws)
+    for s in range(1, t + 1):
+        if cfg.kind != "trial":
+            u_prev, u_cur = u_cur, math.sqrt(2.0) * rng.standard_normal(draws)
+        unif = rng.random(draws)
+        logistic = np.log(unif) - np.log1p(-unif)
+        lin = logit(cfg.p) if cfg.kind == "trial" else _prop_logit(u_cur, lag1, lag2, s)
+        lag1, lag2 = (logistic < np.log(delta) + lin).astype(float), lag1
+        count += lag1
+    if cfg.kind == "trial":
+        vals = 10.0 + np.sqrt(count)
+    else:
+        vals = 10.0 + lag1 + lag2 + np.abs(u_cur + u_prev)
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(draws)
+
+
 class TestTruth:
     @pytest.mark.parametrize("kind", ["trial", "dropout"])
     @pytest.mark.parametrize("t", [0, -1, 4])
@@ -289,6 +310,26 @@ class TestTruth:
         for order in ([4, 3, 2, 1, 0], [3, 0, 3, 3]):  # reversed, with duplicates
             got = true_effect_curve(cfg, [grid[j] for j in order], 4, draws=5000, seed=6)
             assert np.array_equal(got[0], psi[order]) and np.array_equal(got[1], se[order])
+
+    @pytest.mark.parametrize("kind", ["dropout", "observational", "trial"])
+    def test_value_does_not_depend_on_the_draw_block(self, monkeypatch, kind):
+        cfg = DgpConfig(kind=kind, n=10, T=4, p=0.3)
+        grid = [0.1, 0.5, 1.0, 2.0, 5.0, 0.5]
+        want = true_effect_curve(cfg, grid, 4, draws=1000, seed=5)
+        for block in (3, 7):  # 1000 draws is a multiple of neither
+            monkeypatch.setattr(simulation, "_TRUTH_BLOCK", block)
+            got = true_effect_curve(cfg, grid, 4, draws=1000, seed=5)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["dropout", "observational", "trial"])
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_blocked_decisions_equal_the_per_delta_loop_bitwise(self, kind, t):
+        cfg = DgpConfig(kind=kind, n=10, T=4, p=0.3)
+        grid = [0.1, 0.5, 1.0, 2.0, 5.0]
+        psi, se = true_effect_curve(cfg, grid, t, draws=5001, seed=9)
+        for j, delta in enumerate(grid):
+            want = per_delta_truth(cfg, delta, t, draws=5001, seed=9)
+            assert (psi[j], se[j]) == want
 
     def test_trial_curve_non_decreasing_on_a_dense_grid(self):
         cfg = DgpConfig(kind="trial", n=10, T=3, p=0.5)
