@@ -16,6 +16,9 @@ expression certifies a variance crossing, the exact variances via the
 sequential-integral (g-formula) expansion, and an exact decomposition
 check that writes the shifted estimator's variance as the variance of a
 square-root-weighted combination of fixed-regime estimators.
+
+``truncated_normal_variance`` imports ``scipy.special.ndtr`` where it is
+called, so that ``import oddshift`` does not load ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, EstimationError, check_count, check_open_unit
 from .intervention import _check_delta
@@ -57,6 +59,8 @@ def truncated_normal_variance(half_width: float) -> float:
     cancels, so its Taylor series a^2/3 - 2a^4/45 + 2a^6/945 is used; the
     omitted terms are below 1e-20 of the value there.
     """
+    from scipy.special import ndtr
+
     a = float(half_width)
     if not (math.isfinite(a) and a > 0):
         raise ConfigError(f"half_width must be finite and > 0, got {half_width!r}")

@@ -39,21 +39,33 @@ def forbid_fit(monkeypatch):
     monkeypatch.setattr(cli, "run_benchmark", no_fit)
 
 
-_RUN_HELP = """import runpy
-sys.argv = ["oddshift", "--help"]
+_RUN_CLI = """import runpy
+sys.argv = ["oddshift", *{argv!r}]
 try:
     runpy.run_module("oddshift", run_name="__main__", alter_sys=True)
-except SystemExit:
-    pass"""
+except SystemExit as exc:
+    assert not exc.code, exc.code"""
 
 
-@pytest.mark.parametrize("code", ["import oddshift", _RUN_HELP], ids=["import", "help"])
-def test_cold_start_does_not_import_scipy_stats(code):
-    """``import oddshift`` and ``python -m oddshift --help`` load scipy.special only."""
-    probe = f"import sys\n{code}\nprint('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("argv", [
+    None,
+    ["--help"],
+    ["validate", "--input", "{panel}", "--seed", "0"],
+    ["estimate", "--input", "{panel}", "--seed", "5", "--t", "3", "--B", "200", "--out", "{out}"],
+], ids=["import", "help", "validate", "estimate"])
+def test_cold_start_does_not_import_scipy_special_or_stats(argv, panel_dir, tmp_path):
+    """``import oddshift``, ``--help``, ``validate`` and ``estimate`` load neither
+    scipy.special nor scipy.stats."""
+    if argv is None:
+        code = "import oddshift"
+    else:
+        panel = panel_dir / "panel.csv"
+        code = _RUN_CLI.format(argv=[arg.format(panel=panel, out=tmp_path) for arg in argv])
+    loaded = "sorted({'scipy.special', 'scipy.stats'} & set(sys.modules))"
+    probe = f"import sys\n{code}\nprint({loaded})"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "False"
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 class TestSimulateCommand:

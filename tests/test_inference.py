@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from oddshift import (
@@ -99,6 +101,49 @@ def test_band_floor_z_bitwise_scipy_stats_norm(alpha):
     z = float(norm.ppf(1.0 - alpha / 2.0))
     assert band.c_alpha_raw < z
     assert band.c_alpha == z
+
+
+def _neighbours(y, steps=3):
+    """y and the ``steps`` floats on either side of it."""
+    below, above = [y], [y]
+    for _ in range(steps):
+        below.append(float(np.nextafter(below[-1], 0.0)))
+        above.append(float(np.nextafter(above[-1], 1.0)))
+    return below[::-1] + above[1:]
+
+
+# both sides of the centre's edges exp(-2) and 1 - exp(-2), of the tails'
+# switch at x = sqrt(-2 log y) = 8 (y = exp(-32)) on either tail, the
+# extremes and the midpoint
+_NDTRI_POINTS = [
+    *_neighbours(math.exp(-2.0)),
+    *_neighbours(1.0 - math.exp(-2.0)),
+    *_neighbours(math.exp(-32.0)),
+    *_neighbours(1.0 - math.exp(-32.0)),
+    1e-300, 5e-324, 1e-100, 1e-20, 1.0 - 2.0**-53, 1.0 - 1e-16, 0.5, 0.0, 1.0,
+]
+
+
+def _same_bits(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestNdtri:
+    def test_fixed_points_bitwise_scipy_special(self):
+        tails = np.array([min(y, 1.0 - y) for y in _NDTRI_POINTS if 0.0 < y < 1.0])
+        x = np.sqrt(-2.0 * np.log(tails))
+        assert np.any((x > 7.9) & (x < 8.0)) and np.any((x >= 8.0) & (x < 8.1))
+        for y in _NDTRI_POINTS:
+            assert _same_bits(inference._ndtri(y), ndtri(y)), y
+        assert inference._ndtri(0.0) == -math.inf and inference._ndtri(1.0) == math.inf
+
+    @given(y=st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 0.5).map(lambda e: 1.0 - e),  # the upper tail, down to 1 - 2^-53
+    ))
+    @settings(max_examples=2000, deadline=None)
+    def test_bitwise_scipy_special(self, y):
+        assert _same_bits(inference._ndtri(y), ndtri(y))
 
 
 @pytest.fixture(scope="module")

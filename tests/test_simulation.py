@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -330,6 +331,23 @@ class TestTruth:
         for j, delta in enumerate(grid):
             want = per_delta_truth(cfg, delta, t, draws=5001, seed=9)
             assert (psi[j], se[j]) == want
+
+    def test_trial_peak_memory_below_the_covariate_kinds(self):
+        """The trial keeps one (D, draws) decision buffer, the covariate kinds two.
+
+        scipy.special is loaded at this module's import, so its first load's
+        allocations are not traced here.
+        """
+        grid = np.geomspace(0.1, 10.0, 25)
+        peaks = {}
+        for kind in ("trial", "observational"):
+            tracemalloc.start()
+            try:
+                true_effect_curve(DgpConfig(kind=kind, n=10, T=3), grid, 3, draws=200_000, seed=1)
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["trial"] < peaks["observational"]
 
     def test_trial_curve_non_decreasing_on_a_dense_grid(self):
         cfg = DgpConfig(kind="trial", n=10, T=3, p=0.5)
