@@ -15,22 +15,22 @@ module evaluates those bounds, the first horizon at which the bound
 expression certifies a variance crossing, the exact variances via the
 sequential-integral (g-formula) expansion, and an exact decomposition
 check that writes the shifted estimator's variance as the variance of a
-square-root-weighted combination of fixed-regime estimators.
-
-``truncated_normal_variance`` imports ``scipy.special.ndtr`` where it is
-called, so that ``import oddshift`` does not load ``scipy.special``.
+square-root-weighted combination of fixed-regime estimators.  The
+normal CDF comes from ``_special.ndtr``, bitwise ``scipy.special.ndtr``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._special import ndtr
 from .errors import ConfigError, EstimationError, check_count, check_open_unit
 from .intervention import _check_delta
 
@@ -55,12 +55,13 @@ _SCAN_LIMIT = 10**6
 def truncated_normal_variance(half_width: float) -> float:
     """Variance of N(mu, 1) truncated symmetrically at mu +- half_width.
 
-    ``half_width`` must be finite and positive.  Below 1e-3 the closed form
-    cancels, so its Taylor series a^2/3 - 2a^4/45 + 2a^6/945 is used; the
-    omitted terms are below 1e-20 of the value there.
+    ``half_width`` must be a real number (not a bool), finite and positive.
+    Below 1e-3 the closed form cancels, so its Taylor series a^2/3 -
+    2a^4/45 + 2a^6/945 is used; the omitted terms are below 1e-20 of the
+    value there.
     """
-    from scipy.special import ndtr
-
+    if isinstance(half_width, bool) or not isinstance(half_width, numbers.Real):
+        raise ConfigError(f"half_width must be a real number, got {half_width!r}")
     a = float(half_width)
     if not (math.isfinite(a) and a > 0):
         raise ConfigError(f"half_width must be finite and > 0, got {half_width!r}")

@@ -22,18 +22,17 @@ replicates whose suprema lie within a proven rounding bound of the order
 statistics the quantile reads.  c_alpha is therefore bitwise the quantile
 of the per-replicate products, whatever the block size.
 
-z_{1-alpha/2} comes from ``_ndtri``, a port of the Cephes normal quantile
-that ``scipy.special.ndtri`` evaluates, bitwise its value, so that
-computing a band does not load ``scipy.special``."""
+z_{1-alpha/2} comes from ``_special.ndtri``, the package's port of the
+Cephes normal quantile, bitwise ``scipy.special.ndtri``."""
 
 from __future__ import annotations
 
-import math
 import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import ndtri as _ndtri
 from .errors import ConfigError, EstimationError, check_count, check_open_unit, check_seed
 from .estimator import EffectEstimate, EifMatrix, _sigma_hat
 
@@ -44,72 +43,6 @@ __all__ = [
     "pointwise_interval",
     "uniform_band",
 ]
-
-# Cephes ndtri (S. L. Moshier, 1989): rational approximations in y - 1/2
-# on the centre, where exp(-2) < y < 1 - exp(-2), and in 1/x with
-# x = sqrt(-2 log y) on the tails, one table pair for x < 8 and one beyond
-_S2PI = 2.50662827463100050242e0
-_EXP_M2 = 0.13533528323661269189
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-       1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Cephes ``polevl``: the polynomial with coefficients ``coef``, highest first, by Horner."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef: tuple) -> float:
-    """Cephes ``p1evl``: as ``_polevl`` with an implicit leading coefficient 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y: float) -> float:
-    """The standard normal quantile at y in [0, 1], bitwise ``scipy.special.ndtri(y)``.
-
-    Cephes ``ndtri`` operation for operation: the same tables, Horner
-    order and branch points, with ``math.log`` and ``math.sqrt``; -inf at
-    0 and inf at 1.
-    """
-    y = float(y)
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x - math.log(x) / x - z * _polevl(z, p) / _p1evl(z, q)
-    return x if upper else -x
-
 
 def estimate_variance(eif: EifMatrix, psi: EffectEstimate) -> np.ndarray:
     """Per-delta influence-value standard deviation sigma_hat.

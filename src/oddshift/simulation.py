@@ -24,11 +24,8 @@ Each generator also exports oracle nuisance functions.  For the dropout
 generator the observable retention propensity marginalizes the latent
 frailty over its posterior given survival, and the continuation values
 are computed by one-dimensional Gauss-Hermite quadrature with closed
-forms for the absolute-value term.
-
-Each function that needs a ``scipy.special`` kernel (``expit``, ``logit``,
-``ndtr``) imports it where it is called, so that ``import oddshift`` and
-the CLI's ``estimate`` and ``validate`` never load ``scipy.special``.
+forms for the absolute-value term.  ``expit``, ``logit`` and ``ndtr`` come
+from ``_special``, bitwise the ``scipy.special`` functions of those names.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from functools import partial
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from ._special import expit, logit, ndtr
 from .efficiency import _collapse, trial_moments, variance_ratio_bounds
 from .errors import ConfigError, check_count, check_open_unit, check_seed, check_stage
 from .estimator import (
@@ -128,8 +126,6 @@ def _truncated_normal(rng: np.random.Generator, mean: np.ndarray, bound: float =
 
 def simulate(cfg: DgpConfig) -> PanelDataset:
     """Draw one panel. Byte-identical output for identical configs."""
-    from scipy.special import expit
-
     rng = np.random.default_rng(cfg.seed)
     n, T = cfg.n, cfg.T
 
@@ -190,8 +186,6 @@ def true_effect_curve(
     standard error) per grid value; each error is its own delta's, the
     errors are correlated across deltas, and no value depends on the others.
     """
-    from scipy.special import logit
-
     t = check_stage(t, cfg.T, "horizon")
     check_count(draws, "draws", 2)
     deltas = np.asarray(tuple(grid), dtype=float)  # any order, repeats allowed
@@ -272,8 +266,6 @@ def exact_effect_curve(cfg: DgpConfig, grid, t: int) -> np.ndarray:
 
 def _e_abs_shifted(v: np.ndarray, sigma2: float = 2.0) -> np.ndarray:
     """E|Z + v| for Z ~ N(0, sigma2), closed form."""
-    from scipy.special import ndtr
-
     v = np.asarray(v, dtype=float)
     sd = math.sqrt(sigma2)
     return sd * math.sqrt(2.0 / math.pi) * np.exp(-(v**2) / (2.0 * sigma2)) + v * (
@@ -287,8 +279,6 @@ def _mean_shifted_propensity(t_star: int, deltas) -> np.ndarray:
     Gauss-Hermite quadrature over 1'X_s ~ N(0, 2) for each delta j; row
     s = 0 stays zero.
     """
-    from scipy.special import expit
-
     x, w = hermgauss(_GH_NODES)
     u = math.sqrt(2.0 * 2.0) * x  # integration points for U ~ N(0,2)
     w = w / math.sqrt(math.pi)
@@ -365,8 +355,6 @@ class _RetentionOracle:
         opaque key per row, which groups the rows faster than comparing
         float rows; each path's actions are its first row's.
         """
-        from scipy.special import expit
-
         rows = np.column_stack([ds.A[units, : s - 1], a])
         packed = np.packbits(rows != 0, axis=1)
         _, first, row_path = np.unique(
@@ -392,8 +380,6 @@ def _trial_tables(t_star: int, q: np.ndarray) -> dict[int, np.ndarray]:
 
 def _true_pi(cfg: DgpConfig, ds: PanelDataset, s: int, units: np.ndarray, a=None) -> np.ndarray:
     """Structural treatment propensity at time s for the given units."""
-    from scipy.special import expit
-
     if cfg.kind == "trial":
         return np.full(units.size, cfg.p)
     u = ds.X[units, s - 1].sum(axis=1)

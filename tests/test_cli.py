@@ -46,22 +46,39 @@ try:
 except SystemExit as exc:
     assert not exc.code, exc.code"""
 
+# the simulation and efficiency API, through every function that evaluates expit, logit or ndtr
+_RUN_API = """import oddshift as od
+cfg = od.DgpConfig(kind="dropout", n=200, T=3, u_l=1.0, seed=1)
+trial = od.DgpConfig(kind="trial", n=10, T=3, p=0.4, seed=0)
+od.estimate_cross_fit(od.simulate(cfg), 2, 0, od.oracle_specs(cfg, 3), [0.5, 2.0], 3)
+for dgp in (cfg, trial):
+    od.true_effect_curve(dgp, [0.5, 2.0], 3, draws=100)
+    od.exact_effect_curve(dgp, [0.5, 2.0], 3)
+od.efficiency_curve(lambda T: od.trial_moments(T, 0.5, 2.0), 4)"""
+
 
 @pytest.mark.parametrize("argv", [
     None,
     ["--help"],
     ["validate", "--input", "{panel}", "--seed", "0"],
     ["estimate", "--input", "{panel}", "--seed", "5", "--t", "3", "--B", "200", "--out", "{out}"],
-], ids=["import", "help", "validate", "estimate"])
+    ["simulate", "--kind", "dropout", "--n", "80", "--t", "3", "--seed", "7", "--out", "{out}"],
+    ["bench", "--n", "100", "--t", "3", "--S", "1", "--grid-size", "3", "--seed", "0",
+     "--out", "{out}"],
+    ["efficiency", "--tmax", "4", "--seed", "0", "--out", "{out}"],
+    "api",
+], ids=["import", "help", "validate", "estimate", "simulate", "bench", "efficiency", "api"])
 def test_cold_start_does_not_import_scipy_special_or_stats(argv, panel_dir, tmp_path):
-    """``import oddshift``, ``--help``, ``validate`` and ``estimate`` load neither
-    scipy.special nor scipy.stats."""
+    """No entry point loads a scipy module: ``import oddshift``, every command
+    and the simulation and efficiency functions."""
     if argv is None:
         code = "import oddshift"
+    elif argv == "api":
+        code = _RUN_API
     else:
         panel = panel_dir / "panel.csv"
         code = _RUN_CLI.format(argv=[arg.format(panel=panel, out=tmp_path) for arg in argv])
-    loaded = "sorted({'scipy.special', 'scipy.stats'} & set(sys.modules))"
+    loaded = "sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')"
     probe = f"import sys\n{code}\nprint({loaded})"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -75,6 +75,12 @@ class TestTruncatedVariance:
         with pytest.raises(ConfigError, match="half_width must be finite and > 0"):
             truncated_normal_variance(half_width)
 
+    @pytest.mark.parametrize("half_width", ["2", None, True, 2 + 0j, [2.0]])
+    def test_rejects_a_half_width_that_is_not_a_real_number(self, half_width):
+        # "2" went through float() and gave the variance at 2
+        with pytest.raises(ConfigError, match="^half_width must be a real number, got "):
+            truncated_normal_variance(half_width)
+
 
 class TestPathWeight:
     def test_examples(self):

@@ -335,8 +335,8 @@ class TestTruth:
     def test_trial_peak_memory_below_the_covariate_kinds(self):
         """The trial keeps one (D, draws) decision buffer, the covariate kinds two.
 
-        scipy.special is loaded at this module's import, so its first load's
-        allocations are not traced here.
+        ``true_effect_curve`` loads no module on its first call, so only its
+        own allocations are traced.
         """
         grid = np.geomspace(0.1, 10.0, 25)
         peaks = {}
