@@ -8,11 +8,10 @@ i.i.d. Rademacher signs and records the supremum over the grid of the
 absolute standardized mean; c_alpha is the empirical 1-alpha quantile of
 these suprema, floored at z_{1-alpha/2} so the uniform band always
 contains the pointwise band.  Replicate b's signs come from its own PCG64
-stream, that of ``SeedSequence(seed, spawn_key=(b,))``, whose key is
-derived with every other replicate's in one vectorised pass: sign i is the
-top bit of the i-th 32-bit half of the stream's raw words, low half first,
-which is bitwise what ``numpy.random.Generator.integers(0, 2)`` draws from
-the same stream.
+stream, that of ``SeedSequence(seed, spawn_key=(b,))``: one vectorised
+pass derives every replicate's four key words, and numpy seeds PCG64 from
+them.  Sign i is the top bit of the i-th 32-bit half of the raw words, low
+half first, bitwise ``numpy.random.Generator.integers(0, 2)`` on that stream.
 
 The bootstrap runs in two passes.  The first stacks a block of
 replicates' signs, as float32 +-1, and takes their suprema in float32
@@ -49,9 +48,12 @@ def estimate_variance(eif: EifMatrix, psi: EffectEstimate) -> np.ndarray:
 
     sigma_hat^2 is the mean squared deviation of the per-unit influence
     values around the reported estimate (population-style denominator n).
+    ConfigError unless the two share their grid values, horizon t and n.
     """
-    if eif.values.shape[1] != psi.psi_hat.shape[0]:
+    if eif.values.shape[1] != psi.psi_hat.shape[0] or eif.grid.values != psi.grid.values:
         raise ConfigError("influence matrix and estimate use different grids")
+    if (eif.t, eif.n) != (psi.t, psi.n):
+        raise ConfigError(f"influence matrix at (t, n)={eif.t, eif.n}, estimate at {psi.t, psi.n}")
     return _sigma_hat(eif.values, psi.psi_hat)
 
 
@@ -106,13 +108,22 @@ _CHUNK = 256
 _UNIT_ROUNDOFF, _F32_ROUNDOFF, _F32_TINY = 2.0**-53, 2.0**-24, 2.0**-126
 
 # numpy's SeedSequence hash constants, which ``_stream_keys`` applies to every
-# replicate's spawn key at once, and PCG64's 128-bit multiplier (``_pcg64_state``)
+# replicate's spawn key at once
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 _SIGN_BIT, _ONE_BITS = np.uint32(1 << 31), np.float32(1.0).view(np.uint32)
+
+
+class _Key:
+    """One row of ``_stream_keys`` as numpy's ``ISeedSequence``, so that PCG64 seeds from it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words  # a C-contiguous uint64 row of ``_stream_keys``
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words  # PCG64 asks for its four uint64 words
 
 
 def _stream_keys(seed: int, B: int) -> np.ndarray:
@@ -125,6 +136,10 @@ def _stream_keys(seed: int, B: int) -> np.ndarray:
     row.  B must be at most 2^32, so that b is a single spawn-key word.
     """
     seed = check_seed(seed)  # a negative seed has no 32-bit words
+    # lets numpy seed PCG64 from a row; imported here: ``import oddshift`` loads no numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Key)
     words = [seed >> 32 * k & _MASK32 for k in range(max(1, -(-seed.bit_length() // 32)))]
     entropy = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
     entropy.append(np.arange(B, dtype=np.uint32))
@@ -154,32 +169,11 @@ def _stream_keys(seed: int, B: int) -> np.ndarray:
     return np.stack([out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1)
 
 
-def _pcg64_state(key: np.ndarray) -> dict:
-    """The state of ``PCG64`` seeded by the four words ``key``: its two seeding steps, exactly.
-
-    The words are the initial state and the stream selector, each high
-    word first; the increment is the selector shifted up with its low bit
-    set, and the state takes one step, adds the initial state and steps
-    again.
-    """
-    s_hi, s_lo, q_hi, q_lo = key.tolist()
-    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-    state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _draw_signs(
-    bitgen: np.random.PCG64, keys: np.ndarray, start: int, out: np.ndarray
-) -> np.ndarray:
+def _draw_signs(keys: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
     """The +-1.0 multipliers of replicates start, start + 1, ... into the rows of float32 ``out``.
 
     Row r holds the first m multipliers of replicate start + r, m being
-    ``out``'s width, drawn from ``bitgen`` set to that replicate's key.
+    ``out``'s width, from the PCG64 that numpy seeds with that replicate's key.
     Multiplier i is +1 where bit 31 of the i-th 32-bit half of the
     stream's raw 64-bit words is set, low half first, and -1 elsewhere.
     That is exactly ``Generator.integers(0, 2, size=m) * 2.0 - 1.0`` on the
@@ -192,17 +186,15 @@ def _draw_signs(
     """
     bits = out.view(np.uint32)
     m = out.shape[1]
-    for r in range(out.shape[0]):
-        bitgen.state = _pcg64_state(keys[start + r])
-        bits[r] = np.asarray(bitgen.random_raw((m + 1) // 2), dtype="<u8").view("<u4")[:m]
+    for r, key in enumerate(keys[start : start + out.shape[0]]):
+        raw = np.random.PCG64(_Key(key)).random_raw((m + 1) // 2)
+        bits[r] = np.asarray(raw, dtype="<u8").view("<u4")[:m]
     bits &= _SIGN_BIT
     bits ^= _SIGN_BIT | _ONE_BITS
     return out
 
 
-def _chunked_sups(
-    centered: np.ndarray, denom: np.ndarray, bitgen: np.random.PCG64, keys: np.ndarray
-) -> np.ndarray:
+def _chunked_sups(centered: np.ndarray, denom: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Pass 1: every replicate's max_j |sum_i xi_i s_ij| from float32 products over unit chunks.
 
     s = centered / denom is rounded once to float32 (|s| <= 1 up to
@@ -221,7 +213,7 @@ def _chunked_sups(
     block = np.empty((min(rows, B), m), np.float32)
     sups = np.empty(B)
     for lo in range(0, B, rows):
-        signs = _draw_signs(bitgen, keys, lo, block[: min(rows, B - lo)])
+        signs = _draw_signs(keys, lo, block[: min(rows, B - lo)])
         partial = np.matmul(signs.reshape(-1, chunks, _CHUNK).transpose(1, 0, 2), by_chunk)
         sups[lo : lo + signs.shape[0]] = np.max(
             np.abs(partial.sum(axis=0, dtype=np.float64)), axis=1
@@ -265,11 +257,10 @@ def _bootstrap_quantile(
     Replicate b draws its signs xi from the PCG64 stream keyed by (seed, b),
     so the collection is identical however replicates are scheduled or
     batched.  Its statistic is max_j |sum_i xi_i s_ij| on the standardized
-    values s.  All B keys come from one pass (``_stream_keys``), and one
-    reused bit generator, set to each key in turn (``_pcg64_state``), draws
-    each replicate's signs (``_draw_signs``), bitwise what
-    ``Generator.integers(0, 2, size=n)`` draws from its stream, without a
-    SeedSequence, a Generator or an int64 array per replicate.
+    values s.  All B keys come from one pass (``_stream_keys``), numpy seeds
+    each replicate's PCG64 from its four words (``_Key``), and ``_draw_signs``
+    takes the signs from the raw words, bitwise ``Generator.integers`` on
+    that stream, with no SeedSequence or Generator per replicate.
 
     Pass 1 (``_chunked_sups``) takes every statistic from float32 products
     over chunks of ``_CHUNK`` units, summed in float64.  Its rounding
@@ -285,8 +276,7 @@ def _bootstrap_quantile(
     """
     denom = np.sqrt(n) * sigma[None, :]  # sum_i xi_i * centered / denom -> stat
     keys = _stream_keys(seed, B)
-    bitgen = np.random.PCG64(0)  # every draw first sets its replicate's key
-    sups = _chunked_sups(centered, denom, bitgen, keys)
+    sups = _chunked_sups(centered, denom, keys)
     scaled = centered / denom
     eps = _rounding_bound(scaled)
     i = int(np.floor((B - 1) * level))  # np.quantile's linear rule reads order stats i, j
@@ -295,7 +285,7 @@ def _bootstrap_quantile(
     window = (sups >= low - 2.0 * eps) & (sups <= high + 2.0 * eps)  # factor 2: safety
     signs, xi = np.empty((1, n), np.float32), np.empty(n)
     for b in np.flatnonzero(window):
-        np.copyto(xi, _draw_signs(bitgen, keys, int(b), signs)[0])
+        np.copyto(xi, _draw_signs(keys, int(b), signs)[0])
         sups[b] = np.max(np.abs(xi @ scaled))
     return float(np.quantile(sups, level))
 

@@ -531,6 +531,7 @@ def run_benchmark(
     number of worker processes.
     """
     check_count(S, "S", 1)
+    threads = check_count(threads, "threads", 1)
     if threads > 1:
         try:
             pickle.dumps(specs)

@@ -70,7 +70,9 @@ od.efficiency_curve(lambda T: od.trial_moments(T, 0.5, 2.0), 4)"""
 ], ids=["import", "help", "validate", "estimate", "simulate", "bench", "efficiency", "api"])
 def test_cold_start_does_not_import_scipy_special_or_stats(argv, panel_dir, tmp_path):
     """No entry point loads a scipy module: ``import oddshift``, every command
-    and the simulation and efficiency functions."""
+    and the simulation and efficiency functions.  ``import oddshift``,
+    ``--help`` and ``validate`` draw nothing, so they load no ``numpy.random``
+    either."""
     if argv is None:
         code = "import oddshift"
     elif argv == "api":
@@ -78,7 +80,9 @@ def test_cold_start_does_not_import_scipy_special_or_stats(argv, panel_dir, tmp_
     else:
         panel = panel_dir / "panel.csv"
         code = _RUN_CLI.format(argv=[arg.format(panel=panel, out=tmp_path) for arg in argv])
-    loaded = "sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')"
+    draws = argv is not None and argv[:1] not in (["--help"], ["validate"])
+    banned = ("scipy",) if draws else ("scipy", "numpy.random")
+    loaded = f"sorted(m for m in sys.modules if any((m + '.').startswith(b + '.') for b in {banned}))"
     probe = f"import sys\n{code}\nprint({loaded})"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -546,6 +550,18 @@ class TestBenchCommand:
         lines = (tmp_path / "errors.csv").read_text().strip().splitlines()
         assert lines[0] == "estimator,delta,rep,estimate,truth,error"
         assert len(lines) == 1 + 4 * 2 * 2  # kinds x reps x grid
+
+    def test_zero_threads_exits_2(self, tmp_path):
+        res = run(
+            ["bench", "--kind", "trial", "--n", "80", "--t", "2", "--S", "1", "--seed", "3",
+             "--threads", "0", "--out", str(tmp_path)]
+        )
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert json.loads(res.stderr) == {
+            "error": "ConfigError", "message": "threads must be an integer >= 1, got 0"
+        }
+        assert not (tmp_path / "benchmark.json").exists()
 
 
 class TestEfficiencyCommand:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,31 @@ class TestVariance:
             for i in range(500):
                 acc += (values[i, j] - est.psi_hat[j]) ** 2
             assert sigma[j] == pytest.approx(np.sqrt(acc / 500), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # same grid size, other values and horizon: once labelled with one, carrying the other
+            ({"grid": DeltaGrid(values=(0.1, 1.0, 5.0)), "t": 7}, "different grids"),
+            ({"t": 7}, r"at \(t, n\)=\(3, 200\), estimate at \(7, 200\)"),
+            ({"n": 199}, r"at \(t, n\)=\(3, 200\), estimate at \(3, 199\)"),
+        ],
+    )
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_mismatched_pair_rejected(self, change, message, pooled, monkeypatch):
+        rng = np.random.default_rng(8)
+        grid = DeltaGrid(values=(0.5, 1.0, 2.0))
+        main, other = (make_pair(rng.normal(size=(200, 3)), grid) for _ in range(2))
+        main, other = ((replace(eif, t=3), replace(est, t=3)) for eif, est in (main, other))
+        bad = (other if pooled else main)[0], replace((other if pooled else main)[1], **change)
+        with pytest.raises(ConfigError, match=message):
+            estimate_variance(*bad)
+        monkeypatch.setattr(inference, "_draw_signs", lambda *a: pytest.fail("bootstrap started"))
+        with pytest.raises(ConfigError, match=message):
+            if pooled:
+                uniform_band(*main, B=200, seed=0, pool_with=[bad])
+            else:
+                uniform_band(*bad, B=200, seed=0, pool_with=[other])
 
 
 class TestPointwise:
@@ -269,9 +295,9 @@ def record_draws(monkeypatch) -> list:
     """The replicates that ``_draw_signs`` draws from now on, in call order."""
     draws, built = inference._draw_signs, []
 
-    def counted(bitgen, keys, start, out):
+    def counted(keys, start, out):
         built.extend(range(start, start + out.shape[0]))
-        return draws(bitgen, keys, start, out)
+        return draws(keys, start, out)
 
     monkeypatch.setattr(inference, "_draw_signs", counted)
     return built
@@ -307,7 +333,7 @@ class TestBlockedBootstrap:
         sigma = np.sqrt(np.mean(centered**2, axis=0))
         denom = np.sqrt(n) * sigma[None, :]
         keys = inference._stream_keys(seed, B)
-        approx = inference._chunked_sups(centered, denom, np.random.PCG64(0), keys)
+        approx = inference._chunked_sups(centered, denom, keys)
         exact = reference_bootstrap_sup(centered, sigma, n, B, seed)
         eps = inference._rounding_bound(centered / denom)
         assert np.all(np.abs(approx - exact) <= eps), np.max(np.abs(approx - exact)) / eps
@@ -372,19 +398,20 @@ class TestSignStream:
         for b in [*range(300), *range(9990, 10_000)]:
             stream = np.random.SeedSequence(entropy=seed, spawn_key=(b,))
             assert np.array_equal(keys[b], stream.generate_state(4, np.uint64)), b
-            expected = np.random.PCG64(stream).state
-            assert inference._pcg64_state(keys[b]) == expected, b
+            expected = np.random.PCG64(stream)
+            seeded = np.random.PCG64(inference._Key(keys[b]))
+            assert seeded.state == expected.state, b
+            assert np.array_equal(seeded.random_raw(3), expected.random_raw(3)), b
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**62])
     def test_signs_are_generator_integers_bitwise(self, seed):
         # Generator.integers is the reference: a numpy that changes its draw fails here
         keys = inference._stream_keys(seed, 64)
-        bitgen = np.random.PCG64(0)
         for n in (1, 2, 3, 7, 2000, 2001, 20001):
             # replicates 0-2 one row each, then 3-63 as one block
-            rows = [inference._draw_signs(bitgen, keys, b, np.empty((1, n), np.float32))
+            rows = [inference._draw_signs(keys, b, np.empty((1, n), np.float32))
                     for b in range(3)]
-            rows.append(inference._draw_signs(bitgen, keys, 3, np.empty((61, n), np.float32)))
+            rows.append(inference._draw_signs(keys, 3, np.empty((61, n), np.float32)))
             signs = np.concatenate(rows).astype(np.float64)
             for b in range(64):
                 stream = np.random.SeedSequence(entropy=seed, spawn_key=(b,))

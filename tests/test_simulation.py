@@ -440,6 +440,14 @@ class TestBenchmark:
         with pytest.raises(ConfigError, match="picklable"):
             run_benchmark(cfg, S=2, grid=grid, specs=specs, seed=3, threads=2)
 
+    @pytest.mark.parametrize("threads", [0, -3, True, 2.5])
+    def test_threads_must_be_a_positive_integer(self, threads, monkeypatch):
+        cfg = DgpConfig(kind="trial", n=100, T=2, p=0.5, seed=2)
+        monkeypatch.setattr(simulation, "exact_effect_curve", lambda *a: pytest.fail("work began"))
+        with pytest.raises(ConfigError, match=r"threads must be an integer >= 1"):
+            run_benchmark(cfg, S=2, grid=(1.0, 2.0), specs=oracle_specs(cfg, 2), seed=3,
+                          threads=threads)
+
     @pytest.mark.parametrize("kind", ["dropout", "trial"])
     def test_oracle_specs_run_in_the_pool(self, kind):
         cfg = DgpConfig(kind=kind, n=150, T=3, seed=5)
