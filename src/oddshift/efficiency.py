@@ -2,17 +2,22 @@
 
 Setting: treatment probability p at every period, no dropout, a bounded
 outcome |Y| <= b_u observed at the horizon.  Two single-pass weighted
-means are compared: the fixed-regime estimator (weights 1(A_t = a_t)/p)
-and the odds-shifted estimator (weights (delta A_t + 1 - A_t)/(delta p +
-1 - p)).  The variance of the ratio admits closed bounds whose base
-factor
+means are compared: the fixed-regime estimator (weights 1(A_t = a)/r,
+with r = p for the always-treated arm a = 1 and r = 1 - p for the
+never-treated arm a = 0) and the odds-shifted estimator (weights
+(delta A_t + 1 - A_t)/(delta p + 1 - p)).  The variance of the ratio
+admits closed bounds whose base factor is r g, where
 
-    (delta^2 p^2 + p(1-p)) / (delta p + 1 - p)^2     (always treated)
+    g = (delta^2 p + 1 - p) / (delta p + 1 - p)^2
 
-is strictly below one for delta > 1, so the fixed-regime estimator's
+is the per-period second moment of the shifted weight ratio; g >= 1,
+with equality only at delta = 1.  The base factor is below one for the
+always-treated arm at delta > 1, so the fixed-regime estimator's
 variance grows roughly geometrically relative to the shifted one.  The
-module evaluates those bounds, the first horizon at which the bound
-expression certifies a variance crossing, the exact variances via the
+never-treated arm at (delta, p) is the always-treated arm at (1/delta,
+1 - p), so each arm has its own crossing certificate: the always-treated
+one for delta > 1, the never-treated one for delta < 1.  The module
+evaluates those bounds and certificates, the exact variances via the
 sequential-integral (g-formula) expansion, and an exact decomposition
 check that writes the shifted estimator's variance as the variance of a
 square-root-weighted combination of fixed-regime estimators.  The
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,7 +97,8 @@ class MomentSpec:
     E[Y^a] and E[(Y^a)^2].  When the moments depend on the sequence only
     through its number of ones, supply the count-based providers instead;
     they are then called once per count rather than once per sequence.
-    A spec takes exactly one of the two pairs.
+    A spec takes exactly one of the two pairs, and an outcome bound b_u
+    that is a finite positive real number.
     """
 
     p: float
@@ -107,6 +114,9 @@ class MomentSpec:
         check_open_unit(self.p, "p")
         _check_delta(self.delta)
         check_count(self.T, "T", 1)
+        b_u = self.b_u
+        if isinstance(b_u, bool) or not (isinstance(b_u, numbers.Real) and 0 < b_u < math.inf):
+            raise ConfigError(f"b_u must be finite and > 0, got {b_u!r}")
         given = [f is not None for f in (self.mean_of, self.second_of, self.mean_by_count,
                                          self.second_by_count)]
         if given not in ([True, True, False, False], [False, False, True, True]):
@@ -154,8 +164,6 @@ class MomentSpec:
         """Require |E[Y^a]| <= b_u and E[(Y^a)^2] <= b_u^2 for every sequence a."""
         if self._moments.offence is not None:
             raise ConfigError(self._moments.offence)
-        if self.second((1,) * self.T) <= 0:
-            raise ConfigError("always-treated outcome must be non-degenerate")
 
 
 def trial_moments(T: int, p: float, delta: float) -> MomentSpec:
@@ -168,35 +176,29 @@ def trial_moments(T: int, p: float, delta: float) -> MomentSpec:
     def second_k(k: int) -> float:
         return mean_k(k) ** 2 + resid_var
 
-    return MomentSpec(
-        p=p,
-        delta=delta,
-        T=T,
-        b_u=12.0 + math.sqrt(T),
-        mean_by_count=mean_k,
-        second_by_count=second_k,
-    )
+    return MomentSpec(p=p, delta=delta, T=T, b_u=12.0 + math.sqrt(T), mean_by_count=mean_k,
+                      second_by_count=second_k)
+
+
+def _g(delta: float, p: float) -> float:
+    """g = E[ratio^2] per period, (delta^2 p + 1 - p) / (delta p + 1 - p)^2."""
+    return (delta**2 * p + 1.0 - p) / (delta * p + 1.0 - p) ** 2
 
 
 def base_factor(delta: float, p: float, variant: str = "always_treated") -> float:
-    """Per-period factor governing the geometric variance-ratio trend."""
-    _check_delta(delta)
-    check_open_unit(p, "p")
-    denom = (delta * p + 1.0 - p) ** 2
-    if variant == "always_treated":
-        return (delta**2 * p**2 + p * (1.0 - p)) / denom
-    if variant == "never_treated":
-        return (delta**2 * p * (1.0 - p) + (1.0 - p) ** 2) / denom
-    raise ConfigError(f"unknown variant {variant!r}")
+    """Per-period factor r g of the geometric variance-ratio trend, r the arm's probability."""
+    unit = MomentSpec(p, delta, 1, 1.0, mean_by_count=lambda k: 1.0,
+                      second_by_count=lambda k: 1.0)  # only its arm's r is read
+    return _fixed_regime(unit, variant).r * _g(delta, p)
 
 
 def path_weight(a_bar, delta: float, p: float) -> float:
     """Weight of one treatment sequence in the shifted-variance decomposition.
 
     Per-period factor: p * delta^2 p / (delta p + 1 - p)^2 when treated,
-    (1-p)^2 / (delta p + 1 - p)^2 when untreated.  Its square root equals
-    the shifted path probability, which is what makes the decomposition
-    in ``decomposition_check`` exact.
+    (1-p)^2 / (delta p + 1 - p)^2 when untreated; every entry of ``a_bar``
+    must be 0 or 1.  Its square root equals the shifted path probability,
+    which is what makes the decomposition in ``decomposition_check`` exact.
     """
     check_open_unit(p, "p")
     _check_delta(delta)
@@ -205,17 +207,38 @@ def path_weight(a_bar, delta: float, p: float) -> float:
     f0 = (1.0 - p) ** 2 / denom
     out = 1.0
     for a in a_bar:
+        if a not in (0, 1):
+            raise ConfigError(f"treatment entries must be 0 or 1, got {a!r}")
         out *= f1 if a == 1 else f0
     return out
 
 
-def _fixed_regime(spec: MomentSpec, variant: str) -> tuple[tuple, float]:
-    """The fixed arm's treatment sequence and per-period probability r."""
-    if variant in ("always_treated", "at"):
-        return (1,) * spec.T, spec.p
-    if variant in ("never_treated", "nt"):
-        return (0,) * spec.T, 1.0 - spec.p
-    raise ConfigError(f"unknown variant {variant!r}")
+class _Arm(NamedTuple):
+    """A fixed regime seen as the always-treated arm of its own (delta, p)."""
+
+    delta: float  # delta, or 1/delta for the never-treated arm
+    r: float  # per-period probability of the arm's treatment: p, or 1 - p
+    mean: float  # E[Y^arm]
+    second: float  # E[(Y^arm)^2], positive
+
+
+def _fixed_regime(spec: MomentSpec, variant: str) -> _Arm:
+    """The arm of 'always_treated' or 'never_treated', the one map from a variant to its arm.
+
+    Never treated at (delta, p) is always treated at (1/delta, 1 - p).
+    An unknown variant or an arm whose second moment is not positive
+    raises ``ConfigError``.
+    """
+    if variant == "always_treated":
+        arm, delta, r = (1,) * spec.T, spec.delta, spec.p
+    elif variant == "never_treated":
+        arm, delta, r = (0,) * spec.T, 1.0 / spec.delta, 1.0 - spec.p
+    else:
+        raise ConfigError(f"unknown variant {variant!r}")
+    second = spec.second(arm)
+    if not second > 0:
+        raise ConfigError(f"{variant.replace('_', '-')} outcome must be non-degenerate")
+    return _Arm(delta, r, spec.mean(arm), second)
 
 
 def _finite(variance: float, T: int) -> float:
@@ -235,13 +258,18 @@ def _collapse(v: np.ndarray, a, b):
         yield v
 
 
+def _collapsed(v: np.ndarray, a, b) -> np.ndarray:
+    """The last step of ``_collapse``, holding one step at a time."""
+    return deque(_collapse(v, a, b), maxlen=1).pop()
+
+
 def variance_ratio_bounds(
     spec: MomentSpec, variant: str = "always_treated", c: float | None = None
 ) -> tuple[float, float]:
     """Lower and upper bounds on Var(odds-shifted) / Var(fixed-regime).
 
     The ratio is the one ``exact_variance`` gives as 'inc' over 'at' (or
-    'nt'); the only outcome hypothesis is |Y| <= b_u.  With B the
+    'nt'); the only outcome hypothesis is |Y| <= b_u.  With B = r g the
     variant's base factor, r the per-period probability of the fixed arm
     and m2_min the smallest counterfactual second moment E[(Y^a)^2]:
 
@@ -256,20 +284,19 @@ def variance_ratio_bounds(
     second moment equals b_u^2 it is C_T (B^T - r^T).  The constant c
     must be at least 1 / (1 - r^T (E[Y^arm])^2 / E[(Y^arm)^2]); by
     default it sits at 1.001 times that floor so results are
-    reproducible.  Sequence-based specs beyond 2^20 sequences raise
-    ``EstimationError``, as ``exact_variance`` does.
+    reproducible.  The fixed arm must be non-degenerate.  Sequence-based
+    specs beyond 2^20 sequences raise ``EstimationError``, as
+    ``exact_variance`` does.
     """
-    if variant not in ("always_treated", "never_treated"):
-        raise ConfigError(f"unknown variant {variant!r}")
+    arm = _fixed_regime(spec, variant)
     spec.check_bounds()
-    arm, r = _fixed_regime(spec, variant)
-    T, mean, second = spec.T, spec.mean(arm), spec.second(arm)
+    T, r, mean, second = spec.T, arm.r, arm.mean, arm.second
     floor = 1.0 / (1.0 - r**T * mean**2 / second)
     if c is None:
         c = floor * 1.001
     elif c < floor:
         raise ConfigError(f"c={c} below its floor {floor}")
-    B = base_factor(spec.delta, spec.p, variant)
+    B = r * _g(spec.delta, spec.p)
     C_T = spec.b_u**2 / second
     try:
         zeta = 1.0 + c * mean**2 / ((1.0 / r) ** T * second)
@@ -281,13 +308,17 @@ def variance_ratio_bounds(
 
 
 def crossover_horizon_bound(delta: float, p: float, second_moment_ratio: float) -> int:
-    """Smallest T with [(delta^2 p + 1 - p)/(delta p + 1 - p)^2]^T - c1/p^T + 2 < 0.
+    """Smallest T with g^T - c1/p^T + 2 < 0, g = (delta^2 p + 1 - p)/(delta p + 1 - p)^2.
 
-    ``second_moment_ratio`` is c1 = E[(Y^ones)^2] / b_u^2.  Past the
-    returned horizon the bound expression certifies that the shifted
-    estimator has the smaller variance; the certificate convention counts
-    horizons strictly beyond the crossing, so the scan value sits one
-    above the conventional statement of the threshold.
+    This is the always-treated arm's certificate, so it needs delta > 1;
+    ``second_moment_ratio`` is c1 = E[(Y^ones)^2] / b_u^2.  The
+    never-treated arm at (delta, p) is the always-treated arm at
+    (1/delta, 1 - p): its certificate is this scan there, with c1 =
+    E[(Y^zeros)^2] / b_u^2, and exists for delta < 1.  Past the returned
+    horizon the bound expression certifies that the shifted estimator has
+    the smaller variance; the certificate convention counts horizons
+    strictly beyond the crossing, so the scan value sits one above the
+    conventional statement of the threshold.
     """
     _check_delta(delta)
     if delta <= 1:
@@ -295,31 +326,32 @@ def crossover_horizon_bound(delta: float, p: float, second_moment_ratio: float) 
     check_open_unit(p, "p")
     if not 0 < second_moment_ratio <= 1:
         raise ConfigError("second_moment_ratio must lie in (0, 1]")
-    g = (delta**2 * p + 1.0 - p) / (delta * p + 1.0 - p) ** 2
+    g = _g(delta, p)
     for T in range(1, _SCAN_LIMIT + 1):
         if g**T - second_moment_ratio / p**T + 2.0 < 0.0:
             return T
     raise EstimationError("scan did not terminate (cannot happen for delta > 1)")
 
 
-def _fixed_variance(spec: MomentSpec, variant: str) -> float:
-    arm, r = _fixed_regime(spec, variant)
+def _fixed_variance(T: int, arm: _Arm) -> float:
     try:
-        variance = (1.0 / r) ** spec.T * spec.second(arm) - spec.mean(arm) ** 2
+        variance = (1.0 / arm.r) ** T * arm.second - arm.mean**2
     except OverflowError:
         variance = math.inf
-    return _finite(variance, spec.T)
+    return _finite(variance, T)
 
 
 def exact_variance(spec: MomentSpec, estimator: str) -> float:
     """Exact single-draw variance of one of the weighted estimators.
 
     ``estimator``: 'at' (always-treated weights), 'nt' (never-treated
-    weights), or 'inc' (odds-shifted weights).  A variance beyond double
-    precision raises ``EstimationError``.
+    weights), or 'inc' (odds-shifted weights).  A fixed arm must be
+    non-degenerate.  A variance beyond double precision raises
+    ``EstimationError``.
     """
     if estimator in ("at", "nt"):
-        return _fixed_variance(spec, estimator)
+        variant = "always_treated" if estimator == "at" else "never_treated"
+        return _fixed_variance(spec.T, _fixed_regime(spec, variant))
     if estimator != "inc":
         raise ConfigError(f"unknown estimator {estimator!r}")
     p, delta, moments = spec.p, spec.delta, spec._moments
@@ -328,7 +360,7 @@ def exact_variance(spec: MomentSpec, estimator: str) -> float:
     a = np.array([delta**2 * p / D**2, delta * p / D])
     b = np.array([(1.0 - p) / D**2, 1.0 - a[1]])
     with np.errstate(over="ignore", invalid="ignore"):
-        *_, ((second, mean),) = _collapse(np.array([moments.second, moments.mean]).T, a, b)
+        ((second, mean),) = _collapsed(np.array([moments.second, moments.mean]).T, a, b)
         return _finite(float(second - mean**2), spec.T)
 
 
@@ -340,16 +372,16 @@ def decomposition_check(p: float, delta: float, T: int, atoms: Callable) -> floa
     the shifted-weight statistic directly; the right side expands the
     variance of the square-root-weighted combination through the per-pair
     covariances of the fixed-regime estimators (distinct sequences have
-    product zero, so their covariance is minus the product of means); the
-    sum over pairs collapses to one pass over the sequences.
+    product zero, so their covariance is minus the product of means).
+    Both sides are sums over the 2^T sequences, taken as arrays.
     """
     if not callable(atoms):
         raise ConfigError("atoms must be a callable finite-support provider")
     if check_count(T, "T", 1) > 12:
         raise ConfigError("full enumeration is limited to T <= 12")
     seqs = list(itertools.product((0, 1), repeat=T))
-    dist = {}
-    for a_bar in seqs:
+    moments = np.empty((len(seqs), 2))  # E[Y^a], E[(Y^a)^2] per sequence
+    for i, a_bar in enumerate(seqs):
         values, probs = atoms(a_bar)
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
@@ -357,44 +389,22 @@ def decomposition_check(p: float, delta: float, T: int, atoms: Callable) -> floa
             raise ConfigError("atoms must return matching value/probability vectors")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ConfigError("atom probabilities must sum to one")
-        dist[a_bar] = (values, probs)
+        moments[i] = np.sum(probs * values), np.sum(probs * values**2)
+    mean, second = moments.T
+    treated = np.array(seqs, dtype=bool)
+    path_prob = np.where(treated, p, 1.0 - p).prod(axis=1)
 
-    def path_prob(a_bar):
-        out = 1.0
-        for a in a_bar:
-            out *= p if a == 1 else 1.0 - p
-        return out
-
-    # left side: the shifted-weight statistic enumerated over (sequence, atom)
+    # left side: the shifted-weight statistic over (sequence, atom)
     denom = delta * p + 1.0 - p
-    e1 = 0.0
-    em = 0.0
-    for a_bar in seqs:
-        w_inc = 1.0
-        for a in a_bar:
-            w_inc *= (delta * a + 1.0 - a) / denom
-        values, probs = dist[a_bar]
-        pr = path_prob(a_bar)
-        e1 += pr * float(np.sum(probs * (w_inc * values) ** 2))
-        em += pr * float(np.sum(probs * w_inc * values))
-    lhs = e1 - em**2
+    w_inc = np.where(treated, delta / denom, 1.0 / denom).prod(axis=1)
+    lhs = path_prob @ (w_inc**2 * second) - (path_prob @ (w_inc * mean)) ** 2
 
-    # right side: variance of the square-root-weighted combination.  Distinct
-    # sequences contribute sqrt(w_a w_b) (-m_a m_b), which sums to
-    # -(sum sqrt(w) m)^2 + sum w m^2.
-    rhs = 0.0
-    root_sum = 0.0
-    sq_sum = 0.0
-    for a_bar in seqs:
-        values, probs = dist[a_bar]
-        mean = float(np.sum(probs * values))
-        second = float(np.sum(probs * values**2))
-        w = path_weight(a_bar, delta, p)
-        rhs += w * (second / path_prob(a_bar) - mean**2)
-        root_sum += math.sqrt(w) * mean
-        sq_sum += w * mean**2
-    rhs += sq_sum - root_sum**2
-    return abs(lhs - rhs)
+    # right side: variance of the square-root-weighted combination.  The
+    # diagonal gives w (E[(Y^a)^2] / P(a) - m_a^2) and distinct sequences
+    # sqrt(w_a w_b) (-m_a m_b); the m^2 terms cancel.
+    w = np.array([path_weight(a_bar, delta, p) for a_bar in seqs])
+    rhs = w @ (second / path_prob) - (np.sqrt(w) @ mean) ** 2
+    return abs(float(lhs - rhs))
 
 
 @dataclass
@@ -416,63 +426,41 @@ class EfficiencyReport:
 
     def as_csv_rows(self):
         for row in self.rows:
-            yield (
-                row["T"],
-                row["lower"],
-                row["upper"],
-                row["ratio"],
-                self.variant,
-            )
+            yield row["T"], row["lower"], row["upper"], row["ratio"], self.variant
 
 
-def efficiency_curve(
-    spec_for: Callable[[int], MomentSpec],
-    T_max: int,
-    variant: str = "always_treated",
-    c: float | None = None,
-) -> EfficiencyReport:
+def efficiency_curve(spec_for: Callable[[int], MomentSpec], T_max: int,
+                     variant: str = "always_treated", c: float | None = None) -> EfficiencyReport:
     """Exact variance-ratio curve with bounds for horizons 1..T_max.
 
-    ``spec_for(T)`` must return the moment specification at horizon T.
-    The crossing certificate from ``crossover_horizon_bound`` is reported
-    with the most conservative (smallest) second-moment ratio along the
-    curve; it applies only for delta > 1.
+    ``spec_for(T)`` must return the moment specification at horizon T,
+    with the same delta and p at every horizon; otherwise ``ConfigError``.
+    The crossing certificate is the variant's own arm's: the scan of
+    ``crossover_horizon_bound`` with the arm's most conservative
+    (smallest) second-moment ratio along the curve, at (delta, p) for the
+    always-treated arm and at (1/delta, 1 - p) for the never-treated one.
+    It exists for delta > 1 and delta < 1 respectively, else it is None.
     """
     check_count(T_max, "T_max", 1)
-    rows = []
-    crossing = None
-    c1_min = None
-    delta = p = None
+    rows, crossing, c1_min = [], None, math.inf
     for T in range(1, T_max + 1):
         spec = spec_for(T)
-        delta, p = spec.delta, spec.p
-        var_det = _fixed_variance(spec, variant)
+        if T == 1:
+            first = spec
+        if (spec.T, spec.delta, spec.p) != (T, first.delta, first.p):
+            raise ConfigError(f"spec_for({T}) gave T={spec.T}, delta={spec.delta}, p={spec.p}; "
+                              f"want T={T}, delta={first.delta}, p={first.p}")
+        arm = _fixed_regime(spec, variant)
+        var_det = _fixed_variance(T, arm)
         var_inc = exact_variance(spec, "inc")
         lower, upper = variance_ratio_bounds(spec, variant=variant, c=c)
         ratio = var_inc / var_det if var_det > 0 else math.inf
-        rows.append(
-            {
-                "T": T,
-                "var_deterministic": var_det,
-                "var_incremental": var_inc,
-                "ratio": ratio,
-                "lower": lower,
-                "upper": upper,
-            }
-        )
+        rows.append({"T": T, "var_deterministic": var_det, "var_incremental": var_inc,
+                     "ratio": ratio, "lower": lower, "upper": upper})
         if crossing is None and var_inc < var_det:
             crossing = T
-        c1 = spec.second((1,) * T) / spec.b_u**2
-        c1_min = c1 if c1_min is None else min(c1_min, c1)
-    scan = None
-    if delta is not None and delta > 1:
-        scan = crossover_horizon_bound(delta, p, c1_min)
-    return EfficiencyReport(
-        variant=variant,
-        delta=float(delta),
-        p=float(p),
-        rows=rows,
-        crossing_T=crossing,
-        scan_T=scan,
-        scan_T_strict=None if scan is None else scan - 1,
-    )
+        c1_min = min(c1_min, arm.second / spec.b_u**2)
+    scan = crossover_horizon_bound(arm.delta, arm.r, c1_min) if arm.delta > 1 else None
+    return EfficiencyReport(variant=variant, delta=float(first.delta), p=float(first.p), rows=rows,
+                            crossing_T=crossing, scan_T=scan,
+                            scan_T_strict=None if scan is None else scan - 1)

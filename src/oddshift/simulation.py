@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from ._special import expit, logit, ndtr
-from .efficiency import _collapse, trial_moments, variance_ratio_bounds
+from .efficiency import _collapse, _collapsed, trial_moments, variance_ratio_bounds
 from .errors import ConfigError, check_count, check_open_unit, check_seed, check_stage
 from .estimator import (
     _ones,
@@ -245,7 +245,8 @@ def exact_effect_curve(cfg: DgpConfig, grid, t: int) -> np.ndarray:
     t = check_stage(t, cfg.T, "horizon")
     deltas = np.asarray(DeltaGrid.of(grid).values)
     if cfg.kind == "trial":
-        return _trial_tables(t, incremental_propensity(cfg.p, deltas))[0][0]
+        q = incremental_propensity(cfg.p, deltas)
+        return _collapsed(_trial_outcomes(t), q, 1.0 - q)[0]
     qbar = _mean_shifted_propensity(t, deltas)
     # state[a, b, j]: P(A_{s-1}=a, A_{s-2}=b) under delta j; no treatment before s=1
     state = np.zeros((2, 2, deltas.size))
@@ -374,8 +375,12 @@ def _trial_tables(t_star: int, q: np.ndarray) -> dict[int, np.ndarray]:
     k_s counts the treated periods through s and q holds the shifted
     propensity per delta; v_0[0] is the curve psi_t*.
     """
-    table = (10.0 + np.sqrt(np.arange(t_star + 1.0)))[:, None]
-    return dict(zip(range(t_star - 1, -1, -1), _collapse(table, q, 1.0 - q)))
+    return dict(zip(range(t_star - 1, -1, -1), _collapse(_trial_outcomes(t_star), q, 1.0 - q)))
+
+
+def _trial_outcomes(t_star: int) -> np.ndarray:
+    """The trial's outcome means 10 + sqrt(k) at the horizon, a (t*+1, 1) column over k."""
+    return (10.0 + np.sqrt(np.arange(t_star + 1.0)))[:, None]
 
 
 def _true_pi(cfg: DgpConfig, ds: PanelDataset, s: int, units: np.ndarray, a=None) -> np.ndarray:

@@ -600,3 +600,12 @@ class TestEfficiencyCommand:
             "error": "EstimationError",
             "message": "the exact variance at T=1014 is beyond double precision",
         }
+
+    @pytest.mark.parametrize("delta, scan", [("2", None), ("0.5", 4)])
+    def test_never_treated_certificate_is_its_own_arms(self, tmp_path, delta, scan):
+        # at the defaults the always-treated arm's scan_T of 3 used to be reported here
+        res = run(["efficiency", "--variant", "never_treated", "--delta", delta, "--seed", "0",
+                   "--out", str(tmp_path)])
+        assert res.returncode == 0, res.stderr
+        info = json.loads((tmp_path / "efficiency.json").read_text())
+        assert (info["scan_T"], info["scan_T_strict"]) == (scan, None if scan is None else scan - 1)

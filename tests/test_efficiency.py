@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -27,6 +28,8 @@ from oddshift import (
     variance_ratio_bounds,
 )
 from oddshift import efficiency
+from oddshift.intervention import incremental_propensity
+from oddshift.simulation import _trial_tables
 
 
 class TestTruncatedVariance:
@@ -96,6 +99,12 @@ class TestPathWeight:
         per_t = (delta**2 * p**2 + (1.0 - p) ** 2) / (delta * p + 1.0 - p) ** 2
         assert total == pytest.approx(per_t**T, rel=1e-12)
 
+    @pytest.mark.parametrize("a_bar", [(2, 1), (0, -1), (0.5,), (1, math.nan)])
+    def test_entries_other_than_zero_or_one_rejected(self, a_bar):
+        # (2, 1) used to weigh the same as (0, 1)
+        with pytest.raises(ConfigError, match="treatment entries must be 0 or 1"):
+            path_weight(a_bar, 2.0, 0.5)
+
     def test_square_root_is_shifted_path_probability(self):
         delta, p = 3.0, 0.4
         q = delta * p / (delta * p + 1.0 - p)
@@ -116,6 +125,18 @@ class TestBaseFactor:
         for p in np.linspace(0.05, 0.95, 19):
             for delta in (1.01, 1.5, 2.0, 5.0, 20.0):
                 assert base_factor(delta, p) < 1.0
+
+    def test_arm_probability_times_g(self):
+        # the two hand-written per-variant formulas, against r g with g >= 1
+        for p, delta in itertools.product(np.linspace(0.05, 0.95, 19), (0.1, 0.5, 1.0, 2.0, 10.0)):
+            denom = (delta * p + 1.0 - p) ** 2
+            g = efficiency._g(delta, p)
+            assert g >= 1.0 - 1e-15 and (g > 1.0 or delta == 1.0)
+            assert base_factor(delta, p) == pytest.approx(
+                (delta**2 * p**2 + p * (1.0 - p)) / denom, rel=1e-14)
+            assert base_factor(delta, p, "never_treated") == pytest.approx(
+                (delta**2 * p * (1.0 - p) + (1.0 - p) ** 2) / denom, rel=1e-14)
+            assert base_factor(delta, p, "never_treated") == (1.0 - p) * g
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
@@ -150,6 +171,30 @@ UNUSABLE_INPUTS = {
     "base factor p=0": (lambda: base_factor(2.0, 0.0), "p must lie in (0,1)"),
     "decomposition T=2.5": (lambda: decomposition_check(0.5, 2.0, 2.5, binary_atoms),
                             "T must be an integer >= 1, got 2.5"),
+    # NaN and inf gave bounds (0.0, nan) and (0.0, inf); 0 and -1 a misleading b_u violation
+    **{f"b_u={b_u!r}": (lambda b_u=b_u: MomentSpec(p=0.5, delta=2.0, T=2, b_u=b_u,
+                                                  mean_by_count=float, second_by_count=float),
+                        f"b_u must be finite and > 0, got {b_u!r}")
+       for b_u in (math.nan, math.inf, 0.0, -1.0, True, "1", None)},
+    # a spec_for that ignores T labelled T = 1, 2, 3 with the T=5 ratio
+    "spec_for at another horizon": (
+        lambda: efficiency_curve(lambda T: trial_moments(5, 0.5, 2.0), 3),
+        "spec_for(1) gave T=5, delta=2.0, p=0.5; want T=1, delta=2.0, p=0.5"),
+    "delta changing along the curve": (
+        lambda: efficiency_curve(lambda T: trial_moments(T, 0.5, 2.0 if T < 3 else 5.0), 4),
+        "spec_for(3) gave T=3, delta=5.0, p=0.5; want T=3, delta=2.0, p=0.5"),
+    "p changing along the curve": (
+        lambda: efficiency_curve(lambda T: trial_moments(T, 0.5 if T < 2 else 0.3, 2.0), 4),
+        "spec_for(2) gave T=2, delta=2.0, p=0.3; want T=2, delta=2.0, p=0.5"),
+    # each function keeps the variant spellings it accepted
+    "bounds variant 'at'": (lambda: variance_ratio_bounds(trial_moments(2, 0.5, 2.0), "at"),
+                            "unknown variant 'at'"),
+    "curve variant 'nt'": (lambda: efficiency_curve(lambda T: trial_moments(T, 0.5, 2.0), 2,
+                                                    "nt"), "unknown variant 'nt'"),
+    "base factor variant 'at'": (lambda: base_factor(2.0, 0.5, "at"), "unknown variant 'at'"),
+    "estimator 'always_treated'": (
+        lambda: exact_variance(trial_moments(2, 0.5, 2.0), "always_treated"),
+        "unknown estimator 'always_treated'"),
 }
 
 
@@ -371,6 +416,59 @@ class TestCurve:
         assert rows[0][4] == "always_treated"
 
 
+def count_spec(T, mean_k, second_k, p=0.5, delta=2.0, b_u=1.0):
+    return MomentSpec(p=p, delta=delta, T=T, b_u=b_u, mean_by_count=mean_k,
+                      second_by_count=second_k)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("variant", ["always_treated", "never_treated"])
+    def test_sweep_certificate_holds(self, variant):
+        # the never-treated certificate used to be the always-treated arm's, and the exact
+        # curve contradicted it in 9 of these 72 cases (p=0.2, delta=5: scan 2, ratio >= 1 to 60)
+        for p, delta in itertools.product((0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95),
+                                          (0.1, 0.2, 0.5, 0.8, 1.25, 2.0, 5.0, 10.0)):
+            report = efficiency_curve(lambda T: trial_moments(T, p, delta), 40, variant)
+            has_scan = delta > 1 if variant == "always_treated" else delta < 1
+            assert (report.scan_T is not None) == has_scan, (p, delta)
+            for row in report.rows:
+                if has_scan and row["T"] >= report.scan_T:
+                    assert row["ratio"] < 1.0, (p, delta, row["T"])
+
+    def test_cli_defaults_pinned(self):
+        always = efficiency_curve(lambda T: trial_moments(T, 0.5, 2.0), 12)
+        assert (always.scan_T, always.crossing_T) == (3, 1)
+        never = efficiency_curve(lambda T: trial_moments(T, 0.5, 2.0), 12, "never_treated")
+        assert (never.scan_T, never.crossing_T) == (None, 1)
+
+    def test_never_treated_is_always_treated_at_mirrored_point(self):
+        p, delta, T_max = 0.3, 0.4, 10
+        report = efficiency_curve(lambda T: trial_moments(T, p, delta), T_max, "never_treated")
+        c1 = min(trial_moments(T, p, delta).second((0,) * T) / trial_moments(T, p, delta).b_u**2
+                 for T in range(1, T_max + 1))
+        assert report.scan_T == crossover_horizon_bound(1.0 / delta, 1.0 - p, c1)
+        assert report.scan_T_strict == report.scan_T - 1
+
+    def test_degenerate_never_treated_arm_raises(self):
+        # Y = 0 on the never-treated arm: a raw ZeroDivisionError before
+        spec_for = lambda T: count_spec(T, lambda k: 0.0 if k == 0 else 0.5,  # noqa: E731
+                                        lambda k: 0.0 if k == 0 else 0.5)
+        message = "never-treated outcome must be non-degenerate"
+        with pytest.raises(ConfigError, match=message):
+            variance_ratio_bounds(spec_for(3), "never_treated")
+        with pytest.raises(ConfigError, match=message):
+            efficiency_curve(spec_for, 3, "never_treated")
+        with pytest.raises(ConfigError, match=message):
+            exact_variance(spec_for(3), "nt")
+
+    def test_degenerate_always_treated_arm_does_not_block_never_treated(self):
+        spec = count_spec(3, lambda k: 0.0 if k == 3 else 0.5, lambda k: 0.0 if k == 3 else 0.5)
+        lower, upper = variance_ratio_bounds(spec, "never_treated")
+        assert 0.0 <= lower <= upper < math.inf
+        with pytest.raises(ConfigError, match="always-treated outcome must be non-degenerate"):
+            variance_ratio_bounds(spec, "always_treated")
+
+
 def reference_path_sum(spec, f1, moment):
     """Sum over sequences of prod_t (f1 if a_t = 1 else 1 - p) * moment(a), term by term.
 
@@ -448,6 +546,27 @@ class TestBinomialCollapse:
             truth = exact_effect_curve(DgpConfig(kind="trial", n=1, T=T, p=p), [delta], T)
             assert mean[0] == truth[0], (p, delta, T)
             assert exact_variance(spec, "inc") == float(second[0] - truth[0] ** 2), (p, delta, T)
+
+    @pytest.mark.parametrize("T", [1, 2, 10, 300])
+    def test_trial_truth_is_the_oracle_tables_stage_zero(self, T):
+        grid = [0.1, 0.5, 1.0, 2.0, 5.0]
+        truth = exact_effect_curve(DgpConfig(kind="trial", n=1, T=T, p=0.4), grid, T)
+        tables = _trial_tables(T, incremental_propensity(0.4, np.asarray(grid)))
+        assert np.array_equal(truth, tables[0][0])
+
+    def test_last_step_held_alone(self):
+        # every step was kept: 95.7 MiB for the curve and 7.8 MiB for the variance before
+        cfg, grid = DgpConfig(kind="trial", n=1, T=1000, p=0.5), np.geomspace(0.1, 5.0, 25)
+        spec = trial_moments(1000, 0.5, 2.0)
+        for call, limit in ((lambda: exact_effect_curve(cfg, grid, 1000), 4 * 2**20),
+                            (lambda: exact_variance(spec, "inc"), 2**20)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit
 
     def test_count_providers_called_once_per_count(self):
         calls = []
